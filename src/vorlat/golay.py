@@ -4,7 +4,8 @@ The length-23 perfect Golay code is cyclic, generated by either degree-11
 factor of (x^23+1)/(x+1) over GF(2). We recover such a factor by direct
 search (1024 candidates), append an overall parity bit, and cache the
 4096-word codebook. Downstream uses: the scaled Leech lattice generator and
-its coset-decomposition quantizer.
+its quantizer, which scores every codeword by matrix products with the
+codebook.
 """
 
 from __future__ import annotations
@@ -57,7 +58,11 @@ def generator_matrix() -> np.ndarray:
 
 
 def codewords() -> np.ndarray:
-    """All 4096 codewords as a (4096, 24) uint8 array, row 0 the zero word."""
+    """All 4096 codewords as a (4096, 24) uint8 array, row 0 the zero word.
+
+    Row j is the xor of the generator rows picked by the set bits of j, so
+    row j equals row (j & 63) xor row (j & ~63).
+    """
     global _WORDS
     if _WORDS is None:
         table = np.zeros((1, 24), dtype=np.uint8)

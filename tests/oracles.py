@@ -2,11 +2,16 @@
 
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
-they check.
+they check. The one exception is the Leech coset oracle, which takes the
+Golay codebook from the package as data.
 """
 
 from fractions import Fraction
 from itertools import product
+
+import numpy as np
+
+from vorlat import golay
 
 
 def frac_matrix(m):
@@ -86,3 +91,42 @@ def count_residues_brute(gen_rows, box: int) -> int:
         if not any(in_span(gen_rows, [a - b for a, b in zip(p, r)]) for r in reps):
             reps.append(p)
     return len(reps)
+
+
+def leech_coset_reference(ys) -> np.ndarray:
+    """Nearest Leech_int points by a D24 round in each of the 8192 cosets.
+
+    Broadcasts every input against all cosets 2c + m*u + 4*D24 (c a Golay
+    codeword, m in {0,1}, u = (-3, 1, ..., 1)) and keeps the first coset of
+    least squared distance in table order (m = 0 first, then codeword index).
+    Within a coset the D24 round re-rounds the coordinate of largest error,
+    lowest index on ties, when the rounded sum is odd.
+    """
+    words = golay.codewords().astype(np.int64)
+    u = np.array([-3] + [1] * 23, dtype=np.int64)
+    table = np.concatenate([2 * words, 2 * words + u], axis=0)
+    t = table.astype(np.float64)
+    y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    out = np.empty((y.shape[0], 24), dtype=np.int64)
+    chunk = 4
+    for lo in range(0, y.shape[0], chunk):
+        yc = y[lo : lo + chunk]
+        # Work at quarter scale: the best point of coset t is t + 4*f with
+        # f the D24 round of (y - t)/4, and the residual is 4*(w - f).
+        w = (yc[:, None, :] - t[None, :, :]) * 0.25
+        f = np.floor(w + 0.5)
+        w -= f  # rounding errors, in [-0.5, 0.5)
+        flat_f = f.reshape(-1, 24)
+        flat_w = w.reshape(-1, 24)
+        odd = np.nonzero(flat_f.sum(axis=1) % 2.0 != 0.0)[0]
+        if odd.size:
+            sub = flat_w[odd]
+            k = np.argmax(np.abs(sub), axis=1)
+            delta = np.where(sub[np.arange(odd.size), k] > 0, 1.0, -1.0)
+            flat_f[odd, k] += delta
+            flat_w[odd, k] -= delta
+        dist = np.einsum("bij,bij->bi", w, w)
+        idx = np.argmin(dist, axis=1)
+        rows = np.arange(yc.shape[0])
+        out[lo : lo + chunk] = table[idx] + 4 * f[rows, idx].astype(np.int64)
+    return out

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from vorlat import golay
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import (
@@ -20,8 +21,10 @@ from vorlat.quantize import (
     second_moment_mc,
     short_vectors,
 )
+from vorlat.shaping import builtin_spec
+from vorlat.simulate import random_ordinals
 
-from oracles import in_span
+from oracles import in_span, leech_coset_reference
 
 
 # ---------------------------------------------------------------------------
@@ -152,15 +155,42 @@ def test_e8_fast_outputs_are_optimal_voronoi_points():
 def test_leech_fast_matches_enumeration_distances():
     lat = standard_lattice("Leech_int")
     fast = make_quantizer(lat, method="leech_fast")
-    enum = make_quantizer(lat, method="leech_enum")
+    enum = make_quantizer(lat, method="exact_enumeration")
     rng = np.random.default_rng(3)
-    ys = rng.uniform(-8, 8, size=(6, 24))
+    spec = builtin_spec("leech24")
+    reps = spec.representative_batch(random_ordinals(spec, 8, seed=3))
+    ys = np.concatenate([reps.astype(np.float64), rng.uniform(-8, 8, size=(16, 24))])
     pf = fast.quantize_batch(ys)
     for y, f in zip(ys, pf):
         e = quantize(enum, y)
         df = ((y - f) ** 2).sum()
         de = ((y - e) ** 2).sum()
         assert abs(df - de) < 1e-9
+
+
+def test_leech_fast_matches_coset_reference():
+    """Bit-identical points to the per-coset broadcast, ties included."""
+    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    spec = builtin_spec("leech24")
+    rng = np.random.default_rng(8)
+    reps = spec.representative_batch(random_ordinals(spec, 512, seed=8))
+    for ys in (
+        reps.astype(np.float64),
+        rng.integers(-16, 16, size=(512, 24)) + 0.5,
+        rng.uniform(-8, 8, size=(512, 24)),
+    ):
+        assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
+    # one batch call across internal block boundaries equals single-row calls
+    ys = np.concatenate([reps[:11].astype(np.float64), rng.uniform(-8, 8, size=(10, 24))])
+    rows = np.stack([fast.quantize(y) for y in ys])
+    assert np.array_equal(fast.quantize_batch(ys), rows)
+
+
+def test_golay_table_splits_into_generator_bit_halves():
+    # the Leech quantizer's parity split relies on this table order
+    words = golay.codewords()
+    j = np.arange(4096)
+    assert np.array_equal(words, words[j & 63] ^ words[j & ~63])
 
 
 def test_leech_fast_fixed_points():
@@ -177,7 +207,7 @@ def test_leech_fast_fixed_points():
 
 
 def test_quantizer_idempotent_on_lattice_points():
-    for name in ("Zn(4)", "Dn(4)", "E8_int"):
+    for name in ("Zn(4)", "Dn(4)", "E8_int", "Leech_int"):
         lat = standard_lattice(name)
         q = make_quantizer(lat)
         rng = np.random.default_rng(4)
