@@ -96,13 +96,11 @@ def _e8_unimodular_round(y: np.ndarray) -> np.ndarray:
     b = _dn_round(y - 0.5) + 0.5
     da = ((y - a) ** 2).sum(axis=1)
     db = ((y - b) ** 2).sum(axis=1)
-    pick_b = db < da - TIE_EPS
-    out = np.where(pick_b[:, None], b, a)
-    ties = np.nonzero(np.abs(da - db) <= TIE_EPS)[0]
-    for i in ties:
-        if _lex_smaller(b[i], a[i]):
-            out[i] = b[i]
-    return out
+    # a is integral and b is not, so they differ in their first coordinate:
+    # on a tie the lexicographically smaller point has the smaller first one.
+    tie = np.abs(da - db) <= TIE_EPS
+    pick_b = (db < da - TIE_EPS) | (tie & (b[:, 0] < a[:, 0]))
+    return np.where(pick_b[:, None], b, a)
 
 
 class E8FastQuantizer(Quantizer):

@@ -10,6 +10,7 @@ calibration-free.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -23,6 +24,7 @@ from .shaping import VoronoiCodeSpec
 
 _TRIAL_BLOCK = 4096
 _TABLE_ML_LIMIT = 1 << 14
+_ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
 _EXHAUSTIVE_LIMIT = 1 << 20
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
@@ -63,7 +65,9 @@ def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
 
     The noise of absolute trial t is a fixed function of (cfg.seed, t):
     trials are grouped into fixed blocks and each block has its own Philox
-    stream, so batching and early stopping cannot change any draw.
+    stream, so batching and early stopping cannot change any draw. A call
+    draws a block's stream only up to its last trial there; Philox fills
+    rows in order, so that draw is a prefix of the full block.
     """
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 1
@@ -76,8 +80,8 @@ def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
         t = trial_offset + done
         block, inner = divmod(t, _TRIAL_BLOCK)
         take = min(_TRIAL_BLOCK - inner, rows - done)
-        noise = _stream(cfg.seed, 0, block).normal(0.0, cfg.sigma, (_TRIAL_BLOCK, n))
-        out[done : done + take] += noise[inner : inner + take]
+        noise = _stream(cfg.seed, 0, block).normal(0.0, cfg.sigma, (inner + take, n))
+        out[done : done + take] += noise[inner:]
         done += take
     return out[0] if squeeze else out
 
@@ -92,9 +96,9 @@ def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
         block, inner = divmod(t, _TRIAL_BLOCK)
         take = min(_TRIAL_BLOCK - inner, count - done)
         draws = _stream(seed, 1, block).integers(
-            0, spec.message_count, _TRIAL_BLOCK, dtype=np.int64
+            0, spec.message_count, inner + take, dtype=np.int64
         )
-        out[done : done + take] = draws[inner : inner + take]
+        out[done : done + take] = draws[inner:]
         done += take
     return out
 
@@ -157,13 +161,31 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
 # decoders
 
 
-def _table_ml_batch(code: LinearCode, costs: np.ndarray) -> np.ndarray:
-    """Exact ML over the full codeword table (first minimal index wins)."""
-    words = code.codewords()
-    idx = np.arange(code.n)[None, :] * code.q + words
-    flat = costs.reshape(costs.shape[0], -1)
-    scores = flat[:, idx].sum(axis=2)
-    return words[np.argmin(scores, axis=1)]
+class _TableML:
+    """Exact ML over a code's full codeword table, scored by one matmul.
+
+    `onehot[j*q + v, w]` is 1 where codeword w has symbol v at position j, so
+    `costs.reshape(rows, n*q) @ onehot` sums every word's per-symbol costs.
+    The first minimal word in message-ordinal order wins, which for codes in
+    reduced row echelon form is the lexicographically smallest one. Rows are
+    scored in chunks of at most _ML_SCORES scores.
+    """
+
+    def __init__(self, code: LinearCode):
+        self.words = code.codewords()
+        count = len(self.words)
+        self.onehot = np.zeros((code.n * code.q, count), dtype=np.float64)
+        cells = np.arange(code.n)[None, :] * code.q + self.words
+        self.onehot[cells, np.arange(count)[:, None]] = 1.0
+        self.chunk = max(1, _ML_SCORES // count)
+
+    def __call__(self, costs: np.ndarray) -> np.ndarray:
+        flat = costs.reshape(costs.shape[0], -1)
+        best = np.empty(flat.shape[0], dtype=np.int64)
+        for lo in range(0, flat.shape[0], self.chunk):
+            best[lo : lo + self.chunk] = np.argmin(flat[lo : lo + self.chunk] @ self.onehot,
+                                                   axis=1)
+        return self.words[best]
 
 
 def _wagner_ml_batch(code: LinearCode, costs: np.ndarray) -> np.ndarray:
@@ -198,9 +220,9 @@ class MultistageDecoder:
         self._strategies = []
         for level, code in enumerate(spec.chain.codes):
             if code.q**code.k <= _TABLE_ML_LIMIT:
-                self._strategies.append(_table_ml_batch)
+                self._strategies.append(_TableML(code))
             elif code.q == 2 and code.k == code.n - 1:
-                self._strategies.append(_wagner_ml_batch)
+                self._strategies.append(functools.partial(_wagner_ml_batch, code))
             else:
                 raise ValueError(
                     f"level {level} code is too large for exhaustive metrics"
@@ -211,13 +233,13 @@ class MultistageDecoder:
         y = np.asarray(ys, dtype=np.float64)
         t = y - spec._offset_np
         assembled = np.zeros(t.shape, dtype=np.int64)
-        for level, (code, ml) in enumerate(zip(spec.chain.codes, self._strategies)):
+        for level, ml in enumerate(self._strategies):
             scale = float(spec.q**level)
             costs = np.empty(t.shape + (spec.q,), dtype=np.float64)
             for v in range(spec.q):
                 z = round_half_up((t / scale - v) / spec.q)
                 costs[:, :, v] = (t - scale * (v + spec.q * z)) ** 2
-            words = ml(code, costs)
+            words = ml(costs)
             assembled += spec.q**level * words
             t = t - scale * words
         grid = round_half_up(t / spec.qa).astype(np.int64)
@@ -283,28 +305,36 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     """WER at each Es/N0 point, stopping a point early after max_errors.
 
     Messages and noise are paired across points and across specs sharing a
-    seed, so dB gaps between paired sweeps are low-variance.
+    seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
+    in the outer loop: each block is drawn and encoded once and then sent
+    through every point that has not yet reached max_errors.
     """
     db_values = [float(v) for v in es_n0_list]
     if energy is None:
         energy = average_energy(spec)
     if decoder is None:
         decoder = make_decoder(spec, mode)
-    points = []
-    for db in db_values:
-        sigma = sigma_for(energy, db)
-        errors = 0
-        done = 0
-        while done < trials and errors < max_errors:
-            take = min(_TRIAL_BLOCK, trials - done)
-            ords = random_ordinals(spec, take, seed, trial_offset=done)
-            x = spec.encode_batch(ords)
-            y = transmit(x, ChannelConfig(sigma, seed, take), trial_offset=done)
+    sigmas = [sigma_for(energy, db) for db in db_values]
+    errors = [0] * len(db_values)
+    done = [0] * len(db_values)
+    start = 0
+    while start < trials:
+        active = [i for i, e in enumerate(errors) if e < max_errors]
+        if not active:
+            break
+        take = min(_TRIAL_BLOCK, trials - start)
+        ords = random_ordinals(spec, take, seed, trial_offset=start)
+        x = spec.encode_batch(ords)
+        for i in active:
+            y = transmit(x, ChannelConfig(sigmas[i], seed, take), trial_offset=start)
             decoded = decoder.decode_batch(y)
-            errors += int(np.any(decoded != x, axis=1).sum())
-            done += take
-        lo, hi = wilson_interval(errors, done)
-        points.append(WerPoint(db, errors / done, errors, done, lo, hi))
+            errors[i] += int(np.any(decoded != x, axis=1).sum())
+            done[i] += take
+        start += take
+    points = []
+    for db, e, d in zip(db_values, errors, done):
+        lo, hi = wilson_interval(e, d)
+        points.append(WerPoint(db, e / d, e, d, lo, hi))
     return points
 
 

@@ -2,8 +2,10 @@
 
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
-they check. The one exception is the Leech coset oracle, which takes the
-Golay codebook from the package as data.
+they check. The exceptions are the Leech coset oracle, which takes the
+Golay codebook from the package as data, and the reference ML and sweep
+loops, which are the package's earlier, unoptimised forms of the same
+computation and reuse its codes, channel and decoders.
 """
 
 from fractions import Fraction
@@ -12,6 +14,15 @@ from itertools import product
 import numpy as np
 
 from vorlat import golay
+from vorlat.simulate import (
+    _TRIAL_BLOCK,
+    ChannelConfig,
+    WerPoint,
+    random_ordinals,
+    sigma_for,
+    transmit,
+    wilson_interval,
+)
 
 
 def frac_matrix(m):
@@ -130,3 +141,41 @@ def leech_coset_reference(ys) -> np.ndarray:
         rows = np.arange(yc.shape[0])
         out[lo : lo + chunk] = table[idx] + 4 * f[rows, idx].astype(np.int64)
     return out
+
+
+def table_ml_reference(code, costs) -> np.ndarray:
+    """ML over the full codeword table by gathering every word's costs.
+
+    Builds a (rows, q^k, n) array of per-symbol costs and sums it; the first
+    minimal word in message-ordinal order wins.
+    """
+    words = code.codewords()
+    idx = np.arange(code.n)[None, :] * code.q + words
+    flat = costs.reshape(costs.shape[0], -1)
+    scores = flat[:, idx].sum(axis=2)
+    return words[np.argmin(scores, axis=1)]
+
+
+def wer_sweep_reference(spec, es_n0_list, *, trials, seed, max_errors, energy,
+                        decoder) -> list:
+    """WER sweep with Es/N0 points outside and trial blocks inside.
+
+    Each point draws, encodes and decodes its own blocks until it has run
+    `trials` trials or counted `max_errors` errors.
+    """
+    points = []
+    for db in es_n0_list:
+        sigma = sigma_for(energy, db)
+        errors = 0
+        done = 0
+        while done < trials and errors < max_errors:
+            take = min(_TRIAL_BLOCK, trials - done)
+            ords = random_ordinals(spec, take, seed, trial_offset=done)
+            x = spec.encode_batch(ords)
+            y = transmit(x, ChannelConfig(sigma, seed, take), trial_offset=done)
+            decoded = decoder.decode_batch(y)
+            errors += int(np.any(decoded != x, axis=1).sum())
+            done += take
+        lo, hi = wilson_interval(errors, done)
+        points.append(WerPoint(float(db), errors / done, errors, done, lo, hi))
+    return points

@@ -9,6 +9,7 @@ from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import (
     TIE_EPS,
     EnumerationQuantizer,
+    _dn_round,
     fold_batch,
     fold_mod_lattice,
     fold_mod_parallelotope,
@@ -128,6 +129,27 @@ def test_e8_fast_tie_agrees_in_distance_only():
     assert pe.tolist() == [0] * 8
     assert abs(((y - pf) ** 2).sum() - 2.0) < 1e-12
     assert abs(((y - pe) ** 2).sum() - 2.0) < 1e-12
+
+
+def test_e8_fast_coset_tie_keeps_the_lexicographically_smaller_point():
+    # Integer inputs often sit, at half scale, as close to the D8 candidate
+    # as to the D8 + 1/2 candidate; the smaller of the two in lexicographic
+    # order must win, in batches and in single-row calls alike.
+    fast = make_quantizer(standard_lattice("E8_int"), method="e8_fast")
+    ys = np.random.default_rng(8).integers(-6, 7, size=(3000, 8)).astype(np.float64)
+    half = ys * 0.5
+    a = _dn_round(half)
+    b = _dn_round(half - 0.5) + 0.5
+    da = ((half - a) ** 2).sum(axis=1)
+    db = ((half - b) ** 2).sum(axis=1)
+    tie = np.abs(da - db) <= TIE_EPS
+    assert 300 < tie.sum() < len(ys)
+    got = fast.quantize_batch(ys)
+    for i in range(len(ys)):
+        pick_b = db[i] < da[i] - TIE_EPS or (tie[i] and tuple(b[i]) < tuple(a[i]))
+        assert got[i].tolist() == (2 * (b[i] if pick_b else a[i])).astype(int).tolist()
+    for i in np.nonzero(tie)[0][:30]:
+        assert np.array_equal(fast.quantize(ys[i]), got[i])
 
 
 def test_e8_fast_outputs_are_optimal_voronoi_points():

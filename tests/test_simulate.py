@@ -1,16 +1,21 @@
 """Channel simulation, decoders, WER sweeps, and the encode benchmark."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from vorlat.codes import ml_decode, single_parity_check_code
+from oracles import table_ml_reference, wer_sweep_reference
+from vorlat.codes import LinearCode, ml_decode, single_parity_check_code
 from vorlat.shaping import builtin_spec
 from vorlat.simulate import (
     BenchResult,
     ChannelConfig,
     ExhaustiveDecoder,
     MultistageDecoder,
-    _table_ml_batch,
+    _TableML,
+    _TRIAL_BLOCK,
+    _stream,
     _wagner_ml_batch,
     average_energy,
     bench_spec_for_dim,
@@ -77,6 +82,27 @@ def test_random_ordinals_split_invariance():
     assert whole.min() >= 0 and whole.max() < spec.message_count
 
 
+def test_short_draws_are_prefixes_of_the_full_block():
+    # transmit and random_ordinals draw a block's stream only up to the last
+    # trial they use; every shorter draw must equal the full block's prefix.
+    full = _stream(12, 0, 3).normal(0.0, 1.0, (_TRIAL_BLOCK, 24))
+    for rows in (1, 64, 1000):
+        assert np.array_equal(_stream(12, 0, 3).normal(0.0, 1.0, (rows, 24)), full[:rows])
+    for count in (65536, (1 << 40) + 7):
+        full = _stream(12, 1, 3).integers(0, count, _TRIAL_BLOCK, dtype=np.int64)
+        for rows in (1, 64, 1000):
+            short = _stream(12, 1, 3).integers(0, count, rows, dtype=np.int64)
+            assert np.array_equal(short, full[:rows])
+    # and the public draws equal slices of the full blocks
+    offset = 3 * _TRIAL_BLOCK + 100
+    cfg = ChannelConfig(sigma=0.5, seed=12)
+    noise = _stream(12, 0, 3).normal(0.0, 0.5, (_TRIAL_BLOCK, 24))
+    assert np.array_equal(transmit(np.zeros((64, 24)), cfg, offset), noise[100:164])
+    spec = SimpleNamespace(message_count=(1 << 40) + 7)
+    draws = _stream(12, 1, 3).integers(0, spec.message_count, _TRIAL_BLOCK, dtype=np.int64)
+    assert np.array_equal(random_ordinals(spec, 64, 12, offset), draws[100:164])
+
+
 def test_average_energy_small_systems_exact():
     assert average_energy(builtin_spec("pair2")) == pytest.approx(1.5)
     assert average_energy(builtin_spec("desk8-cube")) == pytest.approx(5.5)
@@ -109,13 +135,59 @@ def test_wilson_interval_values():
         wilson_interval(0, 0)
 
 
+def _random_code(rng, n, k, q):
+    while True:
+        try:
+            return LinearCode(rng.integers(0, q, (k, n)).tolist(), q)
+        except ValueError:  # dependent rows: draw again
+            pass
+
+
+def test_table_ml_matches_gather_reference():
+    rng = np.random.default_rng(21)
+    for n, k, q in [(8, 4, 2), (8, 7, 2), (10, 6, 2), (6, 3, 3), (7, 4, 3)]:
+        code = _random_code(rng, n, k, q)
+        ml = _TableML(code)
+        costs = rng.normal(0, 1, (300, n, q)) ** 2
+        words = ml(costs)
+        assert np.array_equal(words, table_ml_reference(code, costs))
+        # one batched call equals single-row calls
+        singles = np.vstack([ml(costs[i : i + 1]) for i in range(20)])
+        assert np.array_equal(singles, words[:20])
+
+
+def test_table_ml_ties_go_to_the_first_word():
+    # small integer costs tie exactly between many codewords
+    rng = np.random.default_rng(22)
+    for n, k, q in [(8, 4, 2), (6, 3, 3)]:
+        code = _random_code(rng, n, k, q)
+        costs = rng.integers(0, 2, (500, n, q)).astype(np.float64)
+        words = _TableML(code)(costs)
+        assert np.array_equal(words, table_ml_reference(code, costs))
+        zero = _TableML(code)(np.zeros((3, n, q)))
+        assert np.array_equal(zero, np.zeros((3, n), dtype=np.int64))
+        for row, cost in zip(words[:40], costs[:40]):
+            assert np.array_equal(row, ml_decode(code, cost))
+
+
+def test_table_ml_chunks_rows_of_large_codes():
+    rng = np.random.default_rng(23)
+    code = _random_code(rng, 14, 11, 2)
+    ml = _TableML(code)
+    assert ml.chunk == 512  # 2^20 scores over 2^11 words
+    costs = rng.normal(0, 1, (1300, 14, 2)) ** 2
+    words = ml(costs)
+    ref = np.vstack([table_ml_reference(code, part) for part in np.array_split(costs, 13)])
+    assert np.array_equal(words, ref)
+
+
 def test_wagner_matches_table_ml():
     rng = np.random.default_rng(11)
     for n in (4, 8, 12):
         spc = single_parity_check_code(n)
         costs = rng.normal(0, 1, (200, n, 2)) ** 2
         wag = _wagner_ml_batch(spc, costs)
-        tab = _table_ml_batch(spc, costs)
+        tab = _TableML(spc)(costs)
         pos = np.arange(n)
         cost_w = costs[np.arange(200)[:, None], pos, wag].sum(axis=1)
         cost_t = costs[np.arange(200)[:, None], pos, tab].sum(axis=1)
@@ -227,6 +299,22 @@ def test_wer_sweep_early_stop():
     assert point.errors >= 50
     assert point.trials < 500000
     assert point.wer == point.errors / point.trials
+
+
+def test_wer_sweep_matches_point_outer_reference():
+    # max_errors is small enough that points stop after different blocks
+    cases = [("pair2", [11.0, 11.5, 12.0, 13.0], 30),
+             ("desk8-cube", [13.0, 14.0, 15.0], 25),
+             ("desk8-e8", [13.0, 13.5, 14.0], 25)]
+    for name, grid, max_errors in cases:
+        spec = builtin_spec(name)
+        energy = average_energy(spec)
+        decoder = MultistageDecoder(spec)
+        kwargs = dict(trials=5 * _TRIAL_BLOCK + 123, seed=17, max_errors=max_errors,
+                      energy=energy, decoder=decoder)
+        points = wer_sweep(spec, grid, **kwargs)
+        assert points == wer_sweep_reference(spec, grid, **kwargs)
+        assert len({p.trials for p in points}) >= 3
 
 
 def test_csv_format():
