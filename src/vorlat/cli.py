@@ -8,6 +8,7 @@ consistency check finds a mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -110,7 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--out", default=None)
 
     p_bench = sub.add_parser("bench", help="encoding cost versus a dense multiply")
-    p_bench.add_argument("--dims", type=_dim_list, default=[8, 16, 32, 64, 128, 256, 512],
+    p_bench.add_argument("--dims", type=_dim_list, default=(8, 16, 32, 64, 128, 256, 512),
                          metavar="N1,N2,...", help="block dimensions, multiples of 8")
     p_bench.add_argument("--trials", type=int, default=256)
     p_bench.add_argument("--repeats", type=int, default=9)
@@ -227,9 +228,16 @@ _COMMANDS = {
 }
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first call and reused: building it costs
+    more than a small command's own work. Each parse returns a fresh
+    namespace, so no value carries over between calls."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except ValueError as exc:

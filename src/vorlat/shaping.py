@@ -298,6 +298,22 @@ class VoronoiCodeSpec:
         ords += radix * (s @ weights)
         return ords
 
+    def same_message(self, p, x) -> np.ndarray:
+        """Per row, whether coding-lattice points p and x carry one message.
+
+        Messages are cosets of the shaping lattice q^a * L', so this tests
+        p - x in q^a * L' without folding either point: the difference must
+        be divisible by q^a (rows that are not skip the second test), and
+        the quotient must reduce to zero in the digit box of L'.
+        """
+        quot, rem = np.divmod(np.asarray(p, dtype=np.int64) - np.asarray(x, dtype=np.int64),
+                              self.qa)
+        same = ~np.any(rem, axis=1)
+        if same.any():
+            box = fold_mod_parallelotope_batch(self._shaping_prime_tri, quot[same])
+            same[same] = ~np.any(box, axis=1)
+        return same
+
     def index(self, point) -> Message:
         ordinal = int(self.index_batch(np.asarray(point)[None, :])[0])
         return self.message_from_ordinal(ordinal)

@@ -60,29 +60,37 @@ def _stream(seed: int, lane: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+def _standard_normals(seed: int, trial_offset: int, rows: int, n: int) -> np.ndarray:
+    """Standard normals of trials trial_offset .. trial_offset + rows - 1.
+
+    Trials are grouped into fixed blocks and each block has its own Philox
+    stream, so a trial's draw is a fixed function of (seed, trial index). A
+    call draws a block's stream only up to its last trial there; Philox fills
+    rows in order, so that draw is a prefix of the full block.
+    """
+    out = np.empty((rows, n), dtype=np.float64)
+    done = 0
+    while done < rows:
+        block, inner = divmod(trial_offset + done, _TRIAL_BLOCK)
+        take = min(_TRIAL_BLOCK - inner, rows - done)
+        draws = _stream(seed, 0, block).standard_normal((inner + take, n))
+        out[done : done + take] = draws[inner:]
+        done += take
+    return out
+
+
 def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
     """y = x + white Gaussian noise, std cfg.sigma per dimension.
 
-    The noise of absolute trial t is a fixed function of (cfg.seed, t):
-    trials are grouped into fixed blocks and each block has its own Philox
-    stream, so batching and early stopping cannot change any draw. A call
-    draws a block's stream only up to its last trial there; Philox fills
-    rows in order, so that draw is a prefix of the full block.
+    The noise of absolute trial t is cfg.sigma times a standard normal that
+    depends only on (cfg.seed, t), so batching and early stopping cannot
+    change any draw, and sweeps at different sigma share one noise stream.
     """
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr[None, :]
-    rows, n = arr.shape
-    out = arr.copy()
-    done = 0
-    while done < rows:
-        t = trial_offset + done
-        block, inner = divmod(t, _TRIAL_BLOCK)
-        take = min(_TRIAL_BLOCK - inner, rows - done)
-        noise = _stream(cfg.seed, 0, block).normal(0.0, cfg.sigma, (inner + take, n))
-        out[done : done + take] += noise[inner:]
-        done += take
+    out = arr + cfg.sigma * _standard_normals(cfg.seed, trial_offset, *arr.shape)
     return out[0] if squeeze else out
 
 
@@ -211,8 +219,9 @@ class MultistageDecoder:
     Level i sees the residual of the levels below it; its per-symbol cost for
     symbol v is the squared distance from the residual to the nearest integer
     congruent to v at scale q^i. After the last level the residual is rounded
-    to the integer grid and the assembled lattice point is folded back into
-    the constellation.
+    to the integer grid (`lattice_points`), and `decode_batch` folds the
+    assembled lattice point back into the constellation. The fold does not
+    change the message, so callers that only compare messages can skip it.
     """
 
     def __init__(self, spec: VoronoiCodeSpec):
@@ -228,7 +237,8 @@ class MultistageDecoder:
                     f"level {level} code is too large for exhaustive metrics"
                 )
 
-    def decode_batch(self, ys: np.ndarray) -> np.ndarray:
+    def lattice_points(self, ys: np.ndarray) -> np.ndarray:
+        """Per-level ML plus the grid round: coding-lattice points, unfolded."""
         spec = self.spec
         y = np.asarray(ys, dtype=np.float64)
         t = y - spec._offset_np
@@ -243,8 +253,10 @@ class MultistageDecoder:
             assembled += spec.q**level * words
             t = t - scale * words
         grid = round_half_up(t / spec.qa).astype(np.int64)
-        lattice_points = assembled + spec.qa * grid + spec._offset_np
-        return fold_batch(spec._quantizer, lattice_points)
+        return assembled + spec.qa * grid + spec._offset_np
+
+    def decode_batch(self, ys: np.ndarray) -> np.ndarray:
+        return fold_batch(self.spec._quantizer, self.lattice_points(ys))
 
     def decode(self, y) -> np.ndarray:
         return self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
@@ -273,6 +285,8 @@ class ExhaustiveDecoder:
             scores = self._norms[None, :] - 2.0 * (part @ self._float_pts.T)
             out[start : start + self._chunk] = self._points[np.argmin(scores, axis=1)]
         return out
+
+    lattice_points = decode_batch  # decisions are already constellation points
 
     def decode(self, y) -> np.ndarray:
         return self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
@@ -306,8 +320,11 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
 
     Messages and noise are paired across points and across specs sharing a
     seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
-    in the outer loop: each block is drawn and encoded once and then sent
-    through every point that has not yet reached max_errors.
+    in the outer loop: each block's messages and standard-normal noise are
+    drawn once, the messages are encoded once, and the block is then sent
+    through every point that has not yet reached max_errors. A trial is an
+    error when the decoder's lattice point carries another message than the
+    sent point; decoded points are never folded.
     """
     db_values = [float(v) for v in es_n0_list]
     if energy is None:
@@ -325,10 +342,11 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
         take = min(_TRIAL_BLOCK, trials - start)
         ords = random_ordinals(spec, take, seed, trial_offset=start)
         x = spec.encode_batch(ords)
+        z = _standard_normals(seed, start, take, spec.n)
         for i in active:
-            y = transmit(x, ChannelConfig(sigmas[i], seed, take), trial_offset=start)
-            decoded = decoder.decode_batch(y)
-            errors[i] += int(np.any(decoded != x, axis=1).sum())
+            p = decoder.lattice_points(x + sigmas[i] * z)
+            wrong = np.any(p != x, axis=1)
+            errors[i] += int(wrong.sum()) - int(spec.same_message(p[wrong], x[wrong]).sum())
             done[i] += take
         start += take
     points = []
@@ -443,21 +461,24 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
     split_pts = run_split()
     match = np.array_equal(baseline_pts, reps) and np.array_equal(split_pts, reps)
 
-    def med_ns(fn):
+    # Repeats run round-robin over the four paths, so drift in machine speed
+    # during the run reaches every path alike instead of favouring one.
+    paths = (run_baseline, run_split, run_code_only, run_fold)
+    for fn in paths:
         fn()  # warm-up
-        times = []
-        for _ in range(repeats):
+    times = [[] for _ in paths]
+    for _ in range(repeats):
+        for fn, out in zip(paths, times):
             start = time.perf_counter_ns()
             fn()
-            times.append(time.perf_counter_ns() - start)
-        return float(np.median(times)) / trials
-
+            out.append(time.perf_counter_ns() - start)
+    baseline_ns, split_ns, code_ns, fold_ns = (float(np.median(t)) / trials for t in times)
     return BenchResult(
         dim=spec.n,
-        baseline_ns=med_ns(run_baseline),
-        split_encode_ns=med_ns(run_split),
-        code_encode_ns=med_ns(run_code_only),
-        fold_ns=med_ns(run_fold),
+        baseline_ns=baseline_ns,
+        split_encode_ns=split_ns,
+        code_encode_ns=code_ns,
+        fold_ns=fold_ns,
         outputs_match=bool(match),
     )
 

@@ -175,3 +175,34 @@ def test_enumerate_to_file(tmp_path, capsys):
     assert out == ""
     body = out_file.read_text().strip().split("\n")
     assert len([ln for ln in body if not ln.startswith("#")]) == 8
+
+
+def _outcome(capsys, argv):
+    """(exit code, stdout, stderr) of one call, usage errors included."""
+    try:
+        code = cli.main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_reused_parser_matches_fresh_parsers(tmp_path, capsys):
+    out_file = tmp_path / "gain.csv"
+    calls = [
+        ("wer", "--spec", "pair2", "--sweep", "5:3:1"),
+        ("shaping-gain", "--lattice", "E8_int", "--samples", "64", "--out", str(out_file)),
+        ("shaping-gain", "--lattice", "E8_int", "--samples", "64"),
+        ("wer", "--spec", "pair2", "--sweep", "13:14:0.5", "--trials", "200"),
+    ]
+    cli._parser.cache_clear()
+    reused = [_outcome(capsys, argv) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._parser.cache_clear()
+        fresh.append(_outcome(capsys, argv))
+    assert reused == fresh
+    assert reused[0][0] == 1 and "sweep is empty" in reused[0][2]
+    # --out of the first gain call does not carry over to the second
+    assert reused[1][1] == ""
+    assert reused[2][1] == out_file.read_text() != ""

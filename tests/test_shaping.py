@@ -1,9 +1,13 @@
 """Constellation construction, indexing, and spec files."""
 
+import functools
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vorlat.codes import CodeChain, LinearCode, builtin_chain, make_rep_spc_chain
 from vorlat.intmat import hnf_from_spanning
@@ -306,3 +310,33 @@ def test_get_spec_stock_and_path(tmp_path):
     assert get_spec(str(path)).message_count == 8
     with pytest.raises(ValueError, match="not a stock constellation"):
         get_spec("missing-system")
+
+
+@functools.cache
+def _stock_spec(name):
+    return builtin_spec(name)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_same_message_matches_index_equality(data):
+    spec = _stock_spec(data.draw(st.sampled_from(
+        ["pair2", "desk8-cube", "desk8-e8", "desk8-ham", "leech24"])))
+    rows = data.draw(st.integers(1, 5))
+    ordinal_rows = st.lists(st.integers(0, spec.message_count - 1),
+                            min_size=rows, max_size=rows)
+    ords = np.array(data.draw(ordinal_rows), dtype=np.int64)
+    x = spec.encode_batch(ords)
+    coeffs = data.draw(hnp.arrays(np.int64, (rows, spec.n), elements=st.integers(-3, 3)))
+    kind = data.draw(st.sampled_from(["shaping shift", "other point", "coding shift"]))
+    if kind == "shaping shift":
+        p = x + coeffs @ spec.shaping.triangular_generator.to_int64().T
+    elif kind == "other point":
+        keep = data.draw(hnp.arrays(np.bool_, rows))
+        p = spec.encode_batch(np.where(keep, ords, np.array(data.draw(ordinal_rows))))
+    else:
+        p = x + coeffs @ spec.coding.triangular_generator.to_int64().T
+    same = spec.same_message(p, x)
+    assert np.array_equal(same, spec.index_batch(p) == spec.index_batch(x))
+    if kind == "shaping shift":
+        assert same.all()

@@ -15,6 +15,7 @@ from vorlat.simulate import (
     MultistageDecoder,
     _TableML,
     _TRIAL_BLOCK,
+    _standard_normals,
     _stream,
     _wagner_ml_batch,
     average_energy,
@@ -69,6 +70,18 @@ def test_noise_scales_linearly_with_sigma():
     base = transmit(np.zeros((500, 3)), ChannelConfig(1.0, seed=5))
     double = transmit(np.zeros((500, 3)), ChannelConfig(2.0, seed=5))
     assert np.allclose(double, 2.0 * base)
+
+
+def test_transmit_adds_sigma_times_the_shared_standard_normals():
+    # sweeps draw the standard normals once per block and scale them per
+    # point; that must equal transmit bit for bit, also across a block edge
+    x = np.arange(300 * 5, dtype=np.float64).reshape(300, 5) / 7.0
+    offset = 2 * _TRIAL_BLOCK - 120
+    for sigma in (0.37, 2.5):
+        z = _standard_normals(8, offset, 300, 5)
+        y = transmit(x, ChannelConfig(sigma, seed=8), offset)
+        assert np.array_equal(y, x + sigma * z)
+    assert np.array_equal(z[120:], _standard_normals(8, 2 * _TRIAL_BLOCK, 180, 5))
 
 
 def test_random_ordinals_split_invariance():
@@ -302,19 +315,43 @@ def test_wer_sweep_early_stop():
 
 
 def test_wer_sweep_matches_point_outer_reference():
-    # max_errors is small enough that points stop after different blocks
-    cases = [("pair2", [11.0, 11.5, 12.0, 13.0], 30),
-             ("desk8-cube", [13.0, 14.0, 15.0], 25),
-             ("desk8-e8", [13.0, 13.5, 14.0], 25)]
-    for name, grid, max_errors in cases:
+    # max_errors is small enough that points stop after different blocks; the
+    # -5 dB pair2 point decodes some trials to other points of the sent
+    # message's coset, which count as correct in both sweeps
+    multi = 5 * _TRIAL_BLOCK + 123
+    cases = [("pair2", "multistage", [-5.0, 11.0, 11.5, 12.0, 13.0], 30, multi),
+             ("desk8-cube", "multistage", [13.0, 14.0, 15.0], 25, multi),
+             ("desk8-e8", "multistage", [13.0, 13.5, 14.0], 25, multi),
+             ("desk8-ham", "multistage", [17.0, 18.0, 19.0, 20.0], 200, multi),
+             ("pair2", "exhaustive_ml", [10.0, 11.0, 11.5, 12.0], 30, multi),
+             ("leech24", "multistage", [13.0, 15.0, 16.0], 200, 300)]
+    for name, mode, grid, max_errors, trials in cases:
         spec = builtin_spec(name)
-        energy = average_energy(spec)
-        decoder = MultistageDecoder(spec)
-        kwargs = dict(trials=5 * _TRIAL_BLOCK + 123, seed=17, max_errors=max_errors,
-                      energy=energy, decoder=decoder)
+        energy = sampled_energy(spec, 512)[0] if name == "leech24" else average_energy(spec)
+        kwargs = dict(trials=trials, seed=17, max_errors=max_errors, energy=energy,
+                      decoder=make_decoder(spec, mode))
         points = wer_sweep(spec, grid, **kwargs)
         assert points == wer_sweep_reference(spec, grid, **kwargs)
-        assert len({p.trials for p in points}) >= 3
+        assert all(p.errors > 0 for p in points)
+        if trials > _TRIAL_BLOCK:
+            assert len({p.trials for p in points}) >= 3
+
+
+def test_wer_sweep_counts_messages_not_points():
+    # a decoder that lands every trial on another point of the decided coset
+    # must score exactly like one that returns the constellation point itself
+    class Shifted(MultistageDecoder):
+        def lattice_points(self, ys):
+            return super().lattice_points(ys) + self.shift
+
+    for name, grid in (("pair2", [-5.0, 8.0, 12.0]), ("desk8-e8", [10.0, 13.0])):
+        spec = builtin_spec(name)
+        shifted = Shifted(spec)
+        shifted.shift = spec.qa * spec.shaping_prime.triangular_generator.to_int64().sum(axis=1)
+        kwargs = dict(trials=_TRIAL_BLOCK + 500, seed=4, max_errors=300)
+        points = wer_sweep(spec, grid, decoder=shifted, **kwargs)
+        assert points == wer_sweep(spec, grid, **kwargs)
+        assert all(0 < p.errors < p.trials for p in points)
 
 
 def test_csv_format():
