@@ -54,15 +54,56 @@ def _rref_mod(rows: list[list[int]], q: int) -> tuple[list[tuple[int, ...]], lis
     return [tuple(r) for r in work], pivots
 
 
+class _MixedRadix:
+    """Place values and radices of the digits of int64 ordinals.
+
+    An ordinal is sum_d places[d] * digit[d] with 0 <= digit[d] < radices[d],
+    and each place value is the product of the radices of the less
+    significant digits. `split` takes every digit in one broadcast: floor
+    division by the place value, then reduction by the radix, so ordinals
+    outside [0, prod(radices)) wrap modulo it. When every place value and
+    radix is a power of two the division is a shift and the reduction a mask.
+    """
+
+    __slots__ = ("places", "_div", "_mod", "_pow2")
+
+    def __init__(self, places, radices):
+        places = [int(p) for p in places]
+        radices = [int(r) for r in radices]
+        self.places = np.array(places, dtype=np.int64)
+        self._pow2 = all(v & (v - 1) == 0 for v in places + radices)
+        if self._pow2:
+            div = [p.bit_length() - 1 for p in places]
+            mod = [r - 1 for r in radices]
+        else:
+            div, mod = places, radices
+        self._div = np.array(div, dtype=np.int64)[:, None]
+        self._mod = np.array(mod, dtype=np.int64)[:, None]
+
+    def split(self, ordinals) -> np.ndarray:
+        """(rows, digits) table of the digits of each ordinal.
+
+        The table is the transpose of a (digits, rows) array, so each
+        broadcast runs along the rows.
+        """
+        o = np.asarray(ordinals, dtype=np.int64)
+        if self._pow2:
+            d = o >> self._div
+            d &= self._mod
+        else:
+            d = o // self._div
+            d %= self._mod
+        return d.T
+
+    def join(self, digits) -> np.ndarray:
+        """Ordinals from a (rows, digits) table: one dot with the place values."""
+        return digits @ self.places
+
+
 def ordinals_to_symbols(ordinals: np.ndarray, length: int, q: int) -> np.ndarray:
     """Base-q digits of each ordinal, most significant symbol first."""
-    ords = np.asarray(ordinals, dtype=np.int64)
-    out = np.empty((len(ords), length), dtype=np.int64)
-    rem = ords.copy()
-    for j in range(length - 1, -1, -1):
-        out[:, j] = rem % q
-        rem //= q
-    return out
+    places = [q**j for j in range(length - 1, -1, -1)]
+    return _MixedRadix(places, [q] * length).split(ordinals)
 
 
 def symbols_to_ordinal(symbols, q: int) -> int:
@@ -75,7 +116,8 @@ def symbols_to_ordinal(symbols, q: int) -> int:
 class LinearCode:
     """A [n, k] linear code over F_q (q prime) in systematic form."""
 
-    __slots__ = ("q", "n", "k", "rows", "pivots", "_gen", "_nonpivots", "_parity")
+    __slots__ = ("q", "n", "k", "rows", "pivots", "_gen", "_pivots", "_nonpivots",
+                 "_parity")
 
     def __init__(self, generator_rows, q: int = 2):
         if not is_prime(q):
@@ -91,6 +133,7 @@ class LinearCode:
         self.k = len(self.rows)
         self.pivots = tuple(piv)
         self._gen = np.array(self.rows, dtype=np.int64)
+        self._pivots = np.array(piv, dtype=np.int64)
         self._nonpivots = np.array(
             [j for j in range(self.n) if j not in set(piv)], dtype=np.int64
         )
@@ -105,7 +148,7 @@ class LinearCode:
         if m.ndim != 2 or m.shape[1] != self.k:
             raise ValueError(f"messages must have {self.k} symbols")
         out = np.empty((m.shape[0], self.n), dtype=np.int64)
-        out[:, np.array(self.pivots, dtype=np.int64)] = m
+        out[:, self._pivots] = m
         if len(self._nonpivots):
             out[:, self._nonpivots] = (m @ self._parity) % self.q
         return out
@@ -115,7 +158,7 @@ class LinearCode:
         w = np.asarray(word, dtype=np.int64) % self.q
         if w.shape != (self.n,):
             raise ValueError(f"words must have {self.n} symbols")
-        message = w[np.array(self.pivots, dtype=np.int64)]
+        message = w[self._pivots]
         if not np.array_equal(self.encode(message), w):
             raise ValueError("not a codeword")
         return message
@@ -131,7 +174,7 @@ class LinearCode:
         """(n-k) x n matrix H with H c = 0 exactly for codewords c."""
         h = np.zeros((self.n - self.k, self.n), dtype=np.int64)
         h[:, self._nonpivots] = np.eye(self.n - self.k, dtype=np.int64)
-        h[:, np.array(self.pivots, dtype=np.int64)] = (-self._parity.T) % self.q
+        h[:, self._pivots] = (-self._parity.T) % self.q
         return h
 
     def codewords(self) -> np.ndarray:

@@ -8,7 +8,6 @@ for an integer coordinate vector b.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 import numpy as np
@@ -241,28 +240,6 @@ def hnf_from_spanning(columns) -> IntMatrix:
     n = len(cols[0])
     cols = _hnf_columns(cols, n)
     return IntMatrix(list(zip(*cols[:n])))
-
-
-def solve_lower_triangular_exact(lower: IntMatrix, rhs: IntMatrix):
-    """Solve L @ X = B exactly over the rationals for lower-triangular L.
-
-    Returns X as a list of Fraction rows, or None if L has a zero diagonal.
-    """
-    n = lower.rows
-    if rhs.rows != n:
-        raise ValueError("shape mismatch")
-    if any(lower[i, i] == 0 for i in range(n)):
-        return None
-    w = rhs.cols
-    x = [[Fraction(0)] * w for _ in range(n)]
-    for c in range(w):
-        for i in range(n):
-            acc = Fraction(rhs[i, c])
-            for j in range(i):
-                if lower[i, j]:
-                    acc -= lower[i, j] * x[j][c]
-            x[i][c] = acc / lower[i, i]
-    return x
 
 
 def integer_solve_lower_triangular(lower: IntMatrix, rhs: IntMatrix):

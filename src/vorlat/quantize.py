@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import golay
-from .intmat import IntMatrix
 from .lattice import Lattice, log2_volume
 
 TIE_EPS = 1e-9
@@ -419,34 +418,19 @@ def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:
     return xf - q.quantize_batch(xf)
 
 
-def fold_mod_parallelotope(tri: IntMatrix, r) -> tuple:
-    """Reduce an integer vector into the digit box of a triangular generator.
+def fold_mod_parallelotope_batch(tri: np.ndarray, rs: np.ndarray) -> np.ndarray:
+    """Reduce int64 rows into the digit box of a triangular generator.
 
-    tri must be lower triangular with positive diagonal (columns are basis
-    vectors). Sweeps coordinates top-down, subtracting the basis column that
-    pins each row, and lands in {0..d_1-1} x ... x {0..d_n-1} where d_i are
-    the diagonal entries. Exactly one point per residue class lies there.
+    tri is an int64 lower-triangular matrix with positive diagonal (columns
+    are basis vectors). Coordinates are swept top-down, subtracting the basis
+    column that pins each one, so every row lands in {0..d_1-1} x ... x
+    {0..d_n-1} for the diagonal entries d_i. Exactly one point per residue
+    class lies there. Values stay desk-scale, so int64 does not overflow.
     """
-    n = tri.rows
-    v = [int(x) for x in r]
-    if len(v) != n:
-        raise ValueError("dimension mismatch")
-    for i in range(n):
-        d = tri[i, i]
-        qf = v[i] // d
-        if qf:
-            for j in range(i, n):
-                v[j] -= qf * tri[j, i]
-    return tuple(v)
-
-
-def fold_mod_parallelotope_batch(tri: IntMatrix, rs: np.ndarray) -> np.ndarray:
-    """Vectorized digit-box reduction for int64 rows (desk-scale values)."""
     out = np.array(rs, dtype=np.int64, copy=True)
-    t = tri.to_int64()
-    for i in range(tri.rows):
-        qf = np.floor_divide(out[:, i], t[i, i])
-        out[:, i:] -= qf[:, None] * t[i:, i][None, :]
+    for i in range(len(tri)):
+        qf = np.floor_divide(out[:, i], tri[i, i])
+        out[:, i:] -= qf[:, None] * tri[i:, i][None, :]
     return out
 
 

@@ -22,6 +22,7 @@ import numpy as np
 from .codes import (
     BUILTIN_CHAINS,
     CodeChain,
+    _MixedRadix,
     builtin_chain,
     load_chain,
     nested_basis,
@@ -46,6 +47,7 @@ from .quantize import (
 
 _ENUM_LIMIT = 1 << 20
 _INT64_SAFE_MODULUS = 1 << 20  # q^a beyond this falls back to exact arithmetic
+_INT64_ORDINALS = 1 << 63  # message counts from here on do not fit int64 ordinals
 
 
 def construction_d_lattice(chain: CodeChain) -> Lattice:
@@ -90,6 +92,15 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
     if lat.volume != q**expected_log:
         raise AssertionError("coding lattice volume does not match the chain")
     return lat
+
+
+def check_int64_ordinals(message_count: int) -> None:
+    """Refuse a message count whose ordinals do not all fit in int64."""
+    if message_count >= _INT64_ORDINALS:
+        raise ValueError(
+            f"message count 2^{math.log2(message_count):.2f} is not below the "
+            f"int64 ordinal limit 2^63"
+        )
 
 
 def _pivot_columns_are_triangular(rows, pivots) -> bool:
@@ -157,8 +168,33 @@ class VoronoiCodeSpec:
         self._quantizer = make_quantizer(self.shaping)
         self._rate = self._compute_rate()
         self._offset_np = np.array(self.offset, dtype=np.int64)
-        self._box_np = np.array(self.s_box, dtype=np.int64)
-        self._shaping_prime_tri = self.shaping_prime.triangular_generator
+        self._build_digit_table()
+
+    def _build_digit_table(self) -> None:
+        """Digit layout of a message ordinal and the int64 generator of L'.
+
+        The columns of a digit row are the code symbols level by level (most
+        significant symbol first within a level), then the box vector s. In
+        the ordinal, level 0's symbols are the least significant digits,
+        then each higher level's, then s with s_{n-1} below s_0. The place
+        values and the generator exist only within the int64 envelope.
+        """
+        starts = list(itertools.accumulate(self.chain.dims(), initial=0))
+        self._level_cols = tuple(slice(lo, hi) for lo, hi in zip(starts, starts[1:]))
+        self._box_cols = slice(starts[-1], starts[-1] + self.n)
+        self._digits = None
+        self._shaping_prime_t = None
+        if self.message_count >= _INT64_ORDINALS:
+            return
+        radices = [self.q] * starts[-1] + [int(d) for d in self.s_box]
+        places = [0] * len(radices)
+        unit = 1
+        for cols in (*self._level_cols, self._box_cols):
+            for c in reversed(range(cols.start, cols.stop)):
+                places[c] = unit
+                unit *= radices[c]
+        self._digits = _MixedRadix(places, radices)
+        self._shaping_prime_t = self.shaping_prime.triangular_generator.to_int64()
 
     # -- rate ---------------------------------------------------------------
 
@@ -218,6 +254,7 @@ class VoronoiCodeSpec:
         return value
 
     def random_message(self, rng: np.random.Generator) -> Message:
+        check_int64_ordinals(self.message_count)
         return self.message_from_ordinal(
             int(rng.integers(0, self.message_count, dtype=np.int64))
         )
@@ -234,19 +271,23 @@ class VoronoiCodeSpec:
 
     def representative_batch(self, ordinals) -> np.ndarray:
         """Box representatives x = sum q^i c_i + q^a s + offset, unfolded."""
-        ords = np.asarray(ordinals, dtype=np.int64)
-        rem = ords.copy()
-        x = np.zeros((len(ords), self.n), dtype=np.int64)
-        for level, code in enumerate(self.chain.codes):
-            count = self.q**code.k
-            rem, level_ords = np.divmod(rem, count)
-            msgs = ordinals_to_symbols(level_ords, code.k, self.q)
-            x += self.q**level * code.encode_batch(msgs)
-        s = np.empty((len(ords), self.n), dtype=np.int64)
-        for i in range(self.n - 1, -1, -1):
-            rem, s[:, i] = np.divmod(rem, int(self.s_box[i]))
-        x += self.qa * s
-        return x + self._offset_np
+        check_int64_ordinals(self.message_count)
+        return self._representatives(self._digits.split(ordinals))
+
+    def _representatives(self, digits) -> np.ndarray:
+        """Representatives from (rows, digits) tables of symbols and s.
+
+        Horner's rule from the top level down: x = (q s + c_{a-1}) q + ...
+        The rows come out C-ordered whatever the layout of `digits`.
+        """
+        x = np.multiply(digits[:, self._box_cols], self.q, order="C")
+        for level in range(self.a - 1, -1, -1):
+            code = self.chain.codes[level]
+            x += code.encode_batch(digits[:, self._level_cols[level]])
+            if level:
+                x *= self.q
+        x += self._offset_np
+        return x
 
     def representative(self, message: Message) -> np.ndarray:
         return self.representative_batch([self.ordinal_from_message(message)])[0]
@@ -266,6 +307,7 @@ class VoronoiCodeSpec:
 
     def index_batch(self, points) -> np.ndarray:
         """Message ordinals of coding-lattice points (inverse of encode)."""
+        check_int64_ordinals(self.message_count)
         x = np.asarray(points)
         if np.issubdtype(x.dtype, np.floating):
             xi = np.rint(x).astype(np.int64)
@@ -275,28 +317,20 @@ class VoronoiCodeSpec:
         x = x.astype(np.int64) - self._offset_np
         if x.ndim != 2 or x.shape[1] != self.n:
             raise ValueError(f"points must be rows of length {self.n}")
-        t = x.copy()
-        ords = np.zeros(len(x), dtype=np.int64)
-        radix = np.int64(1)
-        for code in self.chain.codes:
-            digits = t % self.q
-            msgs = digits[:, np.array(code.pivots, dtype=np.int64)]
-            if not np.array_equal(code.encode_batch(msgs), digits):
+        digits = np.empty((len(x), self._box_cols.stop), dtype=np.int64)
+        t = x
+        for code, cols in zip(self.chain.codes, self._level_cols):
+            high = t // self.q
+            level = t - self.q * high
+            msgs = level[:, code._pivots]
+            if not np.array_equal(code.encode_batch(msgs), level):
                 raise ValueError(
                     "not a constellation point: level digits leave the code"
                 )
-            level_ords = msgs @ (self.q ** np.arange(code.k - 1, -1, -1, dtype=np.int64))
-            ords += radix * level_ords
-            radix *= self.q**code.k
-            t = (t - digits) // self.q
-        s = fold_mod_parallelotope_batch(self._shaping_prime_tri, t)
-        weights = np.empty(self.n, dtype=np.int64)
-        w = np.int64(1)
-        for i in range(self.n - 1, -1, -1):
-            weights[i] = w
-            w *= int(self.s_box[i])
-        ords += radix * (s @ weights)
-        return ords
+            digits[:, cols] = msgs
+            t = high
+        digits[:, self._box_cols] = fold_mod_parallelotope_batch(self._shaping_prime_t, t)
+        return self._digits.join(digits)
 
     def same_message(self, p, x) -> np.ndarray:
         """Per row, whether coding-lattice points p and x carry one message.
@@ -306,11 +340,12 @@ class VoronoiCodeSpec:
         be divisible by q^a (rows that are not skip the second test), and
         the quotient must reduce to zero in the digit box of L'.
         """
-        quot, rem = np.divmod(np.asarray(p, dtype=np.int64) - np.asarray(x, dtype=np.int64),
-                              self.qa)
-        same = ~np.any(rem, axis=1)
+        check_int64_ordinals(self.message_count)
+        diff = np.asarray(p, dtype=np.int64) - np.asarray(x, dtype=np.int64)
+        quot = diff // self.qa
+        same = ~np.any(diff - self.qa * quot, axis=1)
         if same.any():
-            box = fold_mod_parallelotope_batch(self._shaping_prime_tri, quot[same])
+            box = fold_mod_parallelotope_batch(self._shaping_prime_t, quot[same])
             same[same] = ~np.any(box, axis=1)
         return same
 

@@ -20,12 +20,13 @@ import numpy as np
 from .codes import LinearCode, make_rep_spc_chain
 from .lattice import standard_lattice
 from .quantize import fold_batch, round_half_up
-from .shaping import VoronoiCodeSpec
+from .shaping import VoronoiCodeSpec, check_int64_ordinals
 
 _TRIAL_BLOCK = 4096
 _TABLE_ML_LIMIT = 1 << 14
 _ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
 _EXHAUSTIVE_LIMIT = 1 << 20
+_BENCH_SAMPLE_NS = 5_000_000  # one complexity_bench timing sample lasts at least this
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
 
@@ -97,6 +98,7 @@ def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
 def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
                     trial_offset: int = 0) -> np.ndarray:
     """Uniform message ordinals, reproducible per (seed, trial index)."""
+    check_int64_ordinals(spec.message_count)
     out = np.empty(count, dtype=np.int64)
     done = 0
     while done < count:
@@ -411,13 +413,6 @@ def _random_components(spec: VoronoiCodeSpec, trials: int, rng) -> tuple:
     return msgs, s
 
 
-def _assemble(spec: VoronoiCodeSpec, encoded_levels, s) -> np.ndarray:
-    x = np.zeros(s.shape, dtype=np.int64)
-    for level, words in enumerate(encoded_levels):
-        x += spec.q**level * words
-    return x + spec.qa * s + spec._offset_np
-
-
 def _exact_coordinates(spec: VoronoiCodeSpec, reps: np.ndarray) -> np.ndarray:
     """Integer coefficient vectors b with G b = rep, by triangular solve."""
     t = spec.coding.float_triangular()
@@ -434,14 +429,19 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
     """Median per-message cost of dense encoding vs the split encoder.
 
     Times (a) the dense n x n generator multiply on precomputed coordinates,
-    (b) the split path (per-level code encoders plus digit assembly),
-    (c) the code encoders alone, and (d) the fold, on identical messages,
-    and verifies both paths produce identical points.
+    (b) the split path, which is the spec's own assembly of representatives
+    from digit rows (per-level code encoders, q^a s and the offset), (c) the
+    per-level code encoders alone, and (d) the fold, on identical messages,
+    and verifies that (a) reproduces the representatives of (b).
+
+    Each sample times as many back-to-back calls of a path as fill
+    _BENCH_SAMPLE_NS, so a sample of a fast path spans the short swings in
+    machine speed instead of landing in one of them.
     """
     rng = np.random.default_rng(seed)
     msgs, s = _random_components(spec, trials, rng)
-    encoded = [c.encode_batch(m) for c, m in zip(spec.chain.codes, msgs)]
-    reps = _assemble(spec, encoded, s)
+    digits = np.concatenate([*msgs, s], axis=1)
+    reps = spec._representatives(digits)
     coords = _exact_coordinates(spec, reps)
     gen = spec.coding.triangular_generator.to_int64()
 
@@ -452,26 +452,24 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
         return [c.encode_batch(m) for c, m in zip(spec.chain.codes, msgs)]
 
     def run_split():
-        return _assemble(spec, [c.encode_batch(m) for c, m in zip(spec.chain.codes, msgs)], s)
+        return spec._representatives(digits)
 
     def run_fold():
         return fold_batch(spec._quantizer, reps)
 
-    baseline_pts = run_baseline()
-    split_pts = run_split()
-    match = np.array_equal(baseline_pts, reps) and np.array_equal(split_pts, reps)
+    match = np.array_equal(run_baseline(), reps)
 
     # Repeats run round-robin over the four paths, so drift in machine speed
     # during the run reaches every path alike instead of favouring one.
     paths = (run_baseline, run_split, run_code_only, run_fold)
-    for fn in paths:
-        fn()  # warm-up
+    calls = [_calls_per_sample(fn) for fn in paths]  # also warms each path up
     times = [[] for _ in paths]
     for _ in range(repeats):
-        for fn, out in zip(paths, times):
+        for fn, count, out in zip(paths, calls, times):
             start = time.perf_counter_ns()
-            fn()
-            out.append(time.perf_counter_ns() - start)
+            for _ in range(count):
+                fn()
+            out.append((time.perf_counter_ns() - start) / count)
     baseline_ns, split_ns, code_ns, fold_ns = (float(np.median(t)) / trials for t in times)
     return BenchResult(
         dim=spec.n,
@@ -481,6 +479,18 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
         fold_ns=fold_ns,
         outputs_match=bool(match),
     )
+
+
+def _calls_per_sample(fn) -> int:
+    """Smallest power of two of back-to-back calls of fn lasting _BENCH_SAMPLE_NS."""
+    count = 1
+    while True:
+        start = time.perf_counter_ns()
+        for _ in range(count):
+            fn()
+        if time.perf_counter_ns() - start >= _BENCH_SAMPLE_NS:
+            return count
+        count *= 2
 
 
 def bench_spec_for_dim(n: int) -> VoronoiCodeSpec:

@@ -3,9 +3,9 @@
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
 they check. The exceptions are the Leech coset oracle, which takes the
-Golay codebook from the package as data, and the reference ML and sweep
-loops, which are the package's earlier, unoptimised forms of the same
-computation and reuse its codes, channel and decoders.
+Golay codebook from the package as data, and the reference encode, index,
+ML and sweep loops, which are the package's earlier, unoptimised forms of
+the same computation and reuse its codes, channel, decoders and box fold.
 """
 
 from fractions import Fraction
@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from vorlat import golay
+from vorlat.quantize import fold_mod_parallelotope_batch
 from vorlat.simulate import (
     _TRIAL_BLOCK,
     ChannelConfig,
@@ -70,6 +71,29 @@ def frac_solve(a, b):
     return [row[n : n + w] for row in aug]
 
 
+def solve_lower_triangular_exact(lower, rhs):
+    """Solve L @ X = B exactly over the rationals for lower-triangular L.
+
+    Takes IntMatrix arguments and returns X as a list of Fraction rows, or
+    None if L has a zero diagonal.
+    """
+    n = lower.rows
+    if rhs.rows != n:
+        raise ValueError("shape mismatch")
+    if any(lower[i, i] == 0 for i in range(n)):
+        return None
+    w = rhs.cols
+    x = [[Fraction(0)] * w for _ in range(n)]
+    for c in range(w):
+        for i in range(n):
+            acc = Fraction(rhs[i, c])
+            for j in range(i):
+                if lower[i, j]:
+                    acc -= lower[i, j] * x[j][c]
+            x[i][c] = acc / lower[i, i]
+    return x
+
+
 def all_integer(fracs) -> bool:
     return all(v.denominator == 1 for row in fracs for v in row)
 
@@ -102,6 +126,69 @@ def count_residues_brute(gen_rows, box: int) -> int:
         if not any(in_span(gen_rows, [a - b for a, b in zip(p, r)]) for r in reps):
             reps.append(p)
     return len(reps)
+
+
+def fold_mod_parallelotope(tri, r) -> tuple:
+    """Reduce an integer vector into the digit box of a triangular generator.
+
+    tri is an IntMatrix, lower triangular with positive diagonal (columns are
+    basis vectors). Sweeps coordinates top-down in Python ints, subtracting
+    the basis column that pins each row.
+    """
+    n = tri.rows
+    v = [int(x) for x in r]
+    if len(v) != n:
+        raise ValueError("dimension mismatch")
+    for i in range(n):
+        d = tri[i, i]
+        qf = v[i] // d
+        if qf:
+            for j in range(i, n):
+                v[j] -= qf * tri[j, i]
+    return tuple(v)
+
+
+def representative_reference(spec, ordinals) -> np.ndarray:
+    """Box representatives by peeling one digit of each ordinal at a time.
+
+    Level by level, the level's ordinal is split off, then its base-q symbols
+    one by one (most significant first in the row), and the box vector s
+    last, with s_{n-1} the least significant.
+    """
+    rem = np.asarray(ordinals, dtype=np.int64).copy()
+    x = np.zeros((len(rem), spec.n), dtype=np.int64)
+    for level, code in enumerate(spec.chain.codes):
+        rem, level_ords = np.divmod(rem, spec.q**code.k)
+        msgs = np.empty((len(rem), code.k), dtype=np.int64)
+        for j in range(code.k - 1, -1, -1):
+            level_ords, msgs[:, j] = np.divmod(level_ords, spec.q)
+        x += spec.q**level * code.encode_batch(msgs)
+    s = np.empty((len(rem), spec.n), dtype=np.int64)
+    for i in range(spec.n - 1, -1, -1):
+        rem, s[:, i] = np.divmod(rem, int(spec.s_box[i]))
+    return x + spec.qa * s + spec._offset_np
+
+
+def index_reference(spec, points) -> np.ndarray:
+    """Message ordinals of integer points by a per-level peel and radix sums."""
+    t = np.asarray(points, dtype=np.int64) - spec._offset_np
+    ords = np.zeros(len(t), dtype=np.int64)
+    radix = 1
+    for code in spec.chain.codes:
+        digits = t % spec.q
+        msgs = digits[:, list(code.pivots)]
+        if not np.array_equal(code.encode_batch(msgs), digits):
+            raise ValueError("level digits leave the code")
+        ords += radix * (msgs @ (spec.q ** np.arange(code.k - 1, -1, -1, dtype=np.int64)))
+        radix *= spec.q**code.k
+        t = (t - digits) // spec.q
+    s = fold_mod_parallelotope_batch(spec.shaping_prime.triangular_generator.to_int64(), t)
+    weights = np.empty(spec.n, dtype=np.int64)
+    w = 1
+    for i in range(spec.n - 1, -1, -1):
+        weights[i] = w
+        w *= int(spec.s_box[i])
+    return ords + radix * (s @ weights)
 
 
 def leech_coset_reference(ys) -> np.ndarray:

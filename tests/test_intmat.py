@@ -7,10 +7,15 @@ from vorlat.intmat import (
     hnf_from_spanning,
     hnf_lower_triangular,
     integer_solve_lower_triangular,
-    solve_lower_triangular_exact,
 )
 
-from oracles import all_integer, frac_det, frac_solve, spans_same_lattice
+from oracles import (
+    all_integer,
+    frac_det,
+    frac_solve,
+    solve_lower_triangular_exact,
+    spans_same_lattice,
+)
 
 
 def rand_matrix(rng, n, lo=-9, hi=9):

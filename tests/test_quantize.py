@@ -12,7 +12,6 @@ from vorlat.quantize import (
     _dn_round,
     fold_batch,
     fold_mod_lattice,
-    fold_mod_parallelotope,
     fold_mod_parallelotope_batch,
     make_quantizer,
     quantize,
@@ -25,7 +24,7 @@ from vorlat.quantize import (
 from vorlat.shaping import builtin_spec
 from vorlat.simulate import random_ordinals
 
-from oracles import in_span, leech_coset_reference
+from oracles import fold_mod_parallelotope, in_span, leech_coset_reference
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,7 @@ def test_fold_mod_parallelotope_batch_matches_scalar():
     tri = standard_lattice("E8_int").triangular_generator
     rng = np.random.default_rng(7)
     rs = rng.integers(-50, 51, size=(30, 8))
-    batch = fold_mod_parallelotope_batch(tri, rs)
+    batch = fold_mod_parallelotope_batch(tri.to_int64(), rs)
     for r, out in zip(rs, batch):
         assert tuple(out.tolist()) == fold_mod_parallelotope(tri, [int(v) for v in r])
 

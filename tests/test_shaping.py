@@ -24,6 +24,9 @@ from vorlat.shaping import (
     get_spec,
     load_spec,
 )
+from vorlat.simulate import random_ordinals
+
+from oracles import index_reference, representative_reference
 
 # hand-checked: the 8 coding-lattice points inside the Voronoi region of 4Z^2
 # for the two-symbol repetition system (ties resolved toward smaller points)
@@ -340,3 +343,68 @@ def test_same_message_matches_index_equality(data):
     assert np.array_equal(same, spec.index_batch(p) == spec.index_batch(x))
     if kind == "shaping shift":
         assert same.all()
+
+
+# ---------------------------------------------------------------------------
+# the digit table against the digit-by-digit loops it replaced
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_encode_and_index_match_digit_loop_references(name):
+    spec = _stock_spec(name)
+    m = spec.message_count
+    rng = np.random.default_rng(17)
+    ords = np.concatenate([[0, m - 1], rng.integers(0, m, 5000, dtype=np.int64)])
+    reps = spec.representative_batch(ords)
+    assert np.array_equal(reps, representative_reference(spec, ords))
+    pts = spec.encode_batch(ords)
+    assert np.array_equal(pts, fold_batch(spec._quantizer, reps))
+    back = spec.index_batch(pts)
+    assert np.array_equal(back, index_reference(spec, pts))
+    assert np.array_equal(back, ords)
+    # ordinals outside [0, M) wrap modulo M, as they did digit by digit
+    wrap = np.array([-1, m, m + 5, -m - 3], dtype=np.int64)
+    assert np.array_equal(spec.representative_batch(wrap),
+                          representative_reference(spec, wrap))
+
+
+@functools.cache
+def _desk8_spec(base, copies, alpha, offset):
+    return VoronoiCodeSpec(builtin_chain("rep8-spc8"), standard_lattice(base),
+                           alpha=alpha, copies=copies, offset=offset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_digit_table_matches_references_on_random_specs(data):
+    base, copies = data.draw(st.sampled_from([("E8_int", 1), ("Dn(4)", 2), ("Zn(2)", 4)]))
+    alpha = data.draw(st.integers(1, 32))
+    offset = tuple(data.draw(st.lists(st.integers(-5, 5), min_size=8, max_size=8)))
+    spec = _desk8_spec(base, copies, alpha, offset)
+    m = spec.message_count
+    assert m <= 2**56
+    ords = np.array(data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=6))
+                    + [0, m - 1], dtype=np.int64)
+    reps = spec.representative_batch(ords)
+    assert np.array_equal(reps, representative_reference(spec, ords))
+    pts = spec.encode_batch(ords)
+    back = spec.index_batch(pts)
+    assert np.array_equal(back, index_reference(spec, pts))
+    assert np.array_equal(back, ords)
+
+
+@pytest.mark.parametrize("alpha, log2_m", [(64, 64), (2**40, 336)])
+def test_specs_past_the_int64_ordinal_limit_are_refused(alpha, log2_m):
+    spec = VoronoiCodeSpec(builtin_chain("rep8-spc8"), standard_lattice("E8_int"),
+                           alpha=alpha)
+    assert spec.message_count == 2**log2_m
+    assert spec.rate() == pytest.approx(log2_m / 8)
+    limit = "int64 ordinal limit 2\\^63"
+    with pytest.raises(ValueError, match=limit):
+        spec.encode_batch(np.zeros(1, dtype=np.int64))
+    with pytest.raises(ValueError, match=limit):
+        spec.index_batch(np.zeros((1, 8), dtype=np.int64))
+    with pytest.raises(ValueError, match=limit):
+        random_ordinals(spec, 4, seed=0)
+    with pytest.raises(ValueError, match=limit):
+        spec.random_message(np.random.default_rng(0))
