@@ -12,6 +12,7 @@ the leftover integer vector back into the box.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -26,7 +27,6 @@ from .codes import (
     builtin_chain,
     load_chain,
     nested_basis,
-    ordinals_to_symbols,
     verify_carry_closure,
 )
 from .intmat import IntMatrix, hnf_from_spanning
@@ -94,8 +94,8 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
     return lat
 
 
-def check_int64_ordinals(message_count: int) -> None:
-    """Refuse a message count whose ordinals do not all fit in int64."""
+def _check_int64_ordinals(message_count: int) -> None:
+    """Refuse a message count whose ordinals do not all fit int64."""
     if message_count >= _INT64_ORDINALS:
         raise ValueError(
             f"message count 2^{math.log2(message_count):.2f} is not below the "
@@ -168,33 +168,37 @@ class VoronoiCodeSpec:
         self._quantizer = make_quantizer(self.shaping)
         self._rate = self._compute_rate()
         self._offset_np = np.array(self.offset, dtype=np.int64)
-        self._build_digit_table()
+        self._build_digit_columns()
 
-    def _build_digit_table(self) -> None:
-        """Digit layout of a message ordinal and the int64 generator of L'.
-
-        The columns of a digit row are the code symbols level by level (most
-        significant symbol first within a level), then the box vector s. In
-        the ordinal, level 0's symbols are the least significant digits,
-        then each higher level's, then s with s_{n-1} below s_0. The place
-        values and the generator exist only within the int64 envelope.
-        """
+    def _build_digit_columns(self) -> None:
+        """Columns of a digit row: code symbols level by level, then s."""
         starts = list(itertools.accumulate(self.chain.dims(), initial=0))
         self._level_cols = tuple(slice(lo, hi) for lo, hi in zip(starts, starts[1:]))
         self._box_cols = slice(starts[-1], starts[-1] + self.n)
-        self._digits = None
-        self._shaping_prime_t = None
-        if self.message_count >= _INT64_ORDINALS:
-            return
-        radices = [self.q] * starts[-1] + [int(d) for d in self.s_box]
+
+    @functools.cached_property
+    def _digit_table(self) -> _MixedRadix:
+        """Place value and radix of every digit of a message ordinal.
+
+        Within a level the most significant symbol comes first. In the
+        ordinal, level 0's symbols are the least significant digits, then
+        each higher level's, then s with s_{n-1} below s_0. Built on first
+        use; specs past the int64 ordinal limit refuse it.
+        """
+        _check_int64_ordinals(self.message_count)
+        radices = [self.q] * self._box_cols.start + [int(d) for d in self.s_box]
         places = [0] * len(radices)
         unit = 1
         for cols in (*self._level_cols, self._box_cols):
             for c in reversed(range(cols.start, cols.stop)):
                 places[c] = unit
                 unit *= radices[c]
-        self._digits = _MixedRadix(places, radices)
-        self._shaping_prime_t = self.shaping_prime.triangular_generator.to_int64()
+        return _MixedRadix(places, radices)
+
+    @functools.cached_property
+    def _shaping_prime_t(self) -> np.ndarray:
+        """int64 triangular generator of L' (OverflowError if it does not fit)."""
+        return self.shaping_prime.triangular_generator.to_int64()
 
     # -- rate ---------------------------------------------------------------
 
@@ -227,8 +231,10 @@ class VoronoiCodeSpec:
         rem = int(ordinal)
         symbols = []
         for k in ks:
-            rem, level_ord = divmod(rem, self.q**k)
-            symbols.append(tuple(ordinals_to_symbols([level_ord], k, self.q)[0]))
+            block = [0] * k
+            for j in range(k - 1, -1, -1):
+                rem, block[j] = divmod(rem, self.q)
+            symbols.append(tuple(block))
         s = [0] * self.n
         for i in range(self.n - 1, -1, -1):
             rem, s[i] = divmod(rem, int(self.s_box[i]))
@@ -254,7 +260,7 @@ class VoronoiCodeSpec:
         return value
 
     def random_message(self, rng: np.random.Generator) -> Message:
-        check_int64_ordinals(self.message_count)
+        _check_int64_ordinals(self.message_count)
         return self.message_from_ordinal(
             int(rng.integers(0, self.message_count, dtype=np.int64))
         )
@@ -271,8 +277,7 @@ class VoronoiCodeSpec:
 
     def representative_batch(self, ordinals) -> np.ndarray:
         """Box representatives x = sum q^i c_i + q^a s + offset, unfolded."""
-        check_int64_ordinals(self.message_count)
-        return self._representatives(self._digits.split(ordinals))
+        return self._representatives(self._digit_table.split(ordinals))
 
     def _representatives(self, digits) -> np.ndarray:
         """Representatives from (rows, digits) tables of symbols and s.
@@ -307,7 +312,7 @@ class VoronoiCodeSpec:
 
     def index_batch(self, points) -> np.ndarray:
         """Message ordinals of coding-lattice points (inverse of encode)."""
-        check_int64_ordinals(self.message_count)
+        table = self._digit_table
         x = np.asarray(points)
         if np.issubdtype(x.dtype, np.floating):
             xi = np.rint(x).astype(np.int64)
@@ -330,7 +335,7 @@ class VoronoiCodeSpec:
             digits[:, cols] = msgs
             t = high
         digits[:, self._box_cols] = fold_mod_parallelotope_batch(self._shaping_prime_t, t)
-        return self._digits.join(digits)
+        return table.join(digits)
 
     def same_message(self, p, x) -> np.ndarray:
         """Per row, whether coding-lattice points p and x carry one message.
@@ -340,7 +345,6 @@ class VoronoiCodeSpec:
         be divisible by q^a (rows that are not skip the second test), and
         the quotient must reduce to zero in the digit box of L'.
         """
-        check_int64_ordinals(self.message_count)
         diff = np.asarray(p, dtype=np.int64) - np.asarray(x, dtype=np.int64)
         quot = diff // self.qa
         same = ~np.any(diff - self.qa * quot, axis=1)

@@ -20,7 +20,7 @@ import numpy as np
 from .codes import LinearCode, make_rep_spc_chain
 from .lattice import standard_lattice
 from .quantize import fold_batch, round_half_up
-from .shaping import VoronoiCodeSpec, check_int64_ordinals
+from .shaping import VoronoiCodeSpec, _check_int64_ordinals
 
 _TRIAL_BLOCK = 4096
 _TABLE_ML_LIMIT = 1 << 14
@@ -98,7 +98,7 @@ def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
 def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
                     trial_offset: int = 0) -> np.ndarray:
     """Uniform message ordinals, reproducible per (seed, trial index)."""
-    check_int64_ordinals(spec.message_count)
+    _check_int64_ordinals(spec.message_count)
     out = np.empty(count, dtype=np.int64)
     done = 0
     while done < count:

@@ -7,6 +7,7 @@ import pytest
 
 from vorlat.codes import (
     BUILTIN_CHAINS,
+    _MixedRadix,
     CodeChain,
     LinearCode,
     builtin_chain,
@@ -254,6 +255,32 @@ def test_ordinal_round_trip():
     for i, s in enumerate(syms):
         assert symbols_to_ordinal(s, 3) == i
     assert ordinals_to_symbols([5], 3, 2).tolist() == [[1, 0, 1]]
+
+
+@pytest.mark.parametrize("radices", [[2, 4, 1, 8, 2], [3, 2, 5, 1, 4]])
+def test_mixed_radix_split_and_join(radices):
+    places = [1]
+    for r in radices[:-1]:
+        places.append(places[-1] * r)
+    table = _MixedRadix(places, radices)
+    total = places[-1] * radices[-1]
+    ords = np.arange(-3, total + 3)
+    digits = table.split(ords)
+    for o, row in zip(ords.tolist(), digits.tolist()):
+        rem = o % total
+        for place, r, d in zip(places, radices, row):
+            assert d == rem // place % r
+    assert np.array_equal(table.join(digits), ords % total)
+
+
+@pytest.mark.parametrize("q, length", [(2, 64), (2, 66), (3, 41)])
+def test_symbols_past_the_int64_places_are_zero(q, length):
+    top = 2**63 - 1
+    syms = ordinals_to_symbols([0, 5, top], length, q)
+    assert syms.shape == (3, length)
+    for ordinal, row in zip([0, 5, top], syms.tolist()):
+        assert symbols_to_ordinal(row, q) == ordinal
+    assert syms.min() >= 0 and syms.max() < q
 
 
 # ---------------------------------------------------------------------------

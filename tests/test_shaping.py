@@ -408,3 +408,19 @@ def test_specs_past_the_int64_ordinal_limit_are_refused(alpha, log2_m):
         random_ordinals(spec, 4, seed=0)
     with pytest.raises(ValueError, match=limit):
         spec.random_message(np.random.default_rng(0))
+    # same_message forms no ordinal, so it still works past the limit
+    x = np.zeros((1, 8), dtype=np.int64)
+    shaping_row = spec.shaping.triangular_generator.to_int64()[:, [3]].T
+    coding_row = spec.coding.triangular_generator.to_int64()[:, [3]].T
+    assert spec.same_message(x + shaping_row, x).tolist() == [True]
+    assert spec.same_message(x + coding_row, x).tolist() == [False]
+
+
+def test_message_from_ordinal_with_a_level_wider_than_int64():
+    spec = VoronoiCodeSpec(make_rep_spc_chain(66), standard_lattice("Zn(66)"))
+    assert spec.chain.dims() == (1, 65)
+    m = spec.message_count
+    assert spec.message_from_ordinal(0).symbols == ((0,), (0,) * 65)
+    assert spec.message_from_ordinal(m - 1).symbols == ((1,), (1,) * 65)
+    for ordinal in (1, 2**64 + 12345, m // 3):
+        assert spec.ordinal_from_message(spec.message_from_ordinal(ordinal)) == ordinal
