@@ -4,8 +4,9 @@ The length-23 perfect Golay code is cyclic, generated by either degree-11
 factor of (x^23+1)/(x+1) over GF(2). We recover such a factor by direct
 search (1024 candidates), append an overall parity bit, and cache the
 4096-word codebook. Downstream uses: the scaled Leech lattice generator and
-its quantizer, which scores every codeword by matrix products with the
-codebook.
+its quantizer, which splits the codebook into the 128 classes of 32 words
+that a sextet of tetrads defines and scores only the words of its best
+classes.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def _build_generator() -> np.ndarray:
             row[shift + i] = c
         rows.append(row)
     gen = np.array(rows, dtype=np.uint8)
-    parity = gen.sum(axis=1) % 2
+    parity = (gen.sum(axis=1) % 2).astype(np.uint8)
     return np.concatenate([gen, parity[:, None]], axis=1)
 
 
@@ -61,7 +62,8 @@ def codewords() -> np.ndarray:
     """All 4096 codewords as a (4096, 24) uint8 array, row 0 the zero word.
 
     Row j is the xor of the generator rows picked by the set bits of j, so
-    row j equals row (j & 63) xor row (j & ~63).
+    row j equals row (j & 63) xor row (j & ~63). The Leech quantizer's tie
+    rule follows this row order.
     """
     global _WORDS
     if _WORDS is None:

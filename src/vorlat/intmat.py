@@ -8,8 +8,6 @@ for an integer coordinate vector b.
 
 from __future__ import annotations
 
-from math import gcd
-
 import numpy as np
 
 
@@ -59,9 +57,6 @@ class IntMatrix:
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
-
-    def entry(self, i: int, j: int) -> int:
-        return self._data[i][j]
 
     def __getitem__(self, ij):
         i, j = ij
@@ -265,10 +260,3 @@ def integer_solve_lower_triangular(lower: IntMatrix, rhs: IntMatrix):
                 return None
             out[i][c] = acc // d
     return IntMatrix(out) if n else None
-
-
-def gcd_of_column(col) -> int:
-    g = 0
-    for x in col:
-        g = gcd(g, x)
-    return g

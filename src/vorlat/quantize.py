@@ -112,23 +112,31 @@ class E8FastQuantizer(Quantizer):
         return np.rint(2.0 * _e8_unimodular_round(y * 0.5)).astype(np.int64)
 
 
-_LEECH_BLOCK = 8  # rows per block: the (rows, 2, 4096) scores stay near 0.5 MB
+_LEECH_ROWS = 16  # rows per block: the per-class temporaries stay under 1 MB
 
 
 class LeechFastQuantizer(Quantizer):
-    """Exact nearest point of Leech_int, scoring its 8192 cosets of 4*D24 by matmul.
+    """Exact nearest point of Leech_int by a sextet-class search of its 8192 cosets.
 
     The integer-scaled Leech lattice is the disjoint union of cosets
     2c + m*u + 4*D24 over Golay codewords c and m in {0,1}, with u the odd
     representative (-3, 1, ..., 1). At quarter scale the best point of a coset
     is its offset plus 4 times a D24 round, so per half m and coordinate i
     only two roundings occur, of (y_i - m*u_i - 2b)/4 for bit b = 0, 1, with
-    errors e_b and integers f_b. Before the D24 parity repair, word c costs
-    sum(e_0^2) + (e_1^2 - e_0^2).c, one matmul against the codeword table for
-    every word; its parity is that of sum(f_0) + (f_0 - f_1).c, which splits
-    into the table's low and high six generator bits. An odd word pays the
-    exact flip penalty 1 - 2*max|e|, computed only where it could still tie or
-    beat the best even word.
+    errors e_b and integers f_b. Word c then costs sum(e_{c_i}^2) plus, when
+    sum(f_{c_i}) is odd, the D24 flip penalty 1 - 2*max|e_{c_i}|.
+
+    A sextet (six disjoint tetrads, any two forming an octad) splits the Golay
+    code into 128 classes of 32 words. A class fixes each tetrad's pattern up
+    to complement, and its words all complement an even number of tetrads or
+    all an odd one. Per class and half, taking each tetrad's cheaper pattern
+    costs B and leaves a residual in Z2^2: the complement parity still owed
+    and the D24 parity. Changing a single tetrad (flipping the D24 parity in
+    it, complementing it, or both) repairs any residual, so B plus the
+    cheapest such correction bounds the class minimum from above; B plus the
+    cheaper of that and one correction of each other kind bounds it from
+    below. Only the words of classes whose lower bound is within TIE_EPS of
+    the least upper bound of their row are scored exactly.
 
     Ties go to the first coset in table order (m = 0 first, then codeword
     index), then to the D24 rule of `_dn_round` within that coset.
@@ -141,63 +149,109 @@ class LeechFastQuantizer(Quantizer):
         super().__init__(lattice)
         if LeechFastQuantizer._TABLES is None:
             LeechFastQuantizer._TABLES = self._build_tables()
-        self._table, self._offsets, self._cost, self._bits = LeechFastQuantizer._TABLES
+        (self._table, self._offsets, self._tetrads, self._pattern_bits, self._pattern_coords,
+         self._class_sum, self._owed, self._residual, self._class_rows, self._class_words,
+         self._word_rows, self._class_index) = LeechFastQuantizer._TABLES
 
     @staticmethod
     def _build_tables():
         words = golay.codewords().astype(np.int64)
         u = np.array([-3] + [1] * 23, dtype=np.int64)
         table = np.concatenate([2 * words, 2 * words + u], axis=0)
-        # offsets[m, b, i] = m*u_i + 2b: coordinate i of every half-m coset with c_i = b
-        offsets = np.stack([[np.zeros(24), np.full(24, 2.0)], [u, u + 2.0]])
-        # a trailing row of ones adds each half's sum(e_0^2) inside the matmul
-        cost = np.vstack([words.T, np.ones((1, 4096))]).astype(np.float64)
-        out = (table, offsets, cost, words.astype(bool))
+        # quarter-scale coset offsets (m*u_i + 2b)/4, indexed [b, i, m]
+        offsets = (np.stack([np.zeros(24), u], axis=1) + 2.0 * np.arange(2)[:, None, None]) * 0.25
+        # The sextet: tetrad {0, 1, 2, 3} and the five octads through it, less it.
+        octads = words[(words.sum(axis=1) == 8) & words[:, :4].all(axis=1)]
+        tetrads = np.vstack([np.arange(4)] + [np.flatnonzero(o)[4:] for o in octads])
+        pattern = words[:, tetrads] @ (1 << np.arange(4))  # bit j: the tetrad's j-th coordinate
+        flip = pattern >> 3  # complement every pattern that has bit 3 set
+        canon = pattern ^ (15 * flip)
+        _, cls = np.unique(canon @ (8 ** np.arange(6)), return_inverse=True)
+        class_words = np.argsort(cls, kind="stable").reshape(128, 32)
+        first = class_words[:, 0]
+        # Pattern rows (flip, tetrad, canonical pattern): row r reads bit b of
+        # coordinate i from row b*24 + i of the rounding errors.
+        r = np.arange(96)[:, None]
+        bits = ((r % 8) ^ (15 * (r >= 48))) >> np.arange(4) & 1
+        coords = bits * 24 + tetrads[r % 48 // 8, np.arange(4)]  # (96, 4)
+        pattern_bits = np.zeros((96, 48))
+        pattern_bits[r, coords] = 1.0
+        class_rows = 8 * np.arange(6) + canon[first]  # (128, 6), unflipped rows
+        class_sum = np.zeros((128, 48))
+        class_sum[np.arange(128)[:, None], class_rows] = 1.0
+        owed = 8 * (flip[first].sum(axis=1, keepdims=True) & 1)  # 8 * complement parity
+        z = np.arange(64)
+        residual = (z >> 2 & 2) | (z & 1)  # 8*flips + parities -> 2*(flip parity) + D24 parity
+        rows = 48 * flip + 8 * np.arange(6) + canon  # (4096, 6)
+        word_rows = rows[class_words].transpose(0, 2, 1).reshape(128, 192)
+        class_index = class_words[:, None, :] + 4096 * np.arange(2)[:, None]  # [class, m]
+        out = (table, offsets, tetrads, pattern_bits, coords.T.copy(), class_sum, owed,
+               residual, class_rows.T.copy(), class_words, word_rows, class_index)
         for arr in out:
             arr.setflags(write=False)
         return out
 
     def quantize_batch(self, ys):
         y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+        yq = y.T * 0.25
         best = np.empty(y.shape[0], dtype=np.int64)
-        for lo in range(0, y.shape[0], _LEECH_BLOCK):
-            best[lo : lo + _LEECH_BLOCK] = self._best_cosets(y[lo : lo + _LEECH_BLOCK])
+        for lo in range(0, y.shape[0], _LEECH_ROWS):
+            best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[:, lo : lo + _LEECH_ROWS])
         t = self._table[best]
         return t + 4 * _dn_round((y - t) * 0.25).astype(np.int64)
 
-    def _best_cosets(self, y):
-        """Table index of the first nearest coset for each row of y."""
-        rows = y.shape[0]
-        w = (y[:, None, None, :] - self._offsets) * 0.25  # (rows, m, b, 24)
-        f = np.floor(w + 0.5)
+    def _nearest_cosets(self, yq):
+        """Table index of the first nearest coset for each column of yq = y.T / 4."""
+        rows = yq.shape[1]
+        h = 2 * rows  # column 2*row + m holds half m of a row
+        w = (yq[None, :, :, None] - self._offsets[:, :, None, :]).reshape(48, h)
+        x = np.zeros((48, h, 3))
+        f = np.floor(w + 0.5, out=x[..., 1])
         e = w - f  # rounding errors, in [-0.5, 0.5)
-        e2 = e * e
-        a = np.empty((rows, 2, 25))
-        a[..., :24] = e2[:, :, 1] - e2[:, :, 0]
-        a[..., 24] = e2[:, :, 0].sum(axis=2)
-        score = (a.reshape(-1, 25) @ self._cost).reshape(rows, 2, 4096)
-        # Codeword j is word (j & 63) xor word (j & ~63), so word j's parity
-        # is that of its high part's count plus its low part's count.
-        g = f[:, :, 0] - f[:, :, 1]  # 0 or 1
-        f0_sum = f[:, :, 0].sum(axis=2)[..., None]
-        bits = self._cost[:24]  # one column per codeword
-        odd_hi = ((g @ bits[:, ::64] + f0_sum).astype(np.int64) & 1).astype(bool)
-        odd_lo = ((g @ bits[:, :64]).astype(np.int64) & 1).astype(bool)
-        odd = (odd_hi[..., :, None] ^ odd_lo[..., None, :]).reshape(rows, 2, 4096)
-        masked = np.where(odd, np.inf, score)
-        best_even = masked.reshape(rows, -1).min(axis=1)
-        # An odd word's penalty is at least 1 - 2*max|e| over both bits; the
-        # slack only admits extra candidates, whose exact scores follow.
-        err = np.abs(e)
-        bound = 1.0 - 2.0 * err.max(axis=(2, 3))
-        limit = best_even[:, None] - bound + TIE_EPS
-        cand = np.flatnonzero(odd & (score <= limit[..., None]))
-        if cand.size:
-            half, word = np.divmod(cand, 4096)
-            err = err.reshape(2 * rows, 2, 24)[half]
-            worst = np.where(self._bits[word], err[:, 1], err[:, 0]).max(axis=1)
-            masked.reshape(-1)[cand] = score.reshape(-1)[cand] + (1.0 - 2.0 * worst)
-        return np.argmin(masked.reshape(rows, -1), axis=1)
+        np.multiply(e, e, out=x[..., 0])
+        # per pattern row and column: sum(e^2), sum(f), flip penalty 1 - 2*max|e|
+        s = (self._pattern_bits @ x.reshape(48, 3 * h)).reshape(96, h, 3)
+        cost = s[..., 0]
+        par = s[..., 1].astype(np.int64) & 1
+        pen = s[..., 2]
+        np.subtract(1.0, 2.0 * np.abs(e).take(self._pattern_coords, axis=0).max(axis=0), out=pen)
+        # Each tetrad takes its cheaper pattern; class sums of those costs and
+        # of the codes 8*flip + parity give each class its B and its residual.
+        flip = cost[48:] < cost[:48]
+        pick = np.empty((48, 2 * h))
+        np.minimum(cost[:48], cost[48:], out=pick[:, :h])
+        pick[:, h:] = np.where(flip, par[48:] + 8, par[:48])
+        sums = self._class_sum @ pick
+        res = self._residual.take(sums[:, h:].astype(np.int64) + self._owed)
+        # one-tetrad corrections: flip the D24 parity, complement keeping it,
+        # complement flipping it (via the other pattern's penalty if needed)
+        corr = np.empty((48, 3, h))
+        corr[:, 0] = np.where(flip, pen[48:], pen[:48])
+        dc = np.abs(cost[48:] - cost[:48])
+        both = dc + np.where(flip, pen[:48], pen[48:])
+        split = par[:48] != par[48:]
+        corr[:, 1] = np.where(split, both, dc)
+        corr[:, 2] = np.where(split, dc, both)
+        # per class, the cheapest correction of each kind over its six tetrads
+        md = np.zeros((4, 128, h))
+        least = corr.reshape(48, 3 * h).take(self._class_rows, axis=0).min(axis=0)
+        md[1:] = least.reshape(128, 3, h).transpose(1, 0, 2)
+        one = md.reshape(-1).take(res * (128 * h) + np.arange(128 * h).reshape(128, h))  # md[res]
+        # one correction always works; two of the other kinds may be cheaper
+        lb = sums[:, :h] + np.minimum(one, md.sum(axis=0) - one)
+        bound = (sums[:, :h] + one).min(axis=0).reshape(rows, 2).min(axis=1) + TIE_EPS
+        col, cls = np.nonzero((lb.reshape(128, rows, 2) <= bound[:, None]).reshape(128, h).T)
+        # score every word of the surviving classes exactly
+        at = self._word_rows.take(cls, axis=0) * h + col[:, None]
+        rec = s.reshape(-1, 3).take(at, axis=0).reshape(-1, 6, 32, 3)
+        tot = rec.sum(axis=1)
+        score = tot[..., 0] + (tot[..., 1].astype(np.int64) & 1) * rec[..., 2].min(axis=1)
+        # first minimum per row in table order m*4096 + codeword index
+        start = 32 * np.searchsorted(col, np.arange(0, h, 2))
+        low = np.minimum.reduceat(score.reshape(-1), start)
+        tied = score == low.take(col >> 1)[:, None]
+        index = np.where(tied, self._class_index[cls, col & 1], 8192)
+        return np.minimum.reduceat(index.reshape(-1), start)
 
 
 class EnumerationQuantizer(Quantizer):
@@ -336,6 +390,27 @@ class DirectSumQuantizer(Quantizer):
         return self.inner.quantize_batch(flat).reshape(rows, self.copies * self._block)
 
 
+def _blockwise(wrapper):
+    """Factory for a lattice made of one block: wrap the block's own quantizer."""
+
+    def make(lattice):
+        _, count, block = lattice.structure
+        return wrapper(make_quantizer(block), count, lattice)
+
+    return make
+
+
+# Structure tag -> (quantizer factory, the lattices its explicit method name accepts).
+_DISPATCH = {
+    "Zn": (ZnQuantizer, "Zn(n)"),
+    "Dn": (DnQuantizer, "Dn(n)"),
+    "E8_int": (E8FastQuantizer, "E8_int"),
+    "Leech_int": (LeechFastQuantizer, "Leech_int"),
+    "scaled": (_blockwise(ScaledQuantizer), None),
+    "blocks": (_blockwise(DirectSumQuantizer), None),
+}
+
+
 def make_quantizer(lattice: Lattice, method: str = "auto") -> Quantizer:
     """Pick a quantizer for the lattice.
 
@@ -343,60 +418,17 @@ def make_quantizer(lattice: Lattice, method: str = "auto") -> Quantizer:
     falls back to sphere enumeration; explicit method names are validated
     against the lattice.
     """
+    tag = lattice.structure[0] if lattice.structure else None
     if method == "auto":
-        s = lattice.structure
-        if s is None:
-            return EnumerationQuantizer(lattice)
-        tag = s[0]
-        if tag == "Zn":
-            return ZnQuantizer(lattice)
-        if tag == "Dn":
-            return DnQuantizer(lattice)
-        if tag == "E8_int":
-            return E8FastQuantizer(lattice)
-        if tag == "Leech_int":
-            return LeechFastQuantizer(lattice)
-        if tag == "scaled":
-            _, alpha, inner = s
-            return ScaledQuantizer(make_quantizer(inner), alpha, lattice)
-        if tag == "blocks":
-            _, copies, inner = s
-            return DirectSumQuantizer(make_quantizer(inner), copies, lattice)
+        return _DISPATCH.get(tag, (EnumerationQuantizer,))[0](lattice)
+    if method == EnumerationQuantizer.method:
         return EnumerationQuantizer(lattice)
-    if method == "exact_enumeration":
-        return EnumerationQuantizer(lattice)
-    if method == "zn":
-        if lattice.structure != ("Zn",):
-            raise ValueError("zn applies to Zn(n)")
-        return ZnQuantizer(lattice)
-    if method == "dn":
-        if lattice.structure != ("Dn",):
-            raise ValueError("dn applies to Dn(n)")
-        return DnQuantizer(lattice)
-    if method == "e8_fast":
-        if lattice.structure != ("E8_int",):
-            raise ValueError("e8_fast applies to E8_int")
-        return E8FastQuantizer(lattice)
-    if method == "leech_fast":
-        if lattice.structure != ("Leech_int",):
-            raise ValueError("leech_fast applies to Leech_int")
-        return LeechFastQuantizer(lattice)
+    for key, (make, family) in _DISPATCH.items():
+        if family is not None and make.method == method:
+            if key != tag:
+                raise ValueError(f"{method} applies to {family}")
+            return make(lattice)
     raise ValueError(f"unknown quantizer method {method!r}")
-
-
-def quantize(q: Quantizer, y) -> np.ndarray:
-    """Nearest lattice point of y under quantizer q."""
-    return q.quantize(y)
-
-
-def quantize_scaled(inner: Quantizer, alpha: int, y) -> np.ndarray:
-    """Nearest point of alpha * L: alpha * Q_L(y / alpha)."""
-    return ScaledQuantizer(inner, alpha).quantize(y)
-
-
-def quantize_direct_sum(inner: Quantizer, copies: int, y) -> np.ndarray:
-    """Blockwise nearest point for `copies` blocks of the inner lattice."""
-    return DirectSumQuantizer(inner, copies).quantize(y)
 
 
 def fold_mod_lattice(q: Quantizer, x) -> np.ndarray:

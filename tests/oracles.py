@@ -214,15 +214,15 @@ def leech_coset_reference(ys) -> np.ndarray:
         w = (yc[:, None, :] - t[None, :, :]) * 0.25
         f = np.floor(w + 0.5)
         w -= f  # rounding errors, in [-0.5, 0.5)
-        flat_f = f.reshape(-1, 24)
-        flat_w = w.reshape(-1, 24)
-        odd = np.nonzero(flat_f.sum(axis=1) % 2.0 != 0.0)[0]
-        if odd.size:
-            sub = flat_w[odd]
+        # Index the (row, coset) pairs directly: a reshape of f or w copies
+        # them when the input is not C-contiguous, and the repair would be lost.
+        row, coset = np.nonzero(f.sum(axis=2) % 2.0 != 0.0)
+        if row.size:
+            sub = w[row, coset]
             k = np.argmax(np.abs(sub), axis=1)
-            delta = np.where(sub[np.arange(odd.size), k] > 0, 1.0, -1.0)
-            flat_f[odd, k] += delta
-            flat_w[odd, k] -= delta
+            delta = np.where(sub[np.arange(row.size), k] > 0, 1.0, -1.0)
+            f[row, coset, k] += delta
+            w[row, coset, k] -= delta
         dist = np.einsum("bij,bij->bi", w, w)
         idx = np.argmin(dist, axis=1)
         rows = np.arange(yc.shape[0])

@@ -1,22 +1,27 @@
 """Tests for nearest-point search, folding, and second-moment estimation."""
 
+from itertools import combinations
+
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vorlat import golay
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import (
+    _LEECH_ROWS,
     TIE_EPS,
+    DirectSumQuantizer,
     EnumerationQuantizer,
+    ScaledQuantizer,
     _dn_round,
     fold_batch,
     fold_mod_lattice,
     fold_mod_parallelotope_batch,
     make_quantizer,
-    quantize,
-    quantize_direct_sum,
-    quantize_scaled,
     round_half_up,
     second_moment_mc,
     short_vectors,
@@ -38,31 +43,31 @@ def test_round_half_up_breaks_ties_upward():
 
 def test_zn_quantizer_example():
     q = make_quantizer(standard_lattice("Zn(3)"))
-    assert quantize(q, [0.4, -1.2, 2.5]).tolist() == [0, -1, 3]
+    assert q.quantize([0.4, -1.2, 2.5]).tolist() == [0, -1, 3]
 
 
 def test_dn_quantizer_example():
     q = make_quantizer(standard_lattice("Dn(4)"))
-    assert quantize(q, [0.6, 0.6, 0.1, 0.1]).tolist() == [1, 1, 0, 0]
+    assert q.quantize([0.6, 0.6, 0.1, 0.1]).tolist() == [1, 1, 0, 0]
 
 
 def test_dn_quantizer_parity_repair():
     q = make_quantizer(standard_lattice("Dn(4)"))
     # naive rounding gives odd sum; the worst coordinate is re-rounded the
     # other way, which here lands on the origin
-    assert quantize(q, [0.6, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
+    assert q.quantize([0.6, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
     # exact odd-parity integer input: lowest-index coordinate moves down
-    assert quantize(q, [1.0, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
+    assert q.quantize([1.0, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
 
 
 def test_scaled_quantizer_example():
     inner = make_quantizer(standard_lattice("Zn(2)"))
-    assert quantize_scaled(inner, 4, [3.0, 3.0]).tolist() == [4, 4]
+    assert ScaledQuantizer(inner, 4).quantize([3.0, 3.0]).tolist() == [4, 4]
 
 
 def test_direct_sum_quantizer_example():
     inner = make_quantizer(standard_lattice("Zn(2)"))
-    got = quantize_direct_sum(inner, 2, [0.4, -1.2, 2.5, 0.6])
+    got = DirectSumQuantizer(inner, 2).quantize([0.4, -1.2, 2.5, 0.6])
     assert got.tolist() == [0, -1, 3, 1]
 
 
@@ -86,9 +91,9 @@ def test_direct_sum_quantizer_matches_blockwise():
 def test_enumeration_tie_is_lexicographically_smallest():
     lat = standard_lattice("Zn(2)").scaled(2)
     q = EnumerationQuantizer(lat)
-    assert quantize(q, [1.0, 1.0]).tolist() == [0, 0]
-    assert quantize(q, [-1.0, -1.0]).tolist() == [-2, -2]
-    assert quantize(q, [1.0, -1.0]).tolist() == [0, -2]
+    assert q.quantize([1.0, 1.0]).tolist() == [0, 0]
+    assert q.quantize([-1.0, -1.0]).tolist() == [-2, -2]
+    assert q.quantize([1.0, -1.0]).tolist() == [0, -2]
 
 
 def test_enumeration_matches_zn_and_dn():
@@ -123,8 +128,8 @@ def test_e8_fast_tie_agrees_in_distance_only():
     fast = make_quantizer(lat, method="e8_fast")
     enum = make_quantizer(lat, method="exact_enumeration")
     y = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
-    pf = quantize(fast, y)
-    pe = quantize(enum, y)
+    pf = fast.quantize(y)
+    pe = enum.quantize(y)
     assert pe.tolist() == [0] * 8
     assert abs(((y - pf) ** 2).sum() - 2.0) < 1e-12
     assert abs(((y - pe) ** 2).sum() - 2.0) < 1e-12
@@ -183,7 +188,7 @@ def test_leech_fast_matches_enumeration_distances():
     ys = np.concatenate([reps.astype(np.float64), rng.uniform(-8, 8, size=(16, 24))])
     pf = fast.quantize_batch(ys)
     for y, f in zip(ys, pf):
-        e = quantize(enum, y)
+        e = enum.quantize(y)
         df = ((y - f) ** 2).sum()
         de = ((y - e) ** 2).sum()
         assert abs(df - de) < 1e-9
@@ -207,8 +212,65 @@ def test_leech_fast_matches_coset_reference():
     assert np.array_equal(fast.quantize_batch(ys), rows)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_leech_fast_matches_coset_reference_on_random_grids(data):
+    """Quarter-, half- and whole-integer rows are tie-heavy; uniform rows are not."""
+    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    rows = data.draw(st.integers(1, 2 * _LEECH_ROWS + 1))
+    kind = data.draw(st.sampled_from(["quarter", "half", "integer", "uniform"]))
+    if kind == "uniform":
+        ys = data.draw(hnp.arrays(np.float64, (rows, 24), elements=st.floats(-8, 8)))
+    else:
+        ints = data.draw(hnp.arrays(np.int64, (rows, 24), elements=st.integers(-32, 32)))
+        ys = {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0}[kind]
+    assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
+
+
+def test_leech_fast_and_coset_reference_ignore_memory_layout():
+    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    spec = builtin_spec("leech24")
+    reps = spec.representative_batch(random_ordinals(spec, 64, seed=12)).astype(np.float64)
+    want = leech_coset_reference(reps)
+    wide = np.zeros((64, 48))
+    wide[:, ::2] = reps
+    for ys in (np.asfortranarray(reps), wide[:, ::2]):
+        assert not ys.flags.c_contiguous
+        assert np.array_equal(leech_coset_reference(ys), want)
+        assert np.array_equal(fast.quantize_batch(ys), want)
+
+
+def test_leech_sextet_classes_partition_the_golay_code():
+    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    words = golay.codewords()
+    classes = fast._class_words
+    assert classes.shape == (128, 32)
+    assert np.array_equal(np.sort(classes, axis=None), np.arange(4096))
+    assert np.all(np.diff(classes, axis=1) > 0)  # table order within a class
+    # six disjoint tetrads, any two of which form an octad of the code
+    tetrads = fast._tetrads
+    assert np.array_equal(np.sort(tetrads, axis=None), np.arange(24))
+    codebook = {w.tobytes() for w in words}
+    for a, b in combinations(tetrads, 2):
+        octad = np.zeros(24, dtype=np.uint8)
+        octad[np.concatenate([a, b])] = 1
+        assert octad.tobytes() in codebook
+    # a class fixes each tetrad's pattern up to complement, and its words
+    # complement the same parity of tetrads
+    pattern = words[:, tetrads] @ (1 << np.arange(4))
+    flips = pattern >> 3
+    canon = pattern ^ (15 * flips)
+    keys = set()
+    for members in classes:
+        assert (canon[members] == canon[members[0]]).all()
+        assert len(set(flips[members].sum(axis=1) % 2)) == 1
+        keys.add(canon[members[0]].tobytes())
+    assert len(keys) == 128
+
+
 def test_golay_table_splits_into_generator_bit_halves():
-    # the Leech quantizer's parity split relies on this table order
+    # `codewords` documents this table order: row j xors the generator rows
+    # picked by the bits of j
     words = golay.codewords()
     j = np.arange(4096)
     assert np.array_equal(words, words[j & 63] ^ words[j & ~63])
@@ -257,7 +319,7 @@ def test_make_quantizer_auto_falls_back_to_enumeration():
     q = make_quantizer(lat)
     assert isinstance(q, EnumerationQuantizer)
     # columns (2,1) and (0,3): nearest point to (2.1, 2.9) is (2,1)+(0,3)
-    assert quantize(q, [2.1, 2.9]).tolist() == [2, 4]
+    assert q.quantize([2.1, 2.9]).tolist() == [2, 4]
 
 
 # ---------------------------------------------------------------------------
