@@ -7,11 +7,9 @@ from .codes import (
     builtin_chain,
     load_chain,
     make_rep_spc_chain,
-    ml_decode,
 )
 from .intmat import IntMatrix, hnf_lower_triangular
 from .lattice import (
-    DiagonalScale,
     Lattice,
     direct_sum,
     is_sublattice,
@@ -21,7 +19,6 @@ from .lattice import (
 )
 from .quantize import (
     fold_batch,
-    fold_mod_lattice,
     make_quantizer,
     second_moment_mc,
     short_vectors,
@@ -53,7 +50,6 @@ __all__ = [
     "BUILTIN_SPECS",
     "ChannelConfig",
     "CodeChain",
-    "DiagonalScale",
     "IntMatrix",
     "Lattice",
     "LinearCode",
@@ -67,7 +63,6 @@ __all__ = [
     "decode_lattice",
     "direct_sum",
     "fold_batch",
-    "fold_mod_lattice",
     "get_spec",
     "hnf_lower_triangular",
     "is_sublattice",
@@ -76,7 +71,6 @@ __all__ = [
     "load_spec",
     "make_quantizer",
     "make_rep_spc_chain",
-    "ml_decode",
     "quotient_order",
     "second_moment_mc",
     "short_vectors",

@@ -1,4 +1,4 @@
-"""Linear codes over prime fields, nesting chains, and exhaustive ML decoding.
+"""Linear codes over prime fields and the nesting chains built from them.
 
 Codes are stored in reduced row echelon form, so encoding is systematic: the
 message symbols appear verbatim at the pivot positions of the generator and
@@ -12,7 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 _CODEWORD_TABLE_LIMIT = 1 << 20
-_ML_CHUNK = 4096
 
 
 def is_prime(q: int) -> bool:
@@ -114,13 +113,6 @@ def ordinals_to_symbols(ordinals: np.ndarray, length: int, q: int) -> np.ndarray
     return np.pad(digits, ((0, 0), (length - len(places), 0)))
 
 
-def symbols_to_ordinal(symbols, q: int) -> int:
-    value = 0
-    for s in symbols:
-        value = value * q + int(s)
-    return value
-
-
 class LinearCode:
     """A [n, k] linear code over F_q (q prime) in systematic form."""
 
@@ -194,40 +186,6 @@ class LinearCode:
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q={self.q})"
-
-
-def ml_decode(code: LinearCode, costs: np.ndarray) -> np.ndarray:
-    """Codeword minimizing the summed per-symbol costs.
-
-    costs has shape (n, q); entry (j, v) is the price of putting symbol v at
-    position j. Exhaustive over all q^k messages, chunked to bound memory.
-    Cost ties below 1e-12 resolve to the lexicographically smallest codeword.
-    """
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.shape != (code.n, code.q):
-        raise ValueError(f"costs must have shape ({code.n}, {code.q})")
-    count = code.q**code.k
-    if count > _CODEWORD_TABLE_LIMIT:
-        raise ValueError("code too large for exhaustive decoding")
-    pos = np.arange(code.n)
-    best_score = np.inf
-    best_word: np.ndarray | None = None
-    for start in range(0, count, _ML_CHUNK):
-        ords = np.arange(start, min(start + _ML_CHUNK, count))
-        words = code.encode_batch(ordinals_to_symbols(ords, code.k, code.q))
-        scores = costs[pos[None, :], words].sum(axis=1)
-        lo = float(scores.min())
-        if lo > best_score + 1e-12:
-            continue
-        near = np.nonzero(scores <= min(lo, best_score) + 1e-12)[0]
-        for i in near:
-            s, w = float(scores[i]), words[i]
-            if s < best_score - 1e-12:
-                best_score, best_word = s, w
-            elif best_word is None or list(w) < list(best_word):
-                best_score = min(best_score, s)
-                best_word = w
-    return best_word
 
 
 class CodeChain:

@@ -35,12 +35,6 @@ class IntMatrix:
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @classmethod
-    def diagonal(cls, diag) -> "IntMatrix":
-        d = [int(x) for x in diag]
-        n = len(d)
-        return cls([[d[i] if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
     def block_diagonal(cls, blocks) -> "IntMatrix":
         blocks = list(blocks)
         n = sum(b.rows for b in blocks)

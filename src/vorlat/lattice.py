@@ -108,36 +108,6 @@ class Lattice:
         return f"Lattice({label}, volume={self.volume})"
 
 
-class DiagonalScale:
-    """Diagonal integer matrix K with positive entries (kept as a tuple)."""
-
-    __slots__ = ("dim", "entries")
-
-    def __init__(self, entries):
-        e = tuple(int(x) for x in entries)
-        if not e or any(x <= 0 for x in e):
-            raise ValueError("diagonal entries must be positive")
-        object.__setattr__(self, "dim", len(e))
-        object.__setattr__(self, "entries", e)
-
-    def __setattr__(self, attr, value):
-        raise AttributeError("DiagonalScale is immutable")
-
-    @classmethod
-    def uniform(cls, dim: int, k: int) -> "DiagonalScale":
-        return cls((k,) * dim)
-
-    def to_lattice(self) -> Lattice:
-        m = IntMatrix.diagonal(self.entries)
-        return Lattice(m, _triangular=m)
-
-    def __eq__(self, other):
-        return isinstance(other, DiagonalScale) and self.entries == other.entries
-
-    def __repr__(self):
-        return f"DiagonalScale({list(self.entries)})"
-
-
 # ---------------------------------------------------------------------------
 # standard lattices
 

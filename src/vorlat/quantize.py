@@ -1,6 +1,7 @@
 """Nearest-point quantizers, Voronoi folding, and second-moment estimation.
 
-Every quantizer maps real vectors to exact integer lattice points. Rounding
+Every quantizer maps finite real vectors to exact integer lattice points and
+refuses NaN or infinite input with a ValueError. Rounding
 rules are deterministic: coordinatewise rounding sends halves toward +inf,
 flip decisions pick the lowest index, and enumeration breaks exact distance
 ties (difference below 1e-9) by the lexicographically smallest lattice point.
@@ -49,6 +50,15 @@ def _dn_round(y: np.ndarray) -> np.ndarray:
     return f
 
 
+def _finite(ys) -> np.ndarray:
+    """ys as float64, refusing NaN and infinite entries with a ValueError."""
+    y = np.asarray(ys, dtype=np.float64)
+    if not np.isfinite(y).all():
+        at = tuple(int(i) for i in np.argwhere(~np.isfinite(y))[0])
+        raise ValueError(f"cannot quantize non-finite input {y[at]} at index {at}")
+    return y
+
+
 def _lex_smaller(a, b) -> bool:
     for x, y in zip(a, b):
         if x != y:
@@ -57,9 +67,7 @@ def _lex_smaller(a, b) -> bool:
 
 
 class Quantizer:
-    """Base class: nearest-lattice-point maps with a named method."""
-
-    method = "base"
+    """Base class: nearest-lattice-point maps."""
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -76,17 +84,13 @@ class Quantizer:
 
 
 class ZnQuantizer(Quantizer):
-    method = "zn"
-
     def quantize_batch(self, ys):
-        return round_half_up(np.asarray(ys, dtype=np.float64)).astype(np.int64)
+        return round_half_up(_finite(ys)).astype(np.int64)
 
 
 class DnQuantizer(Quantizer):
-    method = "dn"
-
     def quantize_batch(self, ys):
-        return _dn_round(np.asarray(ys, dtype=np.float64)).astype(np.int64)
+        return _dn_round(_finite(ys)).astype(np.int64)
 
 
 def _e8_unimodular_round(y: np.ndarray) -> np.ndarray:
@@ -105,11 +109,8 @@ def _e8_unimodular_round(y: np.ndarray) -> np.ndarray:
 class E8FastQuantizer(Quantizer):
     """Exact nearest point of E8_int via the doubled Gosset decoder."""
 
-    method = "e8_fast"
-
     def quantize_batch(self, ys):
-        y = np.asarray(ys, dtype=np.float64)
-        return np.rint(2.0 * _e8_unimodular_round(y * 0.5)).astype(np.int64)
+        return np.rint(2.0 * _e8_unimodular_round(_finite(ys) * 0.5)).astype(np.int64)
 
 
 _LEECH_ROWS = 16  # rows per block: the per-class temporaries stay under 1 MB
@@ -142,7 +143,6 @@ class LeechFastQuantizer(Quantizer):
     index), then to the D24 rule of `_dn_round` within that coset.
     """
 
-    method = "leech_fast"
     _TABLES = None
 
     def __init__(self, lattice: Lattice):
@@ -192,7 +192,7 @@ class LeechFastQuantizer(Quantizer):
         return out
 
     def quantize_batch(self, ys):
-        y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+        y = np.atleast_2d(_finite(ys))
         yq = y.T * 0.25
         best = np.empty(y.shape[0], dtype=np.int64)
         for lo in range(0, y.shape[0], _LEECH_ROWS):
@@ -262,8 +262,6 @@ class EnumerationQuantizer(Quantizer):
     upper bounds on the true distance so the enumeration stays exact.
     """
 
-    method = "exact_enumeration"
-
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
         b = lattice.float_generator()
@@ -322,7 +320,7 @@ class EnumerationQuantizer(Quantizer):
                 step[k] = -step[k] - (1 if step[k] > 0 else -1)
 
     def quantize(self, y):
-        y = np.asarray(y, dtype=np.float64).reshape(-1)
+        y = _finite(y).reshape(-1)
         w = self._q.T @ y
         b0, d0 = self._babai(w)
         radius = d0
@@ -352,8 +350,6 @@ class EnumerationQuantizer(Quantizer):
 class ScaledQuantizer(Quantizer):
     """Nearest point of alpha * L from a quantizer for L."""
 
-    method = "scaled"
-
     def __init__(self, inner: Quantizer, alpha: int, lattice: Lattice | None = None):
         alpha = int(alpha)
         if alpha < 1:
@@ -369,8 +365,6 @@ class ScaledQuantizer(Quantizer):
 
 class DirectSumQuantizer(Quantizer):
     """Blockwise quantizer for a direct sum of identical blocks."""
-
-    method = "direct_sum_blockwise"
 
     def __init__(self, inner: Quantizer, copies: int, lattice: Lattice | None = None):
         from .lattice import direct_sum  # local import to avoid a cycle
@@ -400,48 +394,30 @@ def _blockwise(wrapper):
     return make
 
 
-# Structure tag -> (quantizer factory, the lattices its explicit method name accepts).
+# Structure tag -> quantizer factory; untagged lattices fall back to enumeration.
 _DISPATCH = {
-    "Zn": (ZnQuantizer, "Zn(n)"),
-    "Dn": (DnQuantizer, "Dn(n)"),
-    "E8_int": (E8FastQuantizer, "E8_int"),
-    "Leech_int": (LeechFastQuantizer, "Leech_int"),
-    "scaled": (_blockwise(ScaledQuantizer), None),
-    "blocks": (_blockwise(DirectSumQuantizer), None),
+    "Zn": ZnQuantizer,
+    "Dn": DnQuantizer,
+    "E8_int": E8FastQuantizer,
+    "Leech_int": LeechFastQuantizer,
+    "scaled": _blockwise(ScaledQuantizer),
+    "blocks": _blockwise(DirectSumQuantizer),
 }
 
 
-def make_quantizer(lattice: Lattice, method: str = "auto") -> Quantizer:
-    """Pick a quantizer for the lattice.
+def make_quantizer(lattice: Lattice) -> Quantizer:
+    """The fastest exact quantizer the lattice structure supports.
 
-    "auto" selects the fastest exact method the lattice structure supports and
-    falls back to sphere enumeration; explicit method names are validated
-    against the lattice.
+    Zn, Dn, E8_int and Leech_int get their structured decoders, scaled
+    lattices and direct sums wrap their block's quantizer, and any other
+    lattice falls back to sphere enumeration.
     """
     tag = lattice.structure[0] if lattice.structure else None
-    if method == "auto":
-        return _DISPATCH.get(tag, (EnumerationQuantizer,))[0](lattice)
-    if method == EnumerationQuantizer.method:
-        return EnumerationQuantizer(lattice)
-    for key, (make, family) in _DISPATCH.items():
-        if family is not None and make.method == method:
-            if key != tag:
-                raise ValueError(f"{method} applies to {family}")
-            return make(lattice)
-    raise ValueError(f"unknown quantizer method {method!r}")
-
-
-def fold_mod_lattice(q: Quantizer, x) -> np.ndarray:
-    """x minus its nearest lattice point: the Voronoi-region representative."""
-    x = np.asarray(x)
-    if np.issubdtype(x.dtype, np.integer):
-        xi = x.astype(np.int64)
-        return xi - q.quantize(xi.astype(np.float64))
-    xf = np.asarray(x, dtype=np.float64)
-    return xf - q.quantize(xf)
+    return _DISPATCH.get(tag, EnumerationQuantizer)(lattice)
 
 
 def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:
+    """Rows of xs minus their nearest lattice points: Voronoi-region representatives."""
     xs = np.asarray(xs)
     if np.issubdtype(xs.dtype, np.integer):
         xi = xs.astype(np.int64)

@@ -29,9 +29,8 @@ from .codes import (
     nested_basis,
     verify_carry_closure,
 )
-from .intmat import IntMatrix, hnf_from_spanning
+from .intmat import IntMatrix
 from .lattice import (
-    DiagonalScale,
     Lattice,
     direct_sum,
     is_sublattice,
@@ -46,7 +45,6 @@ from .quantize import (
 )
 
 _ENUM_LIMIT = 1 << 20
-_INT64_SAFE_MODULUS = 1 << 20  # q^a beyond this falls back to exact arithmetic
 _INT64_ORDINALS = 1 << 63  # message counts from here on do not fit int64 ordinals
 
 
@@ -54,40 +52,29 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
     """Coding lattice sum_i q^i C_i + q^a Z^n from a chain of nested codes.
 
     The generator columns are q^level * b for each nested-basis row b plus
-    q^a * e_m for the non-pivot positions m; reducing them to Hermite form
-    can stay modulo q^a because q^a Z^n is inside the lattice, which keeps
-    every intermediate value small enough for vectorized integer arithmetic.
+    q^a * e_m for the non-pivot positions m. Each row b vanishes before its
+    pivot, where it is 1, so these columns are already lower triangular with
+    diagonal q^level or q^a. Reducing them to Hermite form can stay modulo
+    q^a because q^a Z^n is inside the lattice, so every intermediate value
+    stays below (q^a)^2: int64 holds the sweep for q^a < 2^31, and larger
+    moduli run it on Python integers.
     """
     q, a, n = chain.q, chain.a, chain.n
     rows, levels, pivots = nested_basis(chain)
     qa = q**a
     expected_log = a * n - sum(chain.dims())
-    triangular = None
-    if qa <= _INT64_SAFE_MODULUS and _pivot_columns_are_triangular(rows, pivots):
-        m = np.zeros((n, n), dtype=np.int64)
-        d = np.full(n, qa, dtype=np.int64)
-        pivot_set = set(pivots)
-        for row, level, piv in zip(rows, levels, pivots):
-            m[:, piv] = np.array(row, dtype=np.int64) * q**level
-            d[piv] = q**level
-        for m_idx in range(n):
-            if m_idx not in pivot_set:
-                m[m_idx, m_idx] = qa
-        for i in range(1, n):
-            qf = m[i, :i] // d[i]
-            if np.any(qf):
-                m[i:, :i] -= np.outer(m[i:, i], qf)
-                m[i + 1 :, :i] %= qa
-        triangular = IntMatrix(m.tolist())
-    else:
-        cols = []
-        for row, level in zip(rows, levels):
-            cols.append([v * q**level for v in row])
-        for m_idx in range(n):
-            e = [0] * n
-            e[m_idx] = qa
-            cols.append(e)
-        triangular = hnf_from_spanning(cols)
+    dtype = np.int64 if qa < 1 << 31 else object
+    m = np.zeros((n, n), dtype=dtype)
+    for row, level, piv in zip(rows, levels, pivots):
+        m[:, piv] = np.array(row, dtype=dtype) * q**level
+    for i in set(range(n)) - set(pivots):
+        m[i, i] = qa
+    for i in range(1, n):
+        qf = m[i, :i] // m[i, i]  # the sweep never changes the diagonal
+        if np.any(qf):
+            m[i:, :i] -= np.outer(m[i:, i], qf)
+            m[i + 1 :, :i] %= qa
+    triangular = IntMatrix(m.tolist())
     lat = Lattice(triangular, _triangular=triangular, name=f"multilevel({chain!r})")
     if lat.volume != q**expected_log:
         raise AssertionError("coding lattice volume does not match the chain")
@@ -101,14 +88,6 @@ def _check_int64_ordinals(message_count: int) -> None:
             f"message count 2^{math.log2(message_count):.2f} is not below the "
             f"int64 ordinal limit 2^63"
         )
-
-
-def _pivot_columns_are_triangular(rows, pivots) -> bool:
-    """True when every nested-basis row vanishes strictly before its pivot."""
-    for row, piv in zip(rows, pivots):
-        if any(row[j] for j in range(piv)):
-            return False
-    return True
 
 
 @dataclass(frozen=True)
@@ -151,7 +130,6 @@ class VoronoiCodeSpec:
         self.coding = construction_d_lattice(chain)
         self.shaping_prime = direct_sum(base, copies, alpha)
         self.shaping = self.shaping_prime.scaled(self.qa)
-        self.scale_k = DiagonalScale.uniform(n, self.qa)
         self.s_box = self.shaping_prime.diag()
         if offset is None:
             offset = (0,) * n
@@ -293,9 +271,6 @@ class VoronoiCodeSpec:
                 x *= self.q
         x += self._offset_np
         return x
-
-    def representative(self, message: Message) -> np.ndarray:
-        return self.representative_batch([self.ordinal_from_message(message)])[0]
 
     def representative_box(self) -> tuple:
         """Exclusive upper corner of the hyperrectangle holding representatives."""

@@ -14,6 +14,7 @@ from itertools import product
 import numpy as np
 
 from vorlat import golay
+from vorlat.codes import _CODEWORD_TABLE_LIMIT, ordinals_to_symbols
 from vorlat.quantize import fold_mod_parallelotope_batch
 from vorlat.simulate import (
     _TRIAL_BLOCK,
@@ -228,6 +229,52 @@ def leech_coset_reference(ys) -> np.ndarray:
         rows = np.arange(yc.shape[0])
         out[lo : lo + chunk] = table[idx] + 4 * f[rows, idx].astype(np.int64)
     return out
+
+
+def symbols_to_ordinal(symbols, q: int) -> int:
+    """Ordinal of a base-q symbol block, most significant symbol first."""
+    value = 0
+    for s in symbols:
+        value = value * q + int(s)
+    return value
+
+
+_ML_CHUNK = 4096
+
+
+def ml_decode(code, costs) -> np.ndarray:
+    """Codeword minimizing the summed per-symbol costs.
+
+    costs has shape (n, q); entry (j, v) is the price of putting symbol v at
+    position j. Exhaustive over all q^k messages, chunked to bound memory.
+    Cost ties below 1e-12 resolve to the lexicographically smallest codeword.
+    The multistage decoder's table ML and Wagner's rule are checked against it.
+    """
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.shape != (code.n, code.q):
+        raise ValueError(f"costs must have shape ({code.n}, {code.q})")
+    count = code.q**code.k
+    if count > _CODEWORD_TABLE_LIMIT:
+        raise ValueError("code too large for exhaustive decoding")
+    pos = np.arange(code.n)
+    best_score = np.inf
+    best_word = None
+    for start in range(0, count, _ML_CHUNK):
+        ords = np.arange(start, min(start + _ML_CHUNK, count))
+        words = code.encode_batch(ordinals_to_symbols(ords, code.k, code.q))
+        scores = costs[pos[None, :], words].sum(axis=1)
+        lo = float(scores.min())
+        if lo > best_score + 1e-12:
+            continue
+        near = np.nonzero(scores <= min(lo, best_score) + 1e-12)[0]
+        for i in near:
+            s, w = float(scores[i]), words[i]
+            if s < best_score - 1e-12:
+                best_score, best_word = s, w
+            elif best_word is None or list(w) < list(best_word):
+                best_score = min(best_score, s)
+                best_word = w
+    return best_word
 
 
 def table_ml_reference(code, costs) -> np.ndarray:

@@ -11,7 +11,13 @@ import numpy as np
 
 from vorlat import cli
 from vorlat.lattice import Lattice, quotient_order, standard_lattice
-from vorlat.quantize import fold_batch, make_quantizer, second_moment_mc
+from vorlat.quantize import (
+    E8FastQuantizer,
+    EnumerationQuantizer,
+    fold_batch,
+    make_quantizer,
+    second_moment_mc,
+)
 from vorlat.shaping import (
     BUILTIN_SPECS,
     box_coset_representatives,
@@ -123,8 +129,8 @@ def test_criterion_4_encode_index_bijectivity(capsys, criterion_report):
 
 def test_criterion_5_fast_quantizer_equivalence(criterion_report):
     lat = standard_lattice("E8_int")
-    fast = make_quantizer(lat, method="e8_fast")
-    enum = make_quantizer(lat, method="exact_enumeration")
+    fast = E8FastQuantizer(lat)
+    enum = EnumerationQuantizer(lat)
     rng = np.random.default_rng(5)
     pts = rng.uniform(-8.0, 8.0, (10_000, 8))
     fast_pts = fast.quantize_batch(pts)

@@ -15,16 +15,16 @@ from vorlat.codes import (
     format_chain_text,
     load_chain,
     make_rep_spc_chain,
-    ml_decode,
     nested_basis,
     ordinals_to_symbols,
     parse_chain_text,
     repetition_code,
     save_chain,
     single_parity_check_code,
-    symbols_to_ordinal,
     verify_carry_closure,
 )
+
+from oracles import ml_decode, symbols_to_ordinal
 
 
 # ---------------------------------------------------------------------------

@@ -37,7 +37,6 @@ def test_basic_algebra():
     assert a.scale(3).tolist() == [[3, 6], [9, 12]]
     assert a.matvec([1, 1]) == (3, 7)
     assert IntMatrix.identity(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
-    assert IntMatrix.diagonal([2, 5]).tolist() == [[2, 0], [0, 5]]
 
 
 def test_block_diagonal():

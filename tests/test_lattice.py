@@ -7,7 +7,6 @@ import pytest
 
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import (
-    DiagonalScale,
     Lattice,
     direct_sum,
     format_matrix_text,
@@ -162,15 +161,6 @@ def test_direct_sum_single_copy_identity_alpha():
     assert same.dim == 8
     assert same.volume == 256
     assert same.contains_point([1] * 8)
-
-
-def test_diagonal_scale():
-    k = DiagonalScale.uniform(3, 4)
-    lat = k.to_lattice()
-    assert lat.diag() == (4, 4, 4)
-    assert lat.volume == 64
-    assert k == DiagonalScale([4, 4, 4])
-    assert k != DiagonalScale([4, 4, 2])
 
 
 # ---------------------------------------------------------------------------

@@ -15,18 +15,21 @@ from vorlat.quantize import (
     _LEECH_ROWS,
     TIE_EPS,
     DirectSumQuantizer,
+    DnQuantizer,
+    E8FastQuantizer,
     EnumerationQuantizer,
+    LeechFastQuantizer,
     ScaledQuantizer,
+    ZnQuantizer,
     _dn_round,
     fold_batch,
-    fold_mod_lattice,
     fold_mod_parallelotope_batch,
     make_quantizer,
     round_half_up,
     second_moment_mc,
     short_vectors,
 )
-from vorlat.shaping import builtin_spec
+from vorlat.shaping import BUILTIN_SPECS, builtin_spec
 from vorlat.simulate import random_ordinals
 
 from oracles import fold_mod_parallelotope, in_span, leech_coset_reference
@@ -112,8 +115,8 @@ def test_enumeration_matches_zn_and_dn():
 
 def test_e8_fast_matches_enumeration_distances():
     lat = standard_lattice("E8_int")
-    fast = make_quantizer(lat, method="e8_fast")
-    enum = make_quantizer(lat, method="exact_enumeration")
+    fast = E8FastQuantizer(lat)
+    enum = EnumerationQuantizer(lat)
     rng = np.random.default_rng(1)
     ys = rng.uniform(-8, 8, size=(150, 8))
     df = ((ys - fast.quantize_batch(ys)) ** 2).sum(axis=1)
@@ -125,8 +128,8 @@ def test_e8_fast_tie_agrees_in_distance_only():
     # (1,1,0,...,0) is equidistant from the origin and from (2,2,0,...,0);
     # the two decoders may pick different representatives of the tie
     lat = standard_lattice("E8_int")
-    fast = make_quantizer(lat, method="e8_fast")
-    enum = make_quantizer(lat, method="exact_enumeration")
+    fast = E8FastQuantizer(lat)
+    enum = EnumerationQuantizer(lat)
     y = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
     pf = fast.quantize(y)
     pe = enum.quantize(y)
@@ -139,7 +142,7 @@ def test_e8_fast_coset_tie_keeps_the_lexicographically_smaller_point():
     # Integer inputs often sit, at half scale, as close to the D8 candidate
     # as to the D8 + 1/2 candidate; the smaller of the two in lexicographic
     # order must win, in batches and in single-row calls alike.
-    fast = make_quantizer(standard_lattice("E8_int"), method="e8_fast")
+    fast = E8FastQuantizer(standard_lattice("E8_int"))
     ys = np.random.default_rng(8).integers(-6, 7, size=(3000, 8)).astype(np.float64)
     half = ys * 0.5
     a = _dn_round(half)
@@ -166,7 +169,7 @@ def test_e8_fast_outputs_are_optimal_voronoi_points():
     squared norm <= 16 is a complete certificate.
     """
     lat = standard_lattice("E8_int")
-    fast = make_quantizer(lat, method="e8_fast")
+    fast = E8FastQuantizer(lat)
     vecs = np.array(short_vectors(lat, 16), dtype=np.float64)
     assert len(vecs) == 2400
     norms = (vecs**2).sum(axis=1)
@@ -180,8 +183,8 @@ def test_e8_fast_outputs_are_optimal_voronoi_points():
 
 def test_leech_fast_matches_enumeration_distances():
     lat = standard_lattice("Leech_int")
-    fast = make_quantizer(lat, method="leech_fast")
-    enum = make_quantizer(lat, method="exact_enumeration")
+    fast = LeechFastQuantizer(lat)
+    enum = EnumerationQuantizer(lat)
     rng = np.random.default_rng(3)
     spec = builtin_spec("leech24")
     reps = spec.representative_batch(random_ordinals(spec, 8, seed=3))
@@ -196,7 +199,7 @@ def test_leech_fast_matches_enumeration_distances():
 
 def test_leech_fast_matches_coset_reference():
     """Bit-identical points to the per-coset broadcast, ties included."""
-    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
     spec = builtin_spec("leech24")
     rng = np.random.default_rng(8)
     reps = spec.representative_batch(random_ordinals(spec, 512, seed=8))
@@ -216,7 +219,7 @@ def test_leech_fast_matches_coset_reference():
 @given(data=st.data())
 def test_leech_fast_matches_coset_reference_on_random_grids(data):
     """Quarter-, half- and whole-integer rows are tie-heavy; uniform rows are not."""
-    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
     rows = data.draw(st.integers(1, 2 * _LEECH_ROWS + 1))
     kind = data.draw(st.sampled_from(["quarter", "half", "integer", "uniform"]))
     if kind == "uniform":
@@ -228,7 +231,7 @@ def test_leech_fast_matches_coset_reference_on_random_grids(data):
 
 
 def test_leech_fast_and_coset_reference_ignore_memory_layout():
-    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
     spec = builtin_spec("leech24")
     reps = spec.representative_batch(random_ordinals(spec, 64, seed=12)).astype(np.float64)
     want = leech_coset_reference(reps)
@@ -241,7 +244,7 @@ def test_leech_fast_and_coset_reference_ignore_memory_layout():
 
 
 def test_leech_sextet_classes_partition_the_golay_code():
-    fast = make_quantizer(standard_lattice("Leech_int"), method="leech_fast")
+    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
     words = golay.codewords()
     classes = fast._class_words
     assert classes.shape == (128, 32)
@@ -301,17 +304,35 @@ def test_quantizer_idempotent_on_lattice_points():
 
 
 # ---------------------------------------------------------------------------
-# make_quantizer validation
+# make_quantizer dispatch
 
 
-def test_make_quantizer_method_validation():
-    z4 = standard_lattice("Zn(4)")
-    with pytest.raises(ValueError, match="e8_fast"):
-        make_quantizer(z4, method="e8_fast")
-    with pytest.raises(ValueError, match="leech_fast"):
-        make_quantizer(z4, method="leech_fast")
-    with pytest.raises(ValueError, match="unknown quantizer method"):
-        make_quantizer(z4, method="fancy")
+def _leaf(q):
+    """The quantizer under any ScaledQuantizer / DirectSumQuantizer wrappers."""
+    while isinstance(q, (ScaledQuantizer, DirectSumQuantizer)):
+        q = q.inner
+    return q
+
+
+# lattice (stock name or the shaping lattice of a stock spec) -> its leaf quantizer
+_LEAVES = {
+    "Zn(4)": ZnQuantizer, "Dn(4)": DnQuantizer, "E8_int": E8FastQuantizer,
+    "Leech_int": LeechFastQuantizer, "pair2": ZnQuantizer, "desk8-e8": E8FastQuantizer,
+    "desk8-cube": ZnQuantizer, "desk8-ham": ZnQuantizer, "leech24": LeechFastQuantizer,
+}
+
+
+@pytest.mark.parametrize("name", ["Zn(4)", "Dn(4)", "E8_int", "Leech_int", *BUILTIN_SPECS])
+def test_make_quantizer_dispatches_to_the_structured_leaf(name):
+    if name in BUILTIN_SPECS:
+        lattice = builtin_spec(name).shaping
+    else:
+        lattice = standard_lattice(name)
+    q = make_quantizer(lattice)
+    assert q.lattice is lattice
+    assert type(_leaf(q)) is _LEAVES[name]
+    if name not in BUILTIN_SPECS:
+        assert q is _leaf(q)
 
 
 def test_make_quantizer_auto_falls_back_to_enumeration():
@@ -322,6 +343,35 @@ def test_make_quantizer_auto_falls_back_to_enumeration():
     assert q.quantize([2.1, 2.9]).tolist() == [2, 4]
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("quantizer", [
+    ZnQuantizer(standard_lattice("Zn(4)")),
+    DnQuantizer(standard_lattice("Dn(4)")),
+    E8FastQuantizer(standard_lattice("E8_int")),
+    LeechFastQuantizer(standard_lattice("Leech_int")),
+    EnumerationQuantizer(Lattice(IntMatrix([[2, 0], [1, 3]]))),
+], ids=lambda q: type(q).__name__)
+def test_leaf_quantizers_refuse_non_finite_input(quantizer, bad):
+    n = quantizer.lattice.dim
+    one = np.zeros(n)
+    one[-1] = bad
+    # the last row of a full Leech block, after finite rows
+    block = np.zeros((_LEECH_ROWS, n))
+    block[-1, 0] = bad
+    for call, arg in ((quantizer.quantize, one), (quantizer.quantize_batch, one[None, :]),
+                      (quantizer.quantize_batch, block)):
+        with pytest.raises(ValueError, match=f"non-finite input {bad}"):
+            call(arg)
+
+
+def test_wrapped_quantizers_refuse_non_finite_input():
+    q = make_quantizer(builtin_spec("leech24").shaping)
+    ys = np.zeros((3, 24))
+    ys[1, 5] = np.nan
+    with pytest.raises(ValueError, match=r"non-finite input nan at index \(1, 5\)"):
+        fold_batch(q, ys)
+
+
 # ---------------------------------------------------------------------------
 # folding into the Voronoi region and into the digit box
 
@@ -329,7 +379,7 @@ def test_make_quantizer_auto_falls_back_to_enumeration():
 def test_fold_mod_lattice_example():
     lat = standard_lattice("Zn(2)").scaled(4)
     q = make_quantizer(lat)
-    out = fold_mod_lattice(q, [3, 3])
+    out = fold_batch(q, [[3, 3]])[0]
     assert out.tolist() == [-1, -1]
     assert np.issubdtype(out.dtype, np.integer)
 

@@ -6,10 +6,17 @@ import math
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from vorlat.codes import CodeChain, LinearCode, builtin_chain, make_rep_spc_chain
+from vorlat.codes import (
+    BUILTIN_CHAINS,
+    CodeChain,
+    LinearCode,
+    builtin_chain,
+    make_rep_spc_chain,
+    nested_basis,
+)
 from vorlat.intmat import hnf_from_spanning
 from vorlat.lattice import Lattice, quotient_order, standard_lattice
 from vorlat.quantize import fold_batch, make_quantizer
@@ -51,22 +58,58 @@ def test_construction_d_volumes_and_diagonals():
     assert lat24.volume == 2**24
 
 
-def test_construction_d_matches_generic_hnf():
-    # same lattice via the generic spanning-set reduction, column by column
-    from vorlat.codes import nested_basis
+def _assert_matches_generic_hnf(chain):
+    """Same triangular generator as the generic spanning-set reduction."""
+    rows, levels, _ = nested_basis(chain)
+    cols = [[v * chain.q**lvl for v in row] for row, lvl in zip(rows, levels)]
+    qa = chain.q**chain.a
+    for m in range(chain.n):
+        e = [0] * chain.n
+        e[m] = qa
+        cols.append(e)
+    reference = hnf_from_spanning(cols)
+    built = construction_d_lattice(chain)
+    assert built.triangular_generator.tolist() == reference.tolist()
 
-    for name in ("rep2", "rep8-spc8", "rep8-ham8-spc8"):
-        chain = builtin_chain(name)
-        rows, levels, _ = nested_basis(chain)
-        cols = [[v * chain.q**lvl for v in row] for row, lvl in zip(rows, levels)]
-        qa = chain.q**chain.a
-        for m in range(chain.n):
-            e = [0] * chain.n
-            e[m] = qa
-            cols.append(e)
-        reference = hnf_from_spanning(cols)
-        built = construction_d_lattice(chain)
-        assert built.triangular_generator.tolist() == reference.tolist()
+
+def _prefix_chain(q, rows, dims):
+    """Chain whose level-i code is spanned by the first dims[i] rows."""
+    return CodeChain([LinearCode(rows[:k], q) for k in dims])
+
+
+@st.composite
+def nested_chains(draw):
+    """Random nested chains: q in {2, 3, 5}, 1..3 levels, length 2..8."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    a = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 8))
+    rows = []
+    for row in draw(hnp.arrays(np.int64, (n, n), elements=st.integers(0, q - 1))).tolist():
+        try:
+            LinearCode(rows + [row], q)
+        except ValueError:  # dependent on the rows kept so far
+            continue
+        rows.append(row)
+    assume(rows)
+    dims = sorted(draw(st.lists(st.integers(1, len(rows)), min_size=a, max_size=a)))
+    return _prefix_chain(q, rows, dims)
+
+
+def test_construction_d_matches_generic_hnf():
+    for name in BUILTIN_CHAINS:
+        _assert_matches_generic_hnf(builtin_chain(name))
+    # 2^20 < q^a < 2^31 (the int64 sweep), then q^a >= 2^31 (Python ints),
+    # up to moduli that do not fit int64 at all
+    rows = [[1, 1, 1, 1, 1, 1], [0, 1, 2, 0, 1, 2], [0, 0, 1, 1, 2, 2], [0, 0, 0, 1, 0, 1]]
+    for q, a in ((2, 25), (3, 13), (2, 31), (3, 20), (5, 14), (2, 64), (3, 41)):
+        dims = [1 + 3 * i // a for i in range(a)]  # 1 to 3 rows, nested
+        _assert_matches_generic_hnf(_prefix_chain(q, [[v % q for v in r] for r in rows], dims))
+
+
+@settings(max_examples=150, deadline=None)
+@given(chain=nested_chains())
+def test_construction_d_matches_generic_hnf_on_random_chains(chain):
+    _assert_matches_generic_hnf(chain)
 
 
 def test_construction_d_contains_scaled_codewords():

@@ -5,8 +5,8 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import table_ml_reference, wer_sweep_reference
-from vorlat.codes import LinearCode, ml_decode, single_parity_check_code
+from oracles import ml_decode, table_ml_reference, wer_sweep_reference
+from vorlat.codes import LinearCode, single_parity_check_code
 from vorlat.shaping import builtin_spec
 from vorlat.simulate import (
     BenchResult,
