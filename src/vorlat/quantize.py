@@ -59,13 +59,6 @@ def _finite(ys) -> np.ndarray:
     return y
 
 
-def _lex_smaller(a, b) -> bool:
-    for x, y in zip(a, b):
-        if x != y:
-            return x < y
-    return False
-
-
 class Quantizer:
     """Base class: nearest-lattice-point maps."""
 
@@ -139,8 +132,8 @@ class LeechFastQuantizer(Quantizer):
     below. Only the words of classes whose lower bound is within TIE_EPS of
     the least upper bound of their row are scored exactly.
 
-    Ties go to the first coset in table order (m = 0 first, then codeword
-    index), then to the D24 rule of `_dn_round` within that coset.
+    Ties within TIE_EPS go to the first coset in table order (m = 0 first, then
+    codeword index), then to the D24 rule of `_dn_round` within that coset.
     """
 
     _TABLES = None
@@ -246,10 +239,10 @@ class LeechFastQuantizer(Quantizer):
         rec = s.reshape(-1, 3).take(at, axis=0).reshape(-1, 6, 32, 3)
         tot = rec.sum(axis=1)
         score = tot[..., 0] + (tot[..., 1].astype(np.int64) & 1) * rec[..., 2].min(axis=1)
-        # first minimum per row in table order m*4096 + codeword index
+        # first coset within TIE_EPS of the minimum, in table order m*4096 + codeword index
         start = 32 * np.searchsorted(col, np.arange(0, h, 2))
         low = np.minimum.reduceat(score.reshape(-1), start)
-        tied = score == low.take(col >> 1)[:, None]
+        tied = score <= low.take(col >> 1)[:, None] + TIE_EPS
         index = np.where(tied, self._class_index[cls, col & 1], 8192)
         return np.minimum.reduceat(index.reshape(-1), start)
 
@@ -257,9 +250,10 @@ class LeechFastQuantizer(Quantizer):
 class EnumerationQuantizer(Quantizer):
     """Exact nearest point by sphere enumeration (works for any lattice).
 
-    The search radius starts from the Babai round-off point and, when the
-    lattice carries a covering-radius bound, is clamped by it; both are valid
-    upper bounds on the true distance so the enumeration stays exact.
+    The search starts from the covering-radius bound when the lattice carries
+    one (otherwise unbounded) and its first descent reaches the Babai
+    round-off point, which shrinks the radius to that point's distance; both
+    are upper bounds on the true distance, so the enumeration stays exact.
     """
 
     def __init__(self, lattice: Lattice):
@@ -271,16 +265,6 @@ class EnumerationQuantizer(Quantizer):
         self._q = q * sgn
         self._r = r * sgn[:, None]
         self._gen = lattice.generator
-
-    def _babai(self, w):
-        n = len(w)
-        r = self._r
-        b = np.zeros(n, dtype=np.int64)
-        for k in range(n - 1, -1, -1):
-            c = (w[k] - r[k, k + 1 :] @ b[k + 1 :]) / r[k, k]
-            b[k] = np.rint(c)
-        resid = w - r @ b
-        return b, float(resid @ resid)
 
     def _search(self, w, radius_sq, shrink=True):
         """Depth-first zig-zag enumeration; yields (dist, coeffs) leaves."""
@@ -321,26 +305,11 @@ class EnumerationQuantizer(Quantizer):
 
     def quantize(self, y):
         y = _finite(y).reshape(-1)
-        w = self._q.T @ y
-        b0, d0 = self._babai(w)
-        radius = d0
-        if self.lattice.cov_sq is not None:
-            radius = min(radius, self.lattice.cov_sq)
-        leaves, best = self._search(w, radius)
-        if not leaves:
-            # Babai point itself is the only candidate within the radius.
-            coeffs = b0
-        else:
-            near = [bb for d, bb in leaves if d <= best + TIE_EPS]
-            pts = [self._gen.matvec(bb) for bb in near]
-            coeffs = None
-            chosen = None
-            for bb, x in zip(near, pts):
-                if chosen is None or _lex_smaller(x, chosen):
-                    chosen = x
-                    coeffs = bb
-            return np.array(chosen, dtype=np.int64)
-        return np.array(self._gen.matvec(coeffs), dtype=np.int64)
+        cov_sq = self.lattice.cov_sq
+        leaves, best = self._search(self._q.T @ y, math.inf if cov_sq is None else cov_sq)
+        # matvec returns int tuples, which compare lexicographically
+        return np.array(min(self._gen.matvec(b) for d, b in leaves if d <= best + TIE_EPS),
+                        dtype=np.int64)
 
     def quantize_batch(self, ys):
         y = np.atleast_2d(np.asarray(ys, dtype=np.float64))

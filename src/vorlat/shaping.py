@@ -62,7 +62,6 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
     q, a, n = chain.q, chain.a, chain.n
     rows, levels, pivots = nested_basis(chain)
     qa = q**a
-    expected_log = a * n - sum(chain.dims())
     dtype = np.int64 if qa < 1 << 31 else object
     m = np.zeros((n, n), dtype=dtype)
     for row, level, piv in zip(rows, levels, pivots):
@@ -75,10 +74,7 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
             m[i:, :i] -= np.outer(m[i:, i], qf)
             m[i + 1 :, :i] %= qa
     triangular = IntMatrix(m.tolist())
-    lat = Lattice(triangular, _triangular=triangular, name=f"multilevel({chain!r})")
-    if lat.volume != q**expected_log:
-        raise AssertionError("coding lattice volume does not match the chain")
-    return lat
+    return Lattice(triangular, _triangular=triangular, name=f"multilevel({chain!r})")
 
 
 def _check_int64_ordinals(message_count: int) -> None:
@@ -155,15 +151,15 @@ class VoronoiCodeSpec:
         self._box_cols = slice(starts[-1], starts[-1] + self.n)
 
     @functools.cached_property
-    def _digit_table(self) -> _MixedRadix:
-        """Place value and radix of every digit of a message ordinal.
+    def _layout(self) -> tuple:
+        """(places, radices): place value and radix of every digit of an ordinal.
 
+        Columns follow a digit row: code symbols level by level, then s.
         Within a level the most significant symbol comes first. In the
         ordinal, level 0's symbols are the least significant digits, then
-        each higher level's, then s with s_{n-1} below s_0. Built on first
-        use; specs past the int64 ordinal limit refuse it.
+        each higher level's, then s with s_{n-1} below s_0. Python integers,
+        so the layout holds past the int64 ordinal limit.
         """
-        _check_int64_ordinals(self.message_count)
         radices = [self.q] * self._box_cols.start + [int(d) for d in self.s_box]
         places = [0] * len(radices)
         unit = 1
@@ -171,7 +167,13 @@ class VoronoiCodeSpec:
             for c in reversed(range(cols.start, cols.stop)):
                 places[c] = unit
                 unit *= radices[c]
-        return _MixedRadix(places, radices)
+        return places, radices
+
+    @functools.cached_property
+    def _digit_table(self) -> _MixedRadix:
+        """The digit layout for int64 ordinals; refused past the int64 limit."""
+        _check_int64_ordinals(self.message_count)
+        return _MixedRadix(*self._layout)
 
     @functools.cached_property
     def _shaping_prime_t(self) -> np.ndarray:
@@ -205,37 +207,20 @@ class VoronoiCodeSpec:
     def message_from_ordinal(self, ordinal: int) -> Message:
         if not 0 <= ordinal < self.message_count:
             raise ValueError("ordinal out of range")
-        ks = self.chain.dims()
-        rem = int(ordinal)
-        symbols = []
-        for k in ks:
-            block = [0] * k
-            for j in range(k - 1, -1, -1):
-                rem, block[j] = divmod(rem, self.q)
-            symbols.append(tuple(block))
-        s = [0] * self.n
-        for i in range(self.n - 1, -1, -1):
-            rem, s[i] = divmod(rem, int(self.s_box[i]))
-        return Message(symbols=tuple(symbols), s=tuple(s))
+        digits = [int(ordinal) // p % r for p, r in zip(*self._layout)]
+        return Message(symbols=tuple(tuple(digits[cols]) for cols in self._level_cols),
+                       s=tuple(digits[self._box_cols]))
 
     def ordinal_from_message(self, message: Message) -> int:
-        ks = self.chain.dims()
-        if len(message.symbols) != self.a or len(message.s) != self.n:
+        if tuple(map(len, message.symbols)) != self.chain.dims() or len(message.s) != self.n:
             raise ValueError("message shape does not match the spec")
-        value = 0
-        for i in range(self.n):
-            si = int(message.s[i])
-            if not 0 <= si < self.s_box[i]:
-                raise ValueError("shaping vector outside its box")
-            value = value * int(self.s_box[i]) + si
-        for k, block in zip(reversed(ks), reversed(message.symbols)):
-            if len(block) != k or any(not 0 <= v < self.q for v in block):
-                raise ValueError("code symbols outside their range")
-            ord_k = 0
-            for v in block:
-                ord_k = ord_k * self.q + int(v)
-            value = value * self.q**k + ord_k
-        return value
+        s = [int(v) for v in message.s]
+        if any(not 0 <= v < d for v, d in zip(s, self.s_box)):
+            raise ValueError("shaping vector outside its box")
+        symbols = [int(v) for block in message.symbols for v in block]
+        if any(not 0 <= v < self.q for v in symbols):
+            raise ValueError("code symbols outside their range")
+        return sum(p * d for p, d in zip(self._layout[0], symbols + s))
 
     def random_message(self, rng: np.random.Generator) -> Message:
         _check_int64_ordinals(self.message_count)
@@ -341,59 +326,6 @@ class VoronoiCodeSpec:
     def __repr__(self):
         label = self.name or f"{self.chain!r}+{self.base!r}"
         return f"VoronoiCodeSpec({label}, M={self.message_count})"
-
-
-# ---------------------------------------------------------------------------
-# brute-force references (small systems only)
-
-
-def enumerate_constellation_oracle(spec: VoronoiCodeSpec) -> set:
-    """Coding-lattice points in the shaping Voronoi region, by direct search.
-
-    Independent of the box indexing: scans an integer cube that provably
-    covers the Voronoi region and keeps the points that belong to the coding
-    lattice and fold to themselves. Requires a covering radius bound.
-    """
-    if spec.shaping.cov_sq is None:
-        raise ValueError("no covering bound available for the shaping lattice")
-    bound = int(math.isqrt(int(math.ceil(spec.shaping.cov_sq)))) + 1
-    count = (2 * bound + 1) ** spec.n
-    if count > 4_000_000:
-        raise ValueError("search cube too large for the brute-force oracle")
-    pts = np.array(
-        list(itertools.product(range(-bound, bound + 1), repeat=spec.n)),
-        dtype=np.int64,
-    )
-    folded = fold_batch(spec._quantizer, pts)
-    keep = np.all(folded == pts, axis=1)
-    out = set()
-    for p in pts[keep]:
-        if spec.coding.contains_point([int(v) for v in p - spec._offset_np]):
-            out.add(tuple(int(v) for v in p))
-    return out
-
-
-def box_coset_representatives(coding: Lattice, shaping: Lattice) -> list:
-    """Coding-lattice points in the digit box of the shaping lattice.
-
-    Brute force over the box spanned by the triangular diagonal of `shaping`;
-    the result is one representative per coset, so its length equals the
-    quotient order. Only intended for small toy systems.
-    """
-    diag = shaping.diag()
-    total = 1
-    for d in diag:
-        total *= int(d)
-    if total > _ENUM_LIMIT:
-        raise ValueError("shaping box too large for brute-force enumeration")
-    reps = [
-        pt
-        for pt in itertools.product(*(range(int(d)) for d in diag))
-        if coding.contains_point(pt)
-    ]
-    if len(reps) != quotient_order(coding, shaping):
-        raise AssertionError("box enumeration missed cosets")
-    return reps
 
 
 # ---------------------------------------------------------------------------

@@ -37,13 +37,10 @@ class ChannelConfig:
 
     sigma: float
     seed: int = 0
-    trials: int = 1
 
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-        if self.trials < 1:
-            raise ValueError("trials must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -61,23 +58,28 @@ def _stream(seed: int, lane: int, block: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def _standard_normals(seed: int, trial_offset: int, rows: int, n: int) -> np.ndarray:
-    """Standard normals of trials trial_offset .. trial_offset + rows - 1.
+def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, draw) -> np.ndarray:
+    """Fill `out` with the draws of trials trial_offset .. trial_offset + len(out) - 1.
 
     Trials are grouped into fixed blocks and each block has its own Philox
-    stream, so a trial's draw is a fixed function of (seed, trial index). A
-    call draws a block's stream only up to its last trial there; Philox fills
-    rows in order, so that draw is a prefix of the full block.
+    stream on `lane`, so a trial's draw is a fixed function of (seed, lane,
+    trial index). `draw(generator, count)` returns a block's first `count`
+    draws. A call draws a block's stream only up to its last trial there;
+    Philox fills rows in order, so that draw is a prefix of the full block.
     """
-    out = np.empty((rows, n), dtype=np.float64)
     done = 0
-    while done < rows:
+    while done < len(out):
         block, inner = divmod(trial_offset + done, _TRIAL_BLOCK)
-        take = min(_TRIAL_BLOCK - inner, rows - done)
-        draws = _stream(seed, 0, block).standard_normal((inner + take, n))
-        out[done : done + take] = draws[inner:]
+        take = min(_TRIAL_BLOCK - inner, len(out) - done)
+        out[done : done + take] = draw(_stream(seed, lane, block), inner + take)[inner:]
         done += take
     return out
+
+
+def _standard_normals(seed: int, trial_offset: int, rows: int, n: int) -> np.ndarray:
+    """Standard normals of trials trial_offset .. trial_offset + rows - 1."""
+    return _block_draws(seed, 0, trial_offset, np.empty((rows, n)),
+                        lambda gen, size: gen.standard_normal((size, n)))
 
 
 def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
@@ -99,18 +101,9 @@ def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
                     trial_offset: int = 0) -> np.ndarray:
     """Uniform message ordinals, reproducible per (seed, trial index)."""
     _check_int64_ordinals(spec.message_count)
-    out = np.empty(count, dtype=np.int64)
-    done = 0
-    while done < count:
-        t = trial_offset + done
-        block, inner = divmod(t, _TRIAL_BLOCK)
-        take = min(_TRIAL_BLOCK - inner, count - done)
-        draws = _stream(seed, 1, block).integers(
-            0, spec.message_count, inner + take, dtype=np.int64
-        )
-        out[done : done + take] = draws[inner:]
-        done += take
-    return out
+    return _block_draws(seed, 1, trial_offset, np.empty(count, dtype=np.int64),
+                        lambda gen, size: gen.integers(0, spec.message_count, size,
+                                                       dtype=np.int64))
 
 
 # ---------------------------------------------------------------------------
@@ -172,30 +165,41 @@ def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
 
 
 class _TableML:
-    """Exact ML over a code's full codeword table, scored by one matmul.
+    """Exact ML over a table of candidates, scored by one matmul.
+
+    `x.reshape(rows, -1) @ weights` gives every candidate's score for each
+    row; the first candidate of least score wins and its `table` row is
+    returned. Rows are scored in chunks of at most _ML_SCORES scores, which
+    bounds the memory of a call whatever the table size.
+    """
+
+    def __init__(self, table: np.ndarray, weights: np.ndarray):
+        self.table = table
+        self.weights = weights
+        self.chunk = max(1, _ML_SCORES // weights.shape[1])
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        flat = x.reshape(x.shape[0], -1)
+        best = np.empty(flat.shape[0], dtype=np.int64)
+        for lo in range(0, flat.shape[0], self.chunk):
+            best[lo : lo + self.chunk] = np.argmin(flat[lo : lo + self.chunk] @ self.weights,
+                                                   axis=1)
+        return self.table[best]
+
+
+def _code_ml(code: LinearCode) -> _TableML:
+    """Table ML over a code's codewords from (rows, n, q) per-symbol costs.
 
     `onehot[j*q + v, w]` is 1 where codeword w has symbol v at position j, so
     `costs.reshape(rows, n*q) @ onehot` sums every word's per-symbol costs.
     The first minimal word in message-ordinal order wins, which for codes in
-    reduced row echelon form is the lexicographically smallest one. Rows are
-    scored in chunks of at most _ML_SCORES scores.
+    reduced row echelon form is the lexicographically smallest one.
     """
-
-    def __init__(self, code: LinearCode):
-        self.words = code.codewords()
-        count = len(self.words)
-        self.onehot = np.zeros((code.n * code.q, count), dtype=np.float64)
-        cells = np.arange(code.n)[None, :] * code.q + self.words
-        self.onehot[cells, np.arange(count)[:, None]] = 1.0
-        self.chunk = max(1, _ML_SCORES // count)
-
-    def __call__(self, costs: np.ndarray) -> np.ndarray:
-        flat = costs.reshape(costs.shape[0], -1)
-        best = np.empty(flat.shape[0], dtype=np.int64)
-        for lo in range(0, flat.shape[0], self.chunk):
-            best[lo : lo + self.chunk] = np.argmin(flat[lo : lo + self.chunk] @ self.onehot,
-                                                   axis=1)
-        return self.words[best]
+    words = code.codewords()
+    onehot = np.zeros((code.n * code.q, len(words)), dtype=np.float64)
+    cells = np.arange(code.n)[None, :] * code.q + words
+    onehot[cells, np.arange(len(words))[:, None]] = 1.0
+    return _TableML(words, onehot)
 
 
 def _wagner_ml_batch(code: LinearCode, costs: np.ndarray) -> np.ndarray:
@@ -231,7 +235,7 @@ class MultistageDecoder:
         self._strategies = []
         for level, code in enumerate(spec.chain.codes):
             if code.q**code.k <= _TABLE_ML_LIMIT:
-                self._strategies.append(_TableML(code))
+                self._strategies.append(_code_ml(code))
             elif code.q == 2 and code.k == code.n - 1:
                 self._strategies.append(functools.partial(_wagner_ml_batch, code))
             else:
@@ -265,28 +269,26 @@ class MultistageDecoder:
 
 
 class ExhaustiveDecoder:
-    """Argmin of the Euclidean distance over the whole constellation."""
+    """Argmin of the Euclidean distance over the whole constellation.
 
-    def __init__(self, spec: VoronoiCodeSpec, chunk: int = 1024):
+    ||y - p||^2 - ||y||^2 = [y, 1] . [-2p, ||p||^2], so table ML over those
+    weights picks the nearest point, the first in message order on ties.
+    """
+
+    def __init__(self, spec: VoronoiCodeSpec):
         if spec.message_count > _EXHAUSTIVE_LIMIT:
             raise ValueError(
                 f"constellation has {spec.message_count} points, "
                 f"more than the exhaustive bound {_EXHAUSTIVE_LIMIT}"
             )
         self.spec = spec
-        self._points = spec.enumerate_constellation()
-        self._float_pts = self._points.astype(np.float64)
-        self._norms = (self._float_pts**2).sum(axis=1)
-        self._chunk = chunk
+        points = spec.enumerate_constellation()
+        pts = points.astype(np.float64)
+        self._ml = _TableML(points, np.vstack([-2.0 * pts.T, (pts**2).sum(axis=1)]))
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         y = np.asarray(ys, dtype=np.float64)
-        out = np.empty(y.shape, dtype=np.int64)
-        for start in range(0, len(y), self._chunk):
-            part = y[start : start + self._chunk]
-            scores = self._norms[None, :] - 2.0 * (part @ self._float_pts.T)
-            out[start : start + self._chunk] = self._points[np.argmin(scores, axis=1)]
-        return out
+        return self._ml(np.hstack([y, np.ones((len(y), 1))]))
 
     lattice_points = decode_batch  # decisions are already constellation points
 

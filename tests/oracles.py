@@ -3,11 +3,14 @@
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
 they check. The exceptions are the Leech coset oracle, which takes the
-Golay codebook from the package as data, and the reference encode, index,
+Golay codebook from the package as data; the reference encode, index,
 ML and sweep loops, which are the package's earlier, unoptimised forms of
-the same computation and reuse its codes, channel, decoders and box fold.
+the same computation and reuse its codes, channel, decoders and box fold;
+and the brute-force constellation and coset-representative searches, which
+fold with the spec's quantizer and test membership in its lattices.
 """
 
+import math
 from fractions import Fraction
 from itertools import product
 
@@ -15,7 +18,9 @@ import numpy as np
 
 from vorlat import golay
 from vorlat.codes import _CODEWORD_TABLE_LIMIT, ordinals_to_symbols
-from vorlat.quantize import fold_mod_parallelotope_batch
+from vorlat.lattice import Lattice, quotient_order
+from vorlat.quantize import fold_batch, fold_mod_parallelotope_batch
+from vorlat.shaping import _ENUM_LIMIT, VoronoiCodeSpec
 from vorlat.simulate import (
     _TRIAL_BLOCK,
     ChannelConfig,
@@ -196,8 +201,9 @@ def leech_coset_reference(ys) -> np.ndarray:
     """Nearest Leech_int points by a D24 round in each of the 8192 cosets.
 
     Broadcasts every input against all cosets 2c + m*u + 4*D24 (c a Golay
-    codeword, m in {0,1}, u = (-3, 1, ..., 1)) and keeps the first coset of
-    least squared distance in table order (m = 0 first, then codeword index).
+    codeword, m in {0,1}, u = (-3, 1, ..., 1)) and keeps the first coset, in
+    table order (m = 0 first, then codeword index), whose squared distance is
+    within 1e-9 of the least.
     Within a coset the D24 round re-rounds the coordinate of largest error,
     lowest index on ties, when the rounded sum is odd.
     """
@@ -225,7 +231,7 @@ def leech_coset_reference(ys) -> np.ndarray:
             f[row, coset, k] += delta
             w[row, coset, k] -= delta
         dist = np.einsum("bij,bij->bi", w, w)
-        idx = np.argmin(dist, axis=1)
+        idx = np.argmax(dist <= dist.min(axis=1, keepdims=True) + 1e-9, axis=1)
         rows = np.arange(yc.shape[0])
         out[lo : lo + chunk] = table[idx] + 4 * f[rows, idx].astype(np.int64)
     return out
@@ -306,10 +312,59 @@ def wer_sweep_reference(spec, es_n0_list, *, trials, seed, max_errors, energy,
             take = min(_TRIAL_BLOCK, trials - done)
             ords = random_ordinals(spec, take, seed, trial_offset=done)
             x = spec.encode_batch(ords)
-            y = transmit(x, ChannelConfig(sigma, seed, take), trial_offset=done)
+            y = transmit(x, ChannelConfig(sigma, seed), trial_offset=done)
             decoded = decoder.decode_batch(y)
             errors += int(np.any(decoded != x, axis=1).sum())
             done += take
         lo, hi = wilson_interval(errors, done)
         points.append(WerPoint(float(db), errors / done, errors, done, lo, hi))
     return points
+
+
+def enumerate_constellation_oracle(spec: VoronoiCodeSpec) -> set:
+    """Coding-lattice points in the shaping Voronoi region, by direct search.
+
+    Independent of the box indexing: scans an integer cube that provably
+    covers the Voronoi region and keeps the points that belong to the coding
+    lattice and fold to themselves. Requires a covering radius bound.
+    """
+    if spec.shaping.cov_sq is None:
+        raise ValueError("no covering bound available for the shaping lattice")
+    bound = int(math.isqrt(int(math.ceil(spec.shaping.cov_sq)))) + 1
+    count = (2 * bound + 1) ** spec.n
+    if count > 4_000_000:
+        raise ValueError("search cube too large for the brute-force oracle")
+    pts = np.array(
+        list(product(range(-bound, bound + 1), repeat=spec.n)),
+        dtype=np.int64,
+    )
+    folded = fold_batch(spec._quantizer, pts)
+    keep = np.all(folded == pts, axis=1)
+    out = set()
+    for p in pts[keep]:
+        if spec.coding.contains_point([int(v) for v in p - spec._offset_np]):
+            out.add(tuple(int(v) for v in p))
+    return out
+
+
+def box_coset_representatives(coding: Lattice, shaping: Lattice) -> list:
+    """Coding-lattice points in the digit box of the shaping lattice.
+
+    Brute force over the box spanned by the triangular diagonal of `shaping`;
+    the result is one representative per coset, so its length equals the
+    quotient order. Only intended for small toy systems.
+    """
+    diag = shaping.diag()
+    total = 1
+    for d in diag:
+        total *= int(d)
+    if total > _ENUM_LIMIT:
+        raise ValueError("shaping box too large for brute-force enumeration")
+    reps = [
+        pt
+        for pt in product(*(range(int(d)) for d in diag))
+        if coding.contains_point(pt)
+    ]
+    if len(reps) != quotient_order(coding, shaping):
+        raise AssertionError("box enumeration missed cosets")
+    return reps

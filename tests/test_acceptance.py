@@ -18,13 +18,10 @@ from vorlat.quantize import (
     make_quantizer,
     second_moment_mc,
 )
-from vorlat.shaping import (
-    BUILTIN_SPECS,
-    box_coset_representatives,
-    builtin_spec,
-    enumerate_constellation_oracle,
-)
+from vorlat.shaping import BUILTIN_SPECS, builtin_spec
 from vorlat.simulate import bench_family, wer_gap_db, wer_sweep
+
+from oracles import box_coset_representatives, enumerate_constellation_oracle
 
 
 def _cli_gain(capsys, lattice: str, samples: int, seed: int = 0):

@@ -113,6 +113,28 @@ def test_enumeration_matches_zn_and_dn():
         assert np.all(np.abs(df - de) < 1e-9)
 
 
+def test_enumeration_on_an_untagged_skewed_lattice_matches_brute_force():
+    """Without a covering bound the search starts unbounded and must stay exact."""
+    lat = Lattice(IntMatrix([[2, 0, 0], [7, 3, 0], [-5, 11, 4]]))
+    assert lat.cov_sq is None
+    enum = EnumerationQuantizer(lat)
+    rng = np.random.default_rng(31)
+    ys = rng.uniform(-9, 9, size=(200, 3))
+    ys[:80] = np.round(ys[:80] * 2) / 2  # half-integer rows tie often
+    got = enum.quantize_batch(ys)
+    gen = lat.generator.to_int64()
+    # a nearest point is no farther than the returned one, which bounds its coefficients
+    reach = np.abs(ys).max() + np.sqrt(((ys - got) ** 2).sum(axis=1)).max()
+    spans = np.ceil(np.abs(np.linalg.inv(gen)).sum(axis=1) * reach).astype(int)
+    axes = [np.arange(-k, k + 1) for k in spans]
+    coeffs = np.stack(np.meshgrid(*axes, indexing="ij")).reshape(3, -1)
+    pts = (gen @ coeffs).T
+    for y, point in zip(ys, got):
+        dist = ((pts - y) ** 2).sum(axis=1)
+        nearest = pts[dist <= dist.min() + 1e-9]
+        assert tuple(point) == min(map(tuple, nearest.tolist()))
+
+
 def test_e8_fast_matches_enumeration_distances():
     lat = standard_lattice("E8_int")
     fast = E8FastQuantizer(lat)
@@ -228,6 +250,19 @@ def test_leech_fast_matches_coset_reference_on_random_grids(data):
         ints = data.draw(hnp.arrays(np.int64, (rows, 24), elements=st.integers(-32, 32)))
         ys = {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0}[kind]
     assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
+
+
+def test_leech_fast_and_coset_reference_take_the_first_of_float_rounded_ties():
+    """21 cosets tie exactly in rational arithmetic on this row, but their float
+    distances differ in the last bits, each summed in its own order. Both sides
+    take the first coset in table order within TIE_EPS of the least distance."""
+    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
+    y = np.array([[0.0, 0.0, 0.0] + [6.44116979] * 21])
+    got = fast.quantize_batch(y)
+    assert np.array_equal(got, leech_coset_reference(y))
+    diff = got - fast._table  # the point's coset is the row with diff in 4*D24
+    coset = np.flatnonzero(np.all(diff % 4 == 0, axis=1) & (diff.sum(axis=1) % 8 == 0))
+    assert coset.tolist() == [936]
 
 
 def test_leech_fast_and_coset_reference_ignore_memory_layout():

@@ -24,16 +24,19 @@ from vorlat.shaping import (
     BUILTIN_SPECS,
     Message,
     VoronoiCodeSpec,
-    box_coset_representatives,
     builtin_spec,
     construction_d_lattice,
-    enumerate_constellation_oracle,
     get_spec,
     load_spec,
 )
 from vorlat.simulate import random_ordinals
 
-from oracles import index_reference, representative_reference
+from oracles import (
+    box_coset_representatives,
+    enumerate_constellation_oracle,
+    index_reference,
+    representative_reference,
+)
 
 # hand-checked: the 8 coding-lattice points inside the Voronoi region of 4Z^2
 # for the two-symbol repetition system (ties resolved toward smaller points)
@@ -467,3 +470,17 @@ def test_message_from_ordinal_with_a_level_wider_than_int64():
     assert spec.message_from_ordinal(m - 1).symbols == ((1,), (1,) * 65)
     for ordinal in (1, 2**64 + 12345, m // 3):
         assert spec.ordinal_from_message(spec.message_from_ordinal(ordinal)) == ordinal
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_message_from_ordinal_agrees_with_the_digit_table(name):
+    """The one digit layout serves both the Python-int and the int64 split."""
+    spec = _stock_spec(name)
+    m = spec.message_count
+    rng = np.random.default_rng(19)
+    ords = np.concatenate([[0, 1, m - 1], rng.integers(0, m, 200, dtype=np.int64)])
+    for ordinal, row in zip(ords, spec._digit_table.split(ords)):
+        message = spec.message_from_ordinal(int(ordinal))
+        digits = [v for block in message.symbols for v in block] + list(message.s)
+        assert digits == row.tolist()
+        assert spec.ordinal_from_message(message) == ordinal
