@@ -20,7 +20,6 @@ from .lattice import (
 from .quantize import (
     fold_batch,
     make_quantizer,
-    second_moment_mc,
     short_vectors,
 )
 from .shaping import (
@@ -37,6 +36,7 @@ from .simulate import (
     average_energy,
     complexity_bench,
     decode_lattice,
+    second_moment_mc,
     sigma_for,
     transmit,
     wer_gap_db,

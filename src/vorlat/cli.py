@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .lattice import standard_lattice
-from .quantize import make_quantizer, second_moment_mc
+from .quantize import make_quantizer
 from .shaping import BUILTIN_SPECS, get_spec
 from .simulate import (
     SIGMA_FORMULA,
@@ -22,6 +22,7 @@ from .simulate import (
     bench_family,
     bench_to_csv,
     random_ordinals,
+    second_moment_mc,
     wer_points_to_csv,
     wer_sweep,
 )

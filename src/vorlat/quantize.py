@@ -1,4 +1,4 @@
-"""Nearest-point quantizers, Voronoi folding, and second-moment estimation.
+"""Nearest-point quantizers and Voronoi folding.
 
 Every quantizer maps finite real vectors to exact integer lattice points and
 refuses NaN or infinite input with a ValueError. Rounding
@@ -9,19 +9,16 @@ Fast structured decoders are exact and are cross-checked against sphere
 enumeration in the test suite.
 
 Quantizers are stateless after construction and safe to share across threads.
-Monte Carlo draws use the counter-based Philox generator keyed by
-(seed, batch index), so estimates are reproducible regardless of batching.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import golay
-from .lattice import Lattice, log2_volume
+from .lattice import Lattice
 
 TIE_EPS = 1e-9
 
@@ -409,58 +406,6 @@ def fold_mod_parallelotope_batch(tri: np.ndarray, rs: np.ndarray) -> np.ndarray:
         qf = np.floor_divide(out[:, i], tri[i, i])
         out[:, i:] -= qf[:, None] * tri[i:, i][None, :]
     return out
-
-
-@dataclass(frozen=True)
-class NsmEstimate:
-    nsm: float
-    stderr: float
-    samples: int
-
-    def gain_db(self) -> float:
-        return 10.0 * math.log10((1.0 / 12.0) / self.nsm)
-
-    def gain_stderr_db(self) -> float:
-        return (10.0 / math.log(10.0)) * self.stderr / self.nsm
-
-
-_MC_BLOCK = 4096
-
-
-def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
-    """Monte Carlo normalized second moment of the quantizer's lattice.
-
-    Draws points uniformly in the fundamental parallelotope, folds them into
-    the Voronoi region, and returns E||e||^2 / (n * vol^(2/n)) with its
-    standard error. Samples come from counter-based Philox streams keyed by
-    (seed, block index) with a fixed block quantum, so the estimate depends
-    only on (seed, samples), not on how work is batched.
-    """
-    lat = q.lattice
-    n = lat.dim
-    t = lat.float_triangular()
-    scale = n * 2.0 ** (2.0 * log2_volume(lat) / n)
-    total = 0.0
-    total_sq = 0.0
-    done = 0
-    block = 0
-    while done < samples:
-        take = min(_MC_BLOCK, samples - done)
-        rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(seed, spawn_key=(block,)))
-        )
-        u = rng.random((take, n))
-        p = u @ t.T
-        e = p - q.quantize_batch(p)
-        se = (e * e).sum(axis=1)
-        total += float(se.sum())
-        total_sq += float((se * se).sum())
-        done += take
-        block += 1
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0)
-    stderr = math.sqrt(var / done)
-    return NsmEstimate(nsm=mean / scale, stderr=stderr / scale, samples=done)
 
 
 def short_vectors(lattice: Lattice, max_norm_sq: float) -> list:

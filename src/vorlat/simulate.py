@@ -1,11 +1,11 @@
-"""AWGN experiments: constellation energy, WER sweeps, and encode benchmarks.
+"""AWGN experiments: energy and second moments, WER sweeps, encode benchmarks.
 
-Noise and message draws come from counter-based Philox streams keyed by
-(seed, trial block), so a run is reproducible from (seed, trial index) no
-matter how trials are batched, and parallel or early-stopped runs agree with
-sequential ones. The Es/N0 convention is documented in SIGMA_FORMULA and
-echoed into CSV headers; only dB differences between paired runs are
-calibration-free.
+Noise, message and Monte Carlo draws come from counter-based Philox streams
+keyed by (seed, trial block), so a run is reproducible from (seed, trial
+index) no matter how trials are batched, and parallel or early-stopped runs
+agree with sequential ones. The Es/N0 convention is documented in
+SIGMA_FORMULA and echoed into CSV headers; only dB differences between
+paired runs are calibration-free.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .codes import LinearCode, make_rep_spc_chain
-from .lattice import standard_lattice
-from .quantize import fold_batch, round_half_up
+from .lattice import log2_volume, standard_lattice
+from .quantize import Quantizer, fold_batch, round_half_up
 from .shaping import VoronoiCodeSpec, _check_int64_ordinals
 
 _TRIAL_BLOCK = 4096
@@ -53,9 +53,10 @@ class WerPoint:
     ci_high: float
 
 
-def _stream(seed: int, lane: int, block: int) -> np.random.Generator:
-    key = np.random.SeedSequence(seed, spawn_key=(lane, block))
-    return np.random.Generator(np.random.Philox(key))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    """The Philox stream of `seed` under a spawn key: (block,) for Monte Carlo
+    estimates, (lane, block) for the noise and message lanes."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, draw) -> np.ndarray:
@@ -107,7 +108,7 @@ def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
 
 
 # ---------------------------------------------------------------------------
-# energy and the Es/N0 mapping
+# energy, second moments and the Es/N0 mapping
 
 
 def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0) -> float:
@@ -124,22 +125,66 @@ def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0)
     return energy
 
 
-def sampled_energy(spec: VoronoiCodeSpec, samples: int, seed: int = 0) -> tuple:
-    """(Monte Carlo energy per dimension, standard error)."""
+def _mc_mean(samples: int, values) -> tuple:
+    """(mean, standard error) over `samples` samples of `values(offset, count)`,
+    the values of samples offset .. offset + count - 1, called on consecutive
+    blocks of _TRIAL_BLOCK samples so that each block keys its own stream."""
+    if samples < 1:
+        raise ValueError("samples must be positive")
     total = 0.0
     total_sq = 0.0
-    done = 0
-    while done < samples:
-        take = min(_TRIAL_BLOCK, samples - done)
-        ords = random_ordinals(spec, take, seed, trial_offset=done)
-        x = spec.encode_batch(ords).astype(np.float64)
-        per = (x * x).sum(axis=1) / spec.n
-        total += float(per.sum())
-        total_sq += float((per * per).sum())
-        done += take
-    mean = total / done
-    var = max(total_sq / done - mean * mean, 0.0)
-    return mean, math.sqrt(var / done)
+    for lo in range(0, samples, _TRIAL_BLOCK):
+        v = values(lo, min(_TRIAL_BLOCK, samples - lo))
+        total += float(v.sum())
+        total_sq += float((v * v).sum())
+    mean = total / samples
+    var = max(total_sq / samples - mean * mean, 0.0)
+    return mean, math.sqrt(var / samples)
+
+
+def sampled_energy(spec: VoronoiCodeSpec, samples: int, seed: int = 0) -> tuple:
+    """(Monte Carlo energy per dimension, standard error)."""
+
+    def energy(lo, take):
+        x = spec.encode_batch(random_ordinals(spec, take, seed, lo)).astype(np.float64)
+        return (x * x).sum(axis=1) / spec.n
+
+    return _mc_mean(samples, energy)
+
+
+@dataclass(frozen=True)
+class NsmEstimate:
+    nsm: float
+    stderr: float
+    samples: int
+
+    def gain_db(self) -> float:
+        return 10.0 * math.log10((1.0 / 12.0) / self.nsm)
+
+    def gain_stderr_db(self) -> float:
+        return (10.0 / math.log(10.0)) * self.stderr / self.nsm
+
+
+def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
+    """Monte Carlo normalized second moment of the quantizer's lattice.
+
+    Draws points uniformly in the fundamental parallelotope, folds them into
+    the Voronoi region, and returns E||e||^2 / (n * vol^(2/n)) with its
+    standard error. Block b of _TRIAL_BLOCK samples draws from the stream
+    keyed (seed, b), so the estimate depends only on (seed, samples).
+    """
+    lat = q.lattice
+    n = lat.dim
+    t = lat.float_triangular()
+    scale = n * 2.0 ** (2.0 * log2_volume(lat) / n)
+
+    def squared_error(lo, take):
+        p = _stream(seed, lo // _TRIAL_BLOCK).random((take, n)) @ t.T
+        e = p - q.quantize_batch(p)
+        return (e * e).sum(axis=1)
+
+    mean, stderr = _mc_mean(samples, squared_error)
+    return NsmEstimate(nsm=mean / scale, stderr=stderr / scale, samples=samples)
 
 
 def sigma_for(energy_per_dim: float, es_n0_db: float) -> float:
@@ -264,9 +309,6 @@ class MultistageDecoder:
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         return fold_batch(self.spec._quantizer, self.lattice_points(ys))
 
-    def decode(self, y) -> np.ndarray:
-        return self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
-
 
 class ExhaustiveDecoder:
     """Argmin of the Euclidean distance over the whole constellation.
@@ -292,9 +334,6 @@ class ExhaustiveDecoder:
 
     lattice_points = decode_batch  # decisions are already constellation points
 
-    def decode(self, y) -> np.ndarray:
-        return self.decode_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
-
 
 def make_decoder(spec: VoronoiCodeSpec, mode: str):
     if mode == "multistage":
@@ -309,7 +348,7 @@ def decode_lattice(spec: VoronoiCodeSpec, y, mode: str = "multistage") -> np.nda
     decoder = make_decoder(spec, mode)
     y = np.asarray(y, dtype=np.float64)
     if y.ndim == 1:
-        return decoder.decode(y)
+        return decoder.decode_batch(y[None, :])[0]
     return decoder.decode_batch(y)
 
 
@@ -330,6 +369,8 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     error when the decoder's lattice point carries another message than the
     sent point; decoded points are never folded.
     """
+    if max_errors < 1:
+        raise ValueError("max_errors must be positive")
     db_values = [float(v) for v in es_n0_list]
     if energy is None:
         energy = average_energy(spec)
@@ -440,6 +481,10 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
     _BENCH_SAMPLE_NS, so a sample of a fast path spans the short swings in
     machine speed instead of landing in one of them.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    if repeats < 1:
+        raise ValueError("repeats must be positive")
     rng = np.random.default_rng(seed)
     msgs, s = _random_components(spec, trials, rng)
     digits = np.concatenate([*msgs, s], axis=1)

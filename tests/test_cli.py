@@ -167,6 +167,20 @@ def test_bench_rejects_bad_dimensions(capsys):
     assert "multiples of 8" in err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (("shaping-gain", "--lattice", "E8_int", "--samples", "0"), "samples"),
+    (("shaping-gain", "--lattice", "E8_int", "--samples", "-3"), "samples"),
+    (("bench", "--dims", "8", "--trials", "0"), "trials"),
+    (("bench", "--dims", "8", "--repeats", "0"), "repeats"),
+    (("wer", "--spec", "pair2", "--sweep", "5:6:1", "--max-errors", "0"), "max_errors"),
+])
+def test_bad_counts_are_refused_by_name(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"vorlat {argv[0]}: {name} must be positive\n"
+
+
 def test_enumerate_to_file(tmp_path, capsys):
     out_file = tmp_path / "points.txt"
     code, out, _ = run(capsys, "enumerate", "--spec", "pair2",

@@ -203,7 +203,7 @@ def test_is_sublattice_randomized():
 
 
 def test_is_sublattice_bigint_fallback():
-    # entries far beyond int64 force the exact big-integer path
+    # entries far beyond int64 stay exact on Python integers
     big = 2**70
     sup = Lattice(IntMatrix([[big, 0], [0, big]]))
     sub = Lattice(IntMatrix([[3 * big, 0], [big, 2 * big]]))

@@ -26,11 +26,10 @@ from vorlat.quantize import (
     fold_mod_parallelotope_batch,
     make_quantizer,
     round_half_up,
-    second_moment_mc,
     short_vectors,
 )
 from vorlat.shaping import BUILTIN_SPECS, builtin_spec
-from vorlat.simulate import random_ordinals
+from vorlat.simulate import random_ordinals, second_moment_mc
 
 from oracles import fold_mod_parallelotope, in_span, leech_coset_reference
 

@@ -16,6 +16,7 @@ from vorlat.codes import (
     builtin_chain,
     make_rep_spc_chain,
     nested_basis,
+    verify_carry_closure,
 )
 from vorlat.intmat import hnf_from_spanning
 from vorlat.lattice import Lattice, quotient_order, standard_lattice
@@ -113,6 +114,29 @@ def test_construction_d_matches_generic_hnf():
 @given(chain=nested_chains())
 def test_construction_d_matches_generic_hnf_on_random_chains(chain):
     _assert_matches_generic_hnf(chain)
+
+
+def _carries_close(chain):
+    try:
+        verify_carry_closure(chain)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=100, deadline=None)
+@given(chain=nested_chains(), base=st.sampled_from(["Zn", "Dn"]), alpha=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_codec_is_a_bijection_on_random_specs(chain, base, alpha, seed):
+    """Single-level chains of any q, and q = 2 chains whose carries close."""
+    assume(chain.a == 1 or (chain.q == 2 and _carries_close(chain)))
+    spec = VoronoiCodeSpec(chain, standard_lattice(f"{base}({chain.n})"), alpha=alpha)
+    assert spec.message_count == quotient_order(spec.coding, spec.shaping)
+    ords = np.random.default_rng(seed).integers(0, spec.message_count, 64, dtype=np.int64)
+    assert np.array_equal(spec.index_batch(spec.encode_batch(ords)), ords)
+    if spec.message_count <= 2**12:
+        points = spec.enumerate_constellation()
+        assert len(np.unique(points, axis=0)) == spec.message_count
 
 
 def test_construction_d_contains_scaled_codewords():

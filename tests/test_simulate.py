@@ -194,17 +194,12 @@ def test_table_ml_chunks_rows_of_large_codes():
 
 
 def test_wagner_matches_table_ml():
+    # continuous costs tie with probability zero, so the words themselves agree
     rng = np.random.default_rng(11)
-    for n in (4, 8, 12):
+    for n in range(3, 13):
         spc = single_parity_check_code(n)
         costs = rng.normal(0, 1, (200, n, 2)) ** 2
-        wag = _wagner_ml_batch(spc, costs)
-        tab = _code_ml(spc)(costs)
-        pos = np.arange(n)
-        cost_w = costs[np.arange(200)[:, None], pos, wag].sum(axis=1)
-        cost_t = costs[np.arange(200)[:, None], pos, tab].sum(axis=1)
-        assert np.all((wag.sum(axis=1) % 2) == 0)
-        assert np.allclose(cost_w, cost_t)
+        assert np.array_equal(_wagner_ml_batch(spc, costs), _code_ml(spc)(costs))
 
 
 def test_wagner_agrees_with_reference_decoder():
