@@ -17,11 +17,7 @@ from .lattice import (
     quotient_order,
     standard_lattice,
 )
-from .quantize import (
-    fold_batch,
-    make_quantizer,
-    short_vectors,
-)
+from .quantize import fold_batch, make_quantizer
 from .shaping import (
     BUILTIN_SPECS,
     Message,
@@ -73,7 +69,6 @@ __all__ = [
     "make_rep_spc_chain",
     "quotient_order",
     "second_moment_mc",
-    "short_vectors",
     "sigma_for",
     "standard_lattice",
     "transmit",

@@ -84,8 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_round = sub.add_parser("roundtrip", help="encode/index consistency check")
     p_round.add_argument("--spec", required=True,
                          help=f"stock name ({', '.join(BUILTIN_SPECS)}) or spec file")
-    p_round.add_argument("--trials", type=int, default=0,
-                         help="random messages to test (0 = exhaustive when small)")
+    p_round.add_argument("--trials", type=int, default=None,
+                         help="random messages to test (default: exhaustive when small)")
     p_round.add_argument("--seed", type=int, default=0)
 
     p_gain = sub.add_parser("shaping-gain", help="Monte Carlo second-moment gain")
@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_roundtrip(args) -> int:
     spec = get_spec(args.spec)
-    if args.trials <= 0:
+    exhaustive = args.trials is None
+    if exhaustive:
         if spec.message_count > _FULL_ROUNDTRIP_LIMIT:
             print(
                 f"constellation has {spec.message_count} points; pass --trials "
@@ -133,12 +134,14 @@ def _cmd_roundtrip(args) -> int:
             )
             return 1
         ordinals = spec.all_ordinals()
+    elif args.trials < 1:
+        raise ValueError("trials must be positive")
     else:
         ordinals = random_ordinals(spec, args.trials, args.seed)
     points = spec.encode_batch(ordinals)
     ok = int((spec.index_batch(points) == ordinals).sum())
     total = len(ordinals)
-    if args.trials <= 0:
+    if exhaustive:
         distinct = len(np.unique(points, axis=0))
         if distinct != total:
             print(f"{distinct}/{total} points distinct", file=sys.stderr)

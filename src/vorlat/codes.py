@@ -139,9 +139,6 @@ class LinearCode:
         )
         self._parity = self._gen[:, self._nonpivots]
 
-    def encode(self, message) -> np.ndarray:
-        return self.encode_batch(np.asarray(message, dtype=np.int64)[None, :])[0]
-
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Systematic encoding: k pivot symbols copied, n-k parities computed."""
         m = np.asarray(messages, dtype=np.int64) % self.q
@@ -153,22 +150,10 @@ class LinearCode:
             out[:, self._nonpivots] = (m @ self._parity) % self.q
         return out
 
-    def demap(self, word) -> np.ndarray:
-        """Recover the message from a codeword; rejects non-codewords."""
-        w = np.asarray(word, dtype=np.int64) % self.q
-        if w.shape != (self.n,):
-            raise ValueError(f"words must have {self.n} symbols")
-        message = w[self._pivots]
-        if not np.array_equal(self.encode(message), w):
-            raise ValueError("not a codeword")
-        return message
-
-    def contains(self, word) -> bool:
-        try:
-            self.demap(word)
-        except ValueError:
-            return False
-        return True
+    def _holds(self, words) -> bool:
+        """Whether every row of `words` is a codeword: its pivot symbols re-encode to it."""
+        w = np.asarray(words, dtype=np.int64) % self.q
+        return np.array_equal(self.encode_batch(w[:, self._pivots]), w)
 
     def parity_check(self) -> np.ndarray:
         """(n-k) x n matrix H with H c = 0 exactly for codewords c."""
@@ -208,11 +193,10 @@ class CodeChain:
                     f"level {i - 1} code is not contained in level {i} code"
                 )
         for i in range(len(codes) - 1):
-            for row in codes[i].rows:
-                if not codes[i + 1].contains(row):
-                    raise ValueError(
-                        f"level {i} code is not contained in level {i + 1} code"
-                    )
+            if not codes[i + 1]._holds(codes[i]._gen):
+                raise ValueError(
+                    f"level {i} code is not contained in level {i + 1} code"
+                )
         self.codes = codes
         self.q = q
         self.n = n
@@ -266,18 +250,19 @@ def verify_carry_closure(chain: CodeChain) -> None:
     Adding two points with level-i components c and c' produces the binary
     carry word c AND c' one level up; the multilevel construction is closed
     under addition exactly when every such carry lands in the next code.
-    AND distributes over XOR, so checking generator pairs is complete.
+    AND distributes over XOR, so checking generator pairs is complete. Each
+    generator u is checked against all k generators v as one (k, n) batch of
+    words u AND v: a single (k*k, n) batch would need 1 GiB at k = 511,
+    n = 512.
     """
     if chain.q != 2:
         raise ValueError("carry closure check requires q = 2")
     for i in range(chain.a - 1):
-        gens = [np.array(r, dtype=np.int64) for r in chain.codes[i].rows]
-        for u in gens:
-            for v in gens:
-                if not chain.codes[i + 1].contains(u & v):
-                    raise ValueError(
-                        f"carry words from level {i} leave the level {i + 1} code"
-                    )
+        gens = chain.codes[i]._gen
+        if not all(chain.codes[i + 1]._holds(u & gens) for u in gens):
+            raise ValueError(
+                f"carry words from level {i} leave the level {i + 1} code"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -384,23 +369,7 @@ def parse_chain_text(text: str) -> CodeChain:
     return CodeChain(codes)
 
 
-def format_chain_text(chain: CodeChain, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend("# " + c for c in comment.splitlines())
-    lines.append(f"{chain.q} {chain.a} {chain.n}")
-    for code in chain.codes:
-        lines.append(str(code.k))
-        for row in code.rows:
-            lines.append(" ".join(str(v) for v in row))
-    return "\n".join(lines) + "\n"
-
-
 def load_chain(path) -> CodeChain:
     with open(path, "r", encoding="utf-8") as fh:
         return parse_chain_text(fh.read())
 
-
-def save_chain(chain: CodeChain, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_chain_text(chain, comment))

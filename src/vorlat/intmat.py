@@ -72,14 +72,6 @@ class IntMatrix:
         k = int(k)
         return IntMatrix([[k * x for x in r] for r in self._data])
 
-    def __matmul__(self, other: "IntMatrix") -> "IntMatrix":
-        if self.cols != other.rows:
-            raise ValueError("shape mismatch")
-        ot = list(zip(*other._data))
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ot] for row in self._data]
-        )
-
     def matvec(self, v) -> tuple:
         v = [int(x) for x in v]
         if len(v) != self.cols:
@@ -108,32 +100,6 @@ class IntMatrix:
         return all(
             self._data[i][j] == 0 for i in range(self.rows) for j in range(i + 1, self.cols)
         )
-
-    def det(self) -> int:
-        """Exact determinant by fraction-free (Bareiss) elimination."""
-        if not self.is_square:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        m = [list(r) for r in self._data]
-        sign = 1
-        prev = 1
-        for k in range(n - 1):
-            if m[k][k] == 0:
-                pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-                if pivot is None:
-                    return 0
-                m[k], m[pivot] = m[pivot], m[k]
-                sign = -sign
-            pkk = m[k][k]
-            for i in range(k + 1, n):
-                mik = m[i][k]
-                ri = m[i]
-                rk = m[k]
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * pkk - mik * rk[j]) // prev
-                ri[k] = 0
-            prev = pkk
-        return sign * m[n - 1][n - 1]
 
 
 def _xgcd(a: int, b: int):

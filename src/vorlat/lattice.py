@@ -1,11 +1,16 @@
-"""Integer lattices: construction, normal forms, containment, quotients.
+"""Integer lattices: construction, normal forms, sublattice tests, quotients.
 
 Conventions used package-wide:
   * generator columns are basis vectors (a point is G @ b, b integer),
   * the cached triangular form is the lower-triangular Hermite normal form
     with positive diagonal and off-diagonals reduced into [0, diag),
-  * all lattice algebra (normal forms, containment, quotients) is exact on
-    Python integers; the float_* views exist only for the quantizers.
+  * all lattice algebra (normal forms, sublattice tests, quotients) is exact
+    on Python integers; the float_* views exist only for the quantizers.
+
+Containment is tested between lattices (`is_sublattice`), not per point:
+a constellation tests its points in batches, by indexing them
+(`VoronoiCodeSpec.index_batch` refuses rows whose digits leave a code) or by
+comparing cosets of the shaping lattice (`VoronoiCodeSpec.same_message`).
 
 Lattice objects are immutable and safe to share across threads.
 """
@@ -97,11 +102,6 @@ class Lattice:
             name=None if self.name is None else f"{k}*{self.name}",
             _triangular=self.triangular_generator.scale(k),
         )
-
-    def contains_point(self, x) -> bool:
-        """Exact membership test for an integer vector."""
-        rhs = IntMatrix([[int(v)] for v in x])
-        return integer_solve_lower_triangular(self.triangular_generator, rhs) is not None
 
     def __repr__(self):
         label = self.name or f"{self.dim}-dim"
@@ -268,25 +268,9 @@ def parse_matrix_text(text: str) -> IntMatrix:
     return IntMatrix([nums[i * cols : (i + 1) * cols] for i in range(rows)])
 
 
-def format_matrix_text(m: IntMatrix, comment: str | None = None) -> str:
-    lines = []
-    if comment:
-        lines.extend("# " + c for c in comment.splitlines())
-    lines.append(f"{m.rows} {m.cols}")
-    width = max(len(str(x)) for row in m.tolist() for x in row)
-    for row in m.tolist():
-        lines.append(" ".join(str(x).rjust(width) for x in row))
-    return "\n".join(lines) + "\n"
-
-
 def load_lattice(path) -> Lattice:
     with open(path, "r", encoding="utf-8") as fh:
         return Lattice(parse_matrix_text(fh.read()))
-
-
-def save_lattice(lat: Lattice, path, comment: str | None = None) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_matrix_text(lat.generator, comment))
 
 
 def log2_volume(lat: Lattice) -> float:

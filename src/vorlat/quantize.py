@@ -62,10 +62,6 @@ class Quantizer:
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
 
-    def quantize(self, y) -> np.ndarray:
-        out = self.quantize_batch(np.asarray(y, dtype=np.float64).reshape(1, -1))
-        return out[0]
-
     def quantize_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -263,7 +259,7 @@ class EnumerationQuantizer(Quantizer):
         self._r = r * sgn[:, None]
         self._gen = lattice.generator
 
-    def _search(self, w, radius_sq, shrink=True):
+    def _search(self, w, radius_sq):
         """Depth-first zig-zag enumeration; yields (dist, coeffs) leaves."""
         n = len(w)
         r = self._r
@@ -282,7 +278,7 @@ class EnumerationQuantizer(Quantizer):
             if d <= bound:
                 if k == 0:
                     leaves.append((d, b.copy()))
-                    if shrink and d < radius_sq:
+                    if d < radius_sq:
                         radius_sq = d
                         bound = radius_sq + TIE_EPS
                     b[k] += step[k]
@@ -300,8 +296,8 @@ class EnumerationQuantizer(Quantizer):
                 b[k] += step[k]
                 step[k] = -step[k] - (1 if step[k] > 0 else -1)
 
-    def quantize(self, y):
-        y = _finite(y).reshape(-1)
+    def _nearest(self, y):
+        y = _finite(y)
         cov_sq = self.lattice.cov_sq
         leaves, best = self._search(self._q.T @ y, math.inf if cov_sq is None else cov_sq)
         # matvec returns int tuples, which compare lexicographically
@@ -310,7 +306,7 @@ class EnumerationQuantizer(Quantizer):
 
     def quantize_batch(self, ys):
         y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-        return np.stack([self.quantize(row) for row in y])
+        return np.stack([self._nearest(row) for row in y])
 
 
 class ScaledQuantizer(Quantizer):
@@ -406,19 +402,3 @@ def fold_mod_parallelotope_batch(tri: np.ndarray, rs: np.ndarray) -> np.ndarray:
         qf = np.floor_divide(out[:, i], tri[i, i])
         out[:, i:] -= qf[:, None] * tri[i:, i][None, :]
     return out
-
-
-def short_vectors(lattice: Lattice, max_norm_sq: float) -> list:
-    """All nonzero lattice vectors with squared norm <= max_norm_sq (exact)."""
-    enum = EnumerationQuantizer(lattice)
-    w = np.zeros(lattice.dim)
-    leaves, _ = enum._search(w, float(max_norm_sq), shrink=False)
-    out = []
-    for d, b in leaves:
-        if not np.any(b):
-            continue
-        x = lattice.generator.matvec(b)
-        if sum(v * v for v in x) <= max_norm_sq + TIE_EPS:
-            out.append(tuple(x))
-    return out
-

@@ -246,16 +246,9 @@ class VoronoiCodeSpec:
         x += self._offset_np
         return x
 
-    def representative_box(self) -> tuple:
-        """Exclusive upper corner of the hyperrectangle holding representatives."""
-        return tuple(self.qa * int(d) + o for d, o in zip(self.s_box, self.offset))
-
     def encode_batch(self, ordinals) -> np.ndarray:
         """Constellation points for message ordinals (int64 rows)."""
         return fold_batch(self._quantizer, self.representative_batch(ordinals))
-
-    def encode(self, message: Message) -> np.ndarray:
-        return self.encode_batch([self.ordinal_from_message(message)])[0]
 
     # -- indexing ---------------------------------------------------------------
 
@@ -301,10 +294,6 @@ class VoronoiCodeSpec:
             box = fold_mod_parallelotope_batch(self._shaping_prime_t, quot[same])
             same[same] = ~np.any(box, axis=1)
         return same
-
-    def index(self, point) -> Message:
-        ordinal = int(self.index_batch(np.asarray(point)[None, :])[0])
-        return self.message_from_ordinal(ordinal)
 
     # -- enumeration ------------------------------------------------------------
 

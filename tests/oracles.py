@@ -3,11 +3,13 @@
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
 they check. The exceptions are the Leech coset oracle, which takes the
-Golay codebook from the package as data; the reference encode, index,
-ML and sweep loops, which are the package's earlier, unoptimised forms of
-the same computation and reuse its codes, channel, decoders and box fold;
-and the brute-force constellation and coset-representative searches, which
-fold with the spec's quantizer and test membership in its lattices.
+Golay codebook from the package as data; the point membership test, which
+solves against the lattice's own triangular generator with the package's
+integer solver; the reference encode, index, ML and sweep loops, which are
+the package's earlier, unoptimised forms of the same computation and reuse
+its codes, channel, decoders and box fold; and the brute-force constellation
+and coset-representative searches, which fold with the spec's quantizer and
+test membership in its lattices.
 """
 
 import math
@@ -18,6 +20,7 @@ import numpy as np
 
 from vorlat import golay
 from vorlat.codes import _CODEWORD_TABLE_LIMIT, ordinals_to_symbols
+from vorlat.intmat import IntMatrix, integer_solve_lower_triangular
 from vorlat.lattice import Lattice, quotient_order
 from vorlat.quantize import fold_batch, fold_mod_parallelotope_batch
 from vorlat.shaping import _ENUM_LIMIT, VoronoiCodeSpec
@@ -116,6 +119,31 @@ def spans_same_lattice(g, l) -> bool:
 def in_span(g, vec) -> bool:
     sol = frac_solve(g, [[x] for x in vec])
     return sol is not None and all_integer(sol)
+
+
+def contains_point(lattice: Lattice, x) -> bool:
+    """Exact membership test for an integer vector."""
+    rhs = IntMatrix([[int(v)] for v in x])
+    return integer_solve_lower_triangular(lattice.triangular_generator, rhs) is not None
+
+
+def e8_int_short_vectors(max_norm_sq: int = 16) -> np.ndarray:
+    """Nonzero E8_int vectors of squared norm <= max_norm_sq, by its definition.
+
+    E8_int is the set of integer vectors whose coordinates share one parity
+    and whose coordinate sum is divisible by 4. Scans both parity classes of
+    the cube [-r, r]^8 with r = isqrt(max_norm_sq), which holds every such
+    vector, and keeps the ones that qualify.
+    """
+    r = math.isqrt(max_norm_sq)
+    out = []
+    for parity in (0, 1):
+        values = [v for v in range(-r, r + 1) if v % 2 == parity]
+        cube = np.array(list(product(values, repeat=8)), dtype=np.int64)
+        norm = (cube**2).sum(axis=1)
+        keep = (norm <= max_norm_sq) & (norm > 0) & (cube.sum(axis=1) % 4 == 0)
+        out.append(cube[keep])
+    return np.concatenate(out)
 
 
 def count_residues_brute(gen_rows, box: int) -> int:
@@ -342,7 +370,7 @@ def enumerate_constellation_oracle(spec: VoronoiCodeSpec) -> set:
     keep = np.all(folded == pts, axis=1)
     out = set()
     for p in pts[keep]:
-        if spec.coding.contains_point([int(v) for v in p - spec._offset_np]):
+        if contains_point(spec.coding, p - spec._offset_np):
             out.add(tuple(int(v) for v in p))
     return out
 
@@ -363,7 +391,7 @@ def box_coset_representatives(coding: Lattice, shaping: Lattice) -> list:
     reps = [
         pt
         for pt in product(*(range(int(d)) for d in diag))
-        if coding.contains_point(pt)
+        if contains_point(coding, pt)
     ]
     if len(reps) != quotient_order(coding, shaping):
         raise AssertionError("box enumeration missed cosets")

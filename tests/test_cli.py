@@ -173,6 +173,8 @@ def test_bench_rejects_bad_dimensions(capsys):
     (("bench", "--dims", "8", "--trials", "0"), "trials"),
     (("bench", "--dims", "8", "--repeats", "0"), "repeats"),
     (("wer", "--spec", "pair2", "--sweep", "5:6:1", "--max-errors", "0"), "max_errors"),
+    (("roundtrip", "--spec", "pair2", "--trials", "0"), "trials"),
+    (("roundtrip", "--spec", "pair2", "--trials", "-3"), "trials"),
 ])
 def test_bad_counts_are_refused_by_name(capsys, argv, name):
     code, out, err = run(capsys, *argv)

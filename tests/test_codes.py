@@ -12,14 +12,12 @@ from vorlat.codes import (
     LinearCode,
     builtin_chain,
     extended_hamming8,
-    format_chain_text,
     load_chain,
     make_rep_spc_chain,
     nested_basis,
     ordinals_to_symbols,
     parse_chain_text,
     repetition_code,
-    save_chain,
     single_parity_check_code,
     verify_carry_closure,
 )
@@ -35,10 +33,9 @@ def test_repetition_code_basics():
     c = repetition_code(8)
     assert (c.n, c.k, c.q) == (8, 1, 2)
     assert c.pivots == (0,)
-    assert c.encode([1]).tolist() == [1] * 8
-    assert c.encode([0]).tolist() == [0] * 8
-    assert c.demap([1] * 8).tolist() == [1]
-    assert not c.contains([1, 0, 1, 0, 1, 0, 1, 0])
+    assert c.encode_batch([[1], [0]]).tolist() == [[1] * 8, [0] * 8]
+    assert c._holds([[1] * 8, [0] * 8])
+    assert not c._holds([[1, 0, 1, 0, 1, 0, 1, 0]])
 
 
 def test_single_parity_check_code():
@@ -50,7 +47,7 @@ def test_single_parity_check_code():
     # distinct codewords, systematic on the first seven positions
     assert len({tuple(w) for w in words.tolist()}) == 128
     msg = [1, 0, 1, 1, 0, 0, 1]
-    assert c.encode(msg)[:7].tolist() == msg
+    assert c.encode_batch([msg])[0, :7].tolist() == msg
 
 
 def test_extended_hamming8_weight_distribution():
@@ -64,10 +61,11 @@ def test_ternary_code_systematic_form():
     c = LinearCode([[1, 1, 2], [0, 1, 1]], q=3)
     assert c.rows == [(1, 0, 1), (0, 1, 1)]
     assert c.pivots == (0, 1)
-    assert c.encode([2, 1]).tolist() == [2, 1, 0]
-    assert c.demap([2, 1, 0]).tolist() == [2, 1]
-    assert not c.contains([1, 1, 1])
-    assert c.contains([1, 1, 2])
+    assert c.encode_batch([[2, 1]]).tolist() == [[2, 1, 0]]
+    assert c._holds([[2, 1, 0], [1, 1, 2]])
+    # symbols are read modulo q
+    assert c._holds([[5, 4, 3]])
+    assert not c._holds([[2, 1, 0], [1, 1, 1]])
 
 
 def test_encode_batch_matches_scalar_and_brute_force():
@@ -75,18 +73,21 @@ def test_encode_batch_matches_scalar_and_brute_force():
     msgs = ordinals_to_symbols(np.arange(2**5), 5, 2)
     batch = c.encode_batch(msgs)
     for m, w in zip(msgs, batch):
-        assert c.encode(m).tolist() == w.tolist()
+        assert c.encode_batch(m[None, :]).tolist() == [w.tolist()]
         # independent check: last symbol makes the total vanish mod 2
         assert (int(m.sum()) + int(w[-1])) % 2 == 0
         assert w[:5].tolist() == m.tolist()
 
 
-def test_demap_rejects_non_codewords():
+def test_membership_rejects_non_codewords():
     c = extended_hamming8()
-    with pytest.raises(ValueError, match="not a codeword"):
-        c.demap([1, 0, 0, 0, 0, 0, 0, 0])
-    with pytest.raises(ValueError, match="symbols"):
-        c.demap([1, 0, 0])
+    words = c.codewords()
+    assert c._holds(words)
+    # one flipped symbol in any single row takes the batch out of the code
+    for j in range(c.n):
+        bad = words.copy()
+        bad[7, j] ^= 1
+        assert not c._holds(bad)
 
 
 def test_generator_validation():
@@ -168,6 +169,10 @@ def test_chain_validation_messages():
         CodeChain([single_parity_check_code(8), repetition_code(8)])
     with pytest.raises(ValueError, match="level 0 code is not contained in level 1"):
         CodeChain([LinearCode([[1, 0]], 2), LinearCode([[0, 1]], 2)])
+    # only the second generator row of the lower code leaves the upper code
+    with pytest.raises(ValueError, match="level 0 code is not contained in level 1"):
+        CodeChain([LinearCode([[1, 1, 0, 0], [0, 0, 1, 1]], 2),
+                   LinearCode([[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], 2)])
     with pytest.raises(ValueError, match="different lengths"):
         CodeChain([repetition_code(4), single_parity_check_code(6)])
     with pytest.raises(ValueError, match="different fields"):
@@ -290,7 +295,24 @@ def test_symbols_past_the_int64_places_are_zero(q, length):
 def test_chain_file_round_trip(tmp_path):
     chain = builtin_chain("rep8-ham8-spc8")
     path = tmp_path / "chain.txt"
-    save_chain(chain, path, comment="three binary levels")
+    path.write_text("""# three binary levels
+2 3 8
+1
+1 1 1 1 1 1 1 1
+4
+1 1 1 1 1 1 1 1
+0 1 0 1 0 1 0 1
+0 0 1 1 0 0 1 1
+0 0 0 0 1 1 1 1
+7
+1 0 0 0 0 0 0 1
+0 1 0 0 0 0 0 1
+0 0 1 0 0 0 0 1
+0 0 0 1 0 0 0 1
+0 0 0 0 1 0 0 1
+0 0 0 0 0 1 0 1
+0 0 0 0 0 0 1 1
+""")
     loaded = load_chain(path)
     assert loaded.q == 2 and loaded.a == 3 and loaded.n == 8
     for got, want in zip(loaded.codes, chain.codes):
@@ -319,7 +341,3 @@ def test_chain_file_inclusion_violation_is_named():
     with pytest.raises(ValueError, match="level 0 code is not contained in level 1"):
         parse_chain_text(text)
 
-
-def test_format_chain_text_reparses():
-    chain = make_rep_spc_chain(6)
-    assert parse_chain_text(format_chain_text(chain)).dims() == (1, 5)

@@ -26,12 +26,22 @@ from vorlat.quantize import (
     fold_mod_parallelotope_batch,
     make_quantizer,
     round_half_up,
-    short_vectors,
 )
 from vorlat.shaping import BUILTIN_SPECS, builtin_spec
 from vorlat.simulate import random_ordinals, second_moment_mc
 
-from oracles import fold_mod_parallelotope, in_span, leech_coset_reference
+from oracles import (
+    contains_point,
+    e8_int_short_vectors,
+    fold_mod_parallelotope,
+    in_span,
+    leech_coset_reference,
+)
+
+
+def nearest(q, y):
+    """The quantizer's point for one input row, through its batch call."""
+    return q.quantize_batch(np.asarray(y, dtype=np.float64)[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -45,31 +55,31 @@ def test_round_half_up_breaks_ties_upward():
 
 def test_zn_quantizer_example():
     q = make_quantizer(standard_lattice("Zn(3)"))
-    assert q.quantize([0.4, -1.2, 2.5]).tolist() == [0, -1, 3]
+    assert nearest(q, [0.4, -1.2, 2.5]).tolist() == [0, -1, 3]
 
 
 def test_dn_quantizer_example():
     q = make_quantizer(standard_lattice("Dn(4)"))
-    assert q.quantize([0.6, 0.6, 0.1, 0.1]).tolist() == [1, 1, 0, 0]
+    assert nearest(q, [0.6, 0.6, 0.1, 0.1]).tolist() == [1, 1, 0, 0]
 
 
 def test_dn_quantizer_parity_repair():
     q = make_quantizer(standard_lattice("Dn(4)"))
     # naive rounding gives odd sum; the worst coordinate is re-rounded the
     # other way, which here lands on the origin
-    assert q.quantize([0.6, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
+    assert nearest(q, [0.6, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
     # exact odd-parity integer input: lowest-index coordinate moves down
-    assert q.quantize([1.0, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
+    assert nearest(q, [1.0, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
 
 
 def test_scaled_quantizer_example():
     inner = make_quantizer(standard_lattice("Zn(2)"))
-    assert ScaledQuantizer(inner, 4).quantize([3.0, 3.0]).tolist() == [4, 4]
+    assert nearest(ScaledQuantizer(inner, 4), [3.0, 3.0]).tolist() == [4, 4]
 
 
 def test_direct_sum_quantizer_example():
     inner = make_quantizer(standard_lattice("Zn(2)"))
-    got = DirectSumQuantizer(inner, 2).quantize([0.4, -1.2, 2.5, 0.6])
+    got = nearest(DirectSumQuantizer(inner, 2), [0.4, -1.2, 2.5, 0.6])
     assert got.tolist() == [0, -1, 3, 1]
 
 
@@ -82,7 +92,7 @@ def test_direct_sum_quantizer_matches_blockwise():
     ys = rng.uniform(-6, 6, size=(20, 24))
     got = q.quantize_batch(ys)
     for row, y in zip(got, ys):
-        parts = [inner.quantize(y[8 * b : 8 * (b + 1)]) for b in range(3)]
+        parts = [nearest(inner, y[8 * b : 8 * (b + 1)]) for b in range(3)]
         assert row.tolist() == np.concatenate(parts).tolist()
 
 
@@ -93,9 +103,9 @@ def test_direct_sum_quantizer_matches_blockwise():
 def test_enumeration_tie_is_lexicographically_smallest():
     lat = standard_lattice("Zn(2)").scaled(2)
     q = EnumerationQuantizer(lat)
-    assert q.quantize([1.0, 1.0]).tolist() == [0, 0]
-    assert q.quantize([-1.0, -1.0]).tolist() == [-2, -2]
-    assert q.quantize([1.0, -1.0]).tolist() == [0, -2]
+    assert nearest(q, [1.0, 1.0]).tolist() == [0, 0]
+    assert nearest(q, [-1.0, -1.0]).tolist() == [-2, -2]
+    assert nearest(q, [1.0, -1.0]).tolist() == [0, -2]
 
 
 def test_enumeration_matches_zn_and_dn():
@@ -152,8 +162,8 @@ def test_e8_fast_tie_agrees_in_distance_only():
     fast = E8FastQuantizer(lat)
     enum = EnumerationQuantizer(lat)
     y = np.array([1.0, 1.0, 0, 0, 0, 0, 0, 0])
-    pf = fast.quantize(y)
-    pe = enum.quantize(y)
+    pf = nearest(fast, y)
+    pe = nearest(enum, y)
     assert pe.tolist() == [0] * 8
     assert abs(((y - pf) ** 2).sum() - 2.0) < 1e-12
     assert abs(((y - pe) ** 2).sum() - 2.0) < 1e-12
@@ -177,7 +187,7 @@ def test_e8_fast_coset_tie_keeps_the_lexicographically_smaller_point():
         pick_b = db[i] < da[i] - TIE_EPS or (tie[i] and tuple(b[i]) < tuple(a[i]))
         assert got[i].tolist() == (2 * (b[i] if pick_b else a[i])).astype(int).tolist()
     for i in np.nonzero(tie)[0][:30]:
-        assert np.array_equal(fast.quantize(ys[i]), got[i])
+        assert np.array_equal(nearest(fast, ys[i]), got[i])
 
 
 def test_e8_fast_outputs_are_optimal_voronoi_points():
@@ -191,7 +201,7 @@ def test_e8_fast_outputs_are_optimal_voronoi_points():
     """
     lat = standard_lattice("E8_int")
     fast = E8FastQuantizer(lat)
-    vecs = np.array(short_vectors(lat, 16), dtype=np.float64)
+    vecs = e8_int_short_vectors(16).astype(np.float64)
     assert len(vecs) == 2400
     norms = (vecs**2).sum(axis=1)
     rng = np.random.default_rng(2)
@@ -212,7 +222,7 @@ def test_leech_fast_matches_enumeration_distances():
     ys = np.concatenate([reps.astype(np.float64), rng.uniform(-8, 8, size=(16, 24))])
     pf = fast.quantize_batch(ys)
     for y, f in zip(ys, pf):
-        e = enum.quantize(y)
+        e = nearest(enum, y)
         df = ((y - f) ** 2).sum()
         de = ((y - e) ** 2).sum()
         assert abs(df - de) < 1e-9
@@ -232,7 +242,7 @@ def test_leech_fast_matches_coset_reference():
         assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
     # one batch call across internal block boundaries equals single-row calls
     ys = np.concatenate([reps[:11].astype(np.float64), rng.uniform(-8, 8, size=(10, 24))])
-    rows = np.stack([fast.quantize(y) for y in ys])
+    rows = np.stack([nearest(fast, y) for y in ys])
     assert np.array_equal(fast.quantize_batch(ys), rows)
 
 
@@ -374,7 +384,7 @@ def test_make_quantizer_auto_falls_back_to_enumeration():
     q = make_quantizer(lat)
     assert isinstance(q, EnumerationQuantizer)
     # columns (2,1) and (0,3): nearest point to (2.1, 2.9) is (2,1)+(0,3)
-    assert q.quantize([2.1, 2.9]).tolist() == [2, 4]
+    assert nearest(q, [2.1, 2.9]).tolist() == [2, 4]
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -392,10 +402,9 @@ def test_leaf_quantizers_refuse_non_finite_input(quantizer, bad):
     # the last row of a full Leech block, after finite rows
     block = np.zeros((_LEECH_ROWS, n))
     block[-1, 0] = bad
-    for call, arg in ((quantizer.quantize, one), (quantizer.quantize_batch, one[None, :]),
-                      (quantizer.quantize_batch, block)):
+    for ys in (one[None, :], block):
         with pytest.raises(ValueError, match=f"non-finite input {bad}"):
-            call(arg)
+            quantizer.quantize_batch(ys)
 
 
 def test_wrapped_quantizers_refuse_non_finite_input():
@@ -430,7 +439,21 @@ def test_fold_mod_lattice_properties():
     assert np.all(q.quantize_batch(folded.astype(np.float64)) == 0)
     # x and fold(x) differ by a lattice point
     for x, f in zip(xs, folded):
-        assert lat.contains_point([int(v) for v in (x - f)])
+        assert contains_point(lat, x - f)
+    # the same for every stock spec's shaping quantizer, on the box
+    # representatives the encoder folds and on uniform float rows
+    for name in BUILTIN_SPECS:
+        spec = builtin_spec(name)
+        q = spec._quantizer
+        ords = random_ordinals(spec, 4096, seed=5)
+        reps = spec.representative_batch(ords)
+        reach = spec.qa * max(spec.s_box)
+        for xs in (reps, rng.uniform(-reach, reach, size=(4096, spec.n))):
+            folded = fold_batch(q, xs)
+            assert folded.dtype == xs.dtype
+            assert np.array_equal(fold_batch(q, folded), folded), name
+            assert not q.quantize_batch(folded).any(), name
+        assert np.array_equal(fold_batch(q, reps), spec.encode_batch(ords))
 
 
 def test_fold_mod_parallelotope_example():
@@ -449,7 +472,7 @@ def test_fold_mod_parallelotope_is_exact_residue_map():
         diff = [r[0] - out[0], r[1] - out[1]]
         # exact congruence checked against an independent rational solver
         assert in_span(tri.tolist(), diff)
-        assert Lattice(tri).contains_point(diff)
+        assert contains_point(Lattice(tri), diff)
         seen.add(out)
     # full residue system: folding the box itself is the identity
     for a in range(2):
@@ -465,24 +488,6 @@ def test_fold_mod_parallelotope_batch_matches_scalar():
     batch = fold_mod_parallelotope_batch(tri.to_int64(), rs)
     for r, out in zip(rs, batch):
         assert tuple(out.tolist()) == fold_mod_parallelotope(tri, [int(v) for v in r])
-
-
-# ---------------------------------------------------------------------------
-# short vector enumeration
-
-
-def test_short_vector_counts():
-    assert len(short_vectors(standard_lattice("Zn(2)"), 1)) == 4
-    assert len(short_vectors(standard_lattice("Dn(3)"), 2)) == 12
-    roots = short_vectors(standard_lattice("E8_int"), 8)
-    assert len(roots) == 240
-    assert all(sum(v * v for v in r) == 8 for r in roots)
-
-
-def test_short_vectors_excludes_origin():
-    vs = short_vectors(standard_lattice("Zn(2)"), 2)
-    assert (0, 0) not in vs
-    assert len(vs) == 8  # four at norm 1, four at norm 2
 
 
 # ---------------------------------------------------------------------------

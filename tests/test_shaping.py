@@ -34,6 +34,7 @@ from vorlat.simulate import random_ordinals
 
 from oracles import (
     box_coset_representatives,
+    contains_point,
     enumerate_constellation_oracle,
     index_reference,
     representative_reference,
@@ -147,9 +148,9 @@ def test_construction_d_contains_scaled_codewords():
         parts = np.zeros(8, dtype=np.int64)
         for level, code in enumerate(chain.codes):
             msg = rng.integers(0, 2, code.k)
-            parts += 2**level * code.encode(msg)
+            parts += 2**level * code.encode_batch([msg])[0]
         parts += 4 * rng.integers(-3, 4, 8)
-        assert lat.contains_point(parts)
+        assert contains_point(lat, parts)
 
 
 def test_pair2_basic_facts():
@@ -181,9 +182,9 @@ def test_pair2_index_inverts_encode():
 def test_representatives_fill_the_box():
     spec = builtin_spec("pair2")
     reps = spec.representative_batch(spec.all_ordinals())
-    hi = spec.representative_box()
+    hi = spec.qa * np.array(spec.s_box) + spec._offset_np
     assert reps.min() >= 0
-    assert all(reps[:, j].max() < hi[j] for j in range(spec.n))
+    assert np.all(reps.max(axis=0) < hi)
     assert len({tuple(r) for r in reps.tolist()}) == spec.message_count
 
 
@@ -211,10 +212,12 @@ def test_desk8_e8_round_trip_subset():
     ords = rng.integers(0, spec.message_count, 512, dtype=np.int64)
     pts = spec.encode_batch(ords)
     assert np.array_equal(spec.index_batch(pts), ords)
-    for o in ords[:8]:
+    # one message at a time, as README shows it
+    for o, p in zip(ords[:8], pts):
         msg = spec.message_from_ordinal(int(o))
-        point = spec.encode(msg)
-        assert spec.ordinal_from_message(spec.index(point)) == int(o)
+        point = spec.encode_batch([spec.ordinal_from_message(msg)])[0]
+        assert np.array_equal(point, p)
+        assert spec.message_from_ordinal(int(spec.index_batch(point[None])[0])) == msg
 
 
 def test_stock_spec_rates():
@@ -284,7 +287,7 @@ def test_offset_translates_the_constellation():
     assert np.array_equal(spec.index_batch(pts), ords)
     # every point is congruent to the offset modulo the coding lattice
     for p in pts:
-        assert spec.coding.contains_point([int(v) for v in p - np.array([1, 1])])
+        assert contains_point(spec.coding, p - np.array([1, 1]))
     assert {tuple(map(int, p)) for p in pts} == enumerate_constellation_oracle(spec)
 
 
