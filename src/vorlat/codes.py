@@ -151,8 +151,12 @@ class LinearCode:
         return out
 
     def _holds(self, words) -> bool:
-        """Whether every row of `words` is a codeword: its pivot symbols re-encode to it."""
-        w = np.asarray(words, dtype=np.int64) % self.q
+        """Whether every row of `words` is a codeword: its pivot symbols re-encode to it.
+
+        Symbols are read as given, so a row with a symbol outside [0, q) is
+        not a codeword.
+        """
+        w = np.asarray(words, dtype=np.int64)
         return np.array_equal(self.encode_batch(w[:, self._pivots]), w)
 
     def parity_check(self) -> np.ndarray:

@@ -269,12 +269,11 @@ class VoronoiCodeSpec:
         for code, cols in zip(self.chain.codes, self._level_cols):
             high = t // self.q
             level = t - self.q * high
-            msgs = level[:, code._pivots]
-            if not np.array_equal(code.encode_batch(msgs), level):
+            if not code._holds(level):
                 raise ValueError(
                     "not a constellation point: level digits leave the code"
                 )
-            digits[:, cols] = msgs
+            digits[:, cols] = level[:, code._pivots]
             t = high
         digits[:, self._box_cols] = fold_mod_parallelotope_batch(self._shaping_prime_t, t)
         return table.join(digits)

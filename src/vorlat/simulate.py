@@ -273,7 +273,16 @@ class MultistageDecoder:
     to the integer grid (`lattice_points`), and `decode_batch` folds the
     assembled lattice point back into the constellation. The fold does not
     change the message, so callers that only compare messages can skip it.
+
+    `lattice_points` commutes with shifts by q^a Z^n: level i reads the
+    residual only modulo q^(i+1), and the grid round moves by the same
+    integer vector. The shaping lattice q^a L' lies inside q^a Z^n, so the
+    decision for a box representative plus noise and for its fold plus the
+    same noise differ by the fold's shaping-lattice vector and carry one
+    message (`shift_equivariant`).
     """
+
+    shift_equivariant = True
 
     def __init__(self, spec: VoronoiCodeSpec):
         self.spec = spec
@@ -315,7 +324,11 @@ class ExhaustiveDecoder:
 
     ||y - p||^2 - ||y||^2 = [y, 1] . [-2p, ||p||^2], so table ML over those
     weights picks the nearest point, the first in message order on ties.
+    It chooses among constellation points, so its decision does not follow a
+    shaping-lattice shift of the input (`shift_equivariant` is false).
     """
+
+    shift_equivariant = False
 
     def __init__(self, spec: VoronoiCodeSpec):
         if spec.message_count > _EXHAUSTIVE_LIMIT:
@@ -364,10 +377,20 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     Messages and noise are paired across points and across specs sharing a
     seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
     in the outer loop: each block's messages and standard-normal noise are
-    drawn once, the messages are encoded once, and the block is then sent
+    drawn once, the sent vectors are built once, and the block is then sent
     through every point that has not yet reached max_errors. A trial is an
     error when the decoder's lattice point carries another message than the
-    sent point; decoded points are never folded.
+    sent vector; decoded points are never folded.
+
+    The fold of encoding only moves a box representative by a shaping-lattice
+    vector into the Voronoi region, which sets the energy (`energy`, or
+    `average_energy`) but not the message. So a decoder whose class sets
+    `shift_equivariant` (`MultistageDecoder`) receives the unfolded box
+    representatives plus noise, and the error flags are those of the folded
+    points (up to float rounding of the two sums, which can matter only for
+    noise within about one ulp of a decision boundary). Every other decoder,
+    `ExhaustiveDecoder` and duck-typed ones included, receives the folded
+    constellation points plus noise.
     """
     if max_errors < 1:
         raise ValueError("max_errors must be positive")
@@ -376,6 +399,7 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
         energy = average_energy(spec)
     if decoder is None:
         decoder = make_decoder(spec, mode)
+    unfolded = getattr(decoder, "shift_equivariant", False)
     sigmas = [sigma_for(energy, db) for db in db_values]
     errors = [0] * len(db_values)
     done = [0] * len(db_values)
@@ -386,7 +410,7 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
             break
         take = min(_TRIAL_BLOCK, trials - start)
         ords = random_ordinals(spec, take, seed, trial_offset=start)
-        x = spec.encode_batch(ords)
+        x = spec.representative_batch(ords) if unfolded else spec.encode_batch(ords)
         z = _standard_normals(seed, start, take, spec.n)
         for i in active:
             p = decoder.lattice_points(x + sigmas[i] * z)

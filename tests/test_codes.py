@@ -63,8 +63,8 @@ def test_ternary_code_systematic_form():
     assert c.pivots == (0, 1)
     assert c.encode_batch([[2, 1]]).tolist() == [[2, 1, 0]]
     assert c._holds([[2, 1, 0], [1, 1, 2]])
-    # symbols are read modulo q
-    assert c._holds([[5, 4, 3]])
+    # symbols are read as given: one outside [0, q) leaves the code
+    assert not c._holds([[5, 4, 3]])
     assert not c._holds([[2, 1, 0], [1, 1, 1]])
 
 

@@ -374,6 +374,61 @@ def test_wer_sweep_counts_messages_not_points():
         assert all(0 < p.errors < p.trials for p in points)
 
 
+def test_box_representatives_give_the_error_flags_of_folded_points():
+    # a multistage decision commutes with shifts by q^a Z^n, which hold the
+    # shaping lattice, so sending the unfolded box representative r instead
+    # of its fold x changes the decided point by the fold's shift only
+    cases = [("pair2", -5.0), ("desk8-e8", 13.0), ("desk8-cube", 13.0),
+             ("desk8-ham", 17.0), ("leech24", 15.0)]
+    rows = _TRIAL_BLOCK
+    for name, db in cases:
+        spec = builtin_spec(name)
+        energy = sampled_energy(spec, 512)[0] if name == "leech24" else average_energy(spec)
+        dec = make_decoder(spec, "multistage")
+        ords = random_ordinals(spec, rows, seed=31)
+        r = spec.representative_batch(ords)
+        x = spec.encode_batch(ords)
+        noise = sigma_for(energy, db) * _standard_normals(31, 0, rows, spec.n)
+        from_r = spec.same_message(dec.lattice_points(r + noise), r)
+        from_x = spec.same_message(dec.lattice_points(x + noise), x)
+        assert np.array_equal(from_r, from_x), name
+        assert 0 < int((~from_x).sum()) < rows, name
+        assert np.any(r != x), name
+
+
+class _RecordingDecoder:
+    """Multistage decisions that keep a copy of every input they are given."""
+
+    def __init__(self, spec):
+        self.inner = MultistageDecoder(spec)
+        self.inputs = []
+
+    def lattice_points(self, ys):
+        self.inputs.append(np.array(ys))
+        return self.inner.lattice_points(ys)
+
+
+class _DeclaredRecordingDecoder(_RecordingDecoder):
+    shift_equivariant = True
+
+
+def test_wer_sweep_folds_for_decoders_without_the_shift_declaration():
+    spec = builtin_spec("desk8-e8")
+    energy, trials, seed = average_energy(spec), 300, 12
+    ords = random_ordinals(spec, trials, seed)
+    noise = sigma_for(energy, 12.0) * _standard_normals(seed, 0, trials, spec.n)
+    x = spec.encode_batch(ords)
+    r = spec.representative_batch(ords)
+    assert np.any(r != x)
+    for cls, sent in ((_RecordingDecoder, x), (_DeclaredRecordingDecoder, r)):
+        dec = cls(spec)
+        wer_sweep(spec, [12.0], trials=trials, seed=seed, energy=energy, decoder=dec)
+        (seen,) = dec.inputs
+        assert np.array_equal(seen, sent + noise)
+    assert MultistageDecoder.shift_equivariant is True
+    assert ExhaustiveDecoder.shift_equivariant is False
+
+
 def test_csv_format():
     spec = builtin_spec("pair2")
     points = wer_sweep(spec, [3.0], trials=500, seed=0)
