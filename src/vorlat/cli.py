@@ -194,8 +194,7 @@ def _cmd_wer(args) -> int:
 
 def _cmd_enumerate(args) -> int:
     spec = get_spec(args.spec)
-    ordinals = spec.all_ordinals()  # refuses oversized constellations
-    points = spec.encode_batch(ordinals)
+    points = spec.enumerate_constellation()  # refuses oversized constellations
     lines = [
         f"# spec = {args.spec}",
         f"# points = {spec.message_count}",

@@ -47,6 +47,7 @@ from .quantize import (
 )
 
 _ENUM_LIMIT = 1 << 20
+_ENCODE_BLOCK = 4096  # rows per encode call when enumerating the constellation
 _INT64_ORDINALS = 1 << 63  # message counts from here on do not fit int64 ordinals
 
 
@@ -297,8 +298,16 @@ class VoronoiCodeSpec:
     # -- enumeration ------------------------------------------------------------
 
     def enumerate_constellation(self) -> np.ndarray:
-        """Every constellation point, ordered by message ordinal."""
-        return self.encode_batch(self.all_ordinals())
+        """Every constellation point, ordered by message ordinal.
+
+        The points are encoded _ENCODE_BLOCK ordinals at a time into one
+        output array, so the fold's temporaries stay the size of a block.
+        """
+        ordinals = self.all_ordinals()
+        out = np.empty((len(ordinals), self.n), dtype=np.int64)
+        for lo in range(0, len(ordinals), _ENCODE_BLOCK):
+            out[lo : lo + _ENCODE_BLOCK] = self.encode_batch(ordinals[lo : lo + _ENCODE_BLOCK])
+        return out
 
     def __repr__(self):
         label = self.name or f"{self.chain!r}+{self.base!r}"

@@ -10,7 +10,6 @@ paired runs are calibration-free.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass
@@ -114,13 +113,18 @@ def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
 def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0) -> float:
     """Mean squared norm per dimension over the constellation.
 
-    Exact (full enumeration) when the constellation is small enough,
-    otherwise a Monte Carlo average over `samples` random messages.
+    Exact when the constellation is small enough: every point is encoded,
+    _TRIAL_BLOCK ordinals at a time, and the int64 squares are summed, so
+    memory stays bounded by one block. Otherwise a Monte Carlo average over
+    `samples` random messages.
     """
-    if spec.message_count <= _EXHAUSTIVE_LIMIT:
-        pts = spec.enumerate_constellation()
-        total = int((pts.astype(np.int64) ** 2).sum())
-        return total / (spec.message_count * spec.n)
+    count = spec.message_count
+    if count <= _EXHAUSTIVE_LIMIT:
+        total = 0
+        for lo in range(0, count, _TRIAL_BLOCK):
+            x = spec.encode_batch(np.arange(lo, min(lo + _TRIAL_BLOCK, count)))
+            total += int((x * x).sum())
+        return total / (count * spec.n)
     energy, _ = sampled_energy(spec, samples, seed)
     return energy
 
@@ -247,21 +251,47 @@ def _code_ml(code: LinearCode) -> _TableML:
     return _TableML(words, onehot)
 
 
-def _wagner_ml_batch(code: LinearCode, costs: np.ndarray) -> np.ndarray:
-    """Exact ML for binary codes with a single parity constraint.
+class _WagnerML:
+    """Exact ML for a binary [n, n-1] code by Wagner's rule (Silverman and
+    Balser, Proc. IRE 42(9), 1954), O(n) per row.
 
-    Take the cheaper bit everywhere; if the dual constraint is violated,
-    flip the constrained position with the smallest cost penalty.
+    Each position takes its cheaper bit, 0 on a tie (bit 1 only where
+    delta = cost1 - cost0 < 0). If the parity row h then sees an odd weight,
+    one position of h's support with least |delta| flips: the first of them
+    that holds a 1, or else the last of them. Flipping a 1 to 0 as early as
+    possible, or a 0 to 1 as late as possible, gives the lexicographically
+    smallest ML word: for a code in reduced row echelon form that is the
+    first ML word in message order, the word table ML returns.
+
+    The support of h is found once, when the level is built. A call works on
+    (positions, rows) arrays, so every reduction over positions is an
+    elementwise operation along the rows.
     """
-    h = code.parity_check()[0]
-    delta = costs[:, :, 1] - costs[:, :, 0]
-    bits = (delta < 0).astype(np.int64)
-    syndrome = (bits @ h) % 2
-    penalty = np.abs(delta) + np.where(h[None, :] == 1, 0.0, np.inf)
-    flip = np.argmin(penalty, axis=1)
-    rows = np.nonzero(syndrome == 1)[0]
-    bits[rows, flip[rows]] ^= 1
-    return bits
+
+    def __init__(self, code: LinearCode):
+        self.support = np.flatnonzero(code.parity_check()[0])
+        m = len(self.support)
+        # Position j of the support gets key j if it holds a 1 and 2m-1-j if
+        # it holds a 0, plus 2m off the least |delta|: the least key marks
+        # the position to flip.
+        dtype = np.min_scalar_type(-4 * m)
+        j = np.arange(m)[:, None]
+        self.key_zero = (2 * m - 1 - j).astype(dtype)
+        self.key_step = (2 * j + 1 - 2 * m).astype(dtype)
+        self.key_off = dtype.type(2 * m)
+
+    def __call__(self, costs: np.ndarray) -> np.ndarray:
+        delta = np.subtract(costs[:, :, 1].T, costs[:, :, 0].T, order="C")
+        bits = delta < 0
+        b = bits[self.support]
+        a = np.abs(delta[self.support])
+        key = b * self.key_step
+        key += self.key_zero
+        key += (a != a.min(axis=0)) * self.key_off
+        flip = key == key.min(axis=0)
+        flip &= np.logical_xor.reduce(b, axis=0)
+        bits[self.support] ^= flip
+        return bits.T.astype(np.int64, order="C")
 
 
 class MultistageDecoder:
@@ -269,10 +299,15 @@ class MultistageDecoder:
 
     Level i sees the residual of the levels below it; its per-symbol cost for
     symbol v is the squared distance from the residual to the nearest integer
-    congruent to v at scale q^i. After the last level the residual is rounded
-    to the integer grid (`lattice_points`), and `decode_batch` folds the
-    assembled lattice point back into the constellation. The fold does not
-    change the message, so callers that only compare messages can skip it.
+    congruent to v at scale q^i. The ML routine of a level follows from its
+    code's structure: Wagner's rule (`_WagnerML`) for every binary [n, n-1]
+    code, table ML (`_code_ml`) for any other code of at most
+    _TABLE_ML_LIMIT words; other codes are refused. Both return the first
+    ML word in message order, so the decision does not depend on which
+    routine runs. After the last level the residual is rounded to the
+    integer grid (`lattice_points`), and `decode_batch` folds the assembled
+    lattice point back into the constellation. The fold does not change the
+    message, so callers that only compare messages can skip it.
 
     `lattice_points` commutes with shifts by q^a Z^n: level i reads the
     residual only modulo q^(i+1), and the grid round moves by the same
@@ -288,10 +323,10 @@ class MultistageDecoder:
         self.spec = spec
         self._strategies = []
         for level, code in enumerate(spec.chain.codes):
-            if code.q**code.k <= _TABLE_ML_LIMIT:
+            if code.q == 2 and code.k == code.n - 1:
+                self._strategies.append(_WagnerML(code))
+            elif code.q**code.k <= _TABLE_ML_LIMIT:
                 self._strategies.append(_code_ml(code))
-            elif code.q == 2 and code.k == code.n - 1:
-                self._strategies.append(functools.partial(_wagner_ml_batch, code))
             else:
                 raise ValueError(
                     f"level {level} code is too large for exhaustive metrics"

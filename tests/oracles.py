@@ -5,11 +5,11 @@ brute-force enumeration) so they share no code with the package internals
 they check. The exceptions are the Leech coset oracle, which takes the
 Golay codebook from the package as data; the point membership test, which
 solves against the lattice's own triangular generator with the package's
-integer solver; the reference encode, index, ML and sweep loops, which are
-the package's earlier, unoptimised forms of the same computation and reuse
-its codes, channel, decoders and box fold; and the brute-force constellation
-and coset-representative searches, which fold with the spec's quantizer and
-test membership in its lattices.
+integer solver; the reference encode, index, ML, multistage, energy and
+sweep loops, which are the package's earlier, unoptimised forms of the same
+computation and reuse its codes, channel, decoders, encoder and box fold;
+and the brute-force constellation and coset-representative searches, which
+fold with the spec's quantizer and test membership in its lattices.
 """
 
 import math
@@ -322,6 +322,33 @@ def table_ml_reference(code, costs) -> np.ndarray:
     flat = costs.reshape(costs.shape[0], -1)
     scores = flat[:, idx].sum(axis=2)
     return words[np.argmin(scores, axis=1)]
+
+
+def multistage_reference(spec, ys) -> np.ndarray:
+    """Multistage lattice points, unfolded, with `table_ml_reference` at every level.
+
+    Level i prices symbol v at each coordinate by the squared distance from
+    the residual to the nearest number q^i (v + q z), z an integer, halves
+    rounding up; it takes the table-ML word and subtracts q^i times it. The
+    last residual is rounded to q^a Z^n, halves up.
+    """
+    q = spec.q
+    t = np.asarray(ys, dtype=np.float64) - spec._offset_np
+    point = np.zeros(t.shape, dtype=np.int64)
+    v = np.arange(q)
+    for level, code in enumerate(spec.chain.codes):
+        scale = q**level
+        z = np.floor((t[:, :, None] / scale - v) / q + 0.5)
+        words = table_ml_reference(code, (t[:, :, None] - scale * (v + q * z)) ** 2)
+        point += scale * words
+        t = t - scale * words
+    return point + spec.qa * np.floor(t / spec.qa + 0.5).astype(np.int64) + spec._offset_np
+
+
+def energy_reference(spec) -> float:
+    """Exact energy per dimension from the whole constellation in one array."""
+    points = spec.encode_batch(np.arange(spec.message_count))
+    return int((points**2).sum()) / (spec.message_count * spec.n)
 
 
 def wer_sweep_reference(spec, es_n0_list, *, trials, seed, max_errors, energy,

@@ -6,7 +6,13 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from oracles import ml_decode, table_ml_reference, wer_sweep_reference
+from oracles import (
+    energy_reference,
+    ml_decode,
+    multistage_reference,
+    table_ml_reference,
+    wer_sweep_reference,
+)
 from vorlat.codes import LinearCode, single_parity_check_code
 from vorlat.shaping import builtin_spec
 from vorlat.simulate import (
@@ -15,10 +21,11 @@ from vorlat.simulate import (
     ExhaustiveDecoder,
     MultistageDecoder,
     _TRIAL_BLOCK,
+    _TableML,
+    _WagnerML,
     _code_ml,
     _standard_normals,
     _stream,
-    _wagner_ml_batch,
     average_energy,
     bench_spec_for_dim,
     complexity_bench,
@@ -120,6 +127,23 @@ def test_average_energy_small_systems_exact():
     assert average_energy(builtin_spec("desk8-cube")) == pytest.approx(5.5)
 
 
+def test_average_energy_equals_the_whole_constellation_sum():
+    for name in ("pair2", "desk8-cube", "desk8-e8"):
+        spec = builtin_spec(name)
+        assert average_energy(spec) == energy_reference(spec), name
+
+
+def test_average_energy_memory_is_one_block():
+    spec = builtin_spec("desk8-e8")  # 2^16 points, a 4 MiB constellation
+    tracemalloc.start()
+    try:
+        average_energy(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
 def test_sampled_energy_matches_enumeration():
     for name in ("pair2", "desk8-e8"):
         spec = builtin_spec(name)
@@ -199,7 +223,7 @@ def test_wagner_matches_table_ml():
     for n in range(3, 13):
         spc = single_parity_check_code(n)
         costs = rng.normal(0, 1, (200, n, 2)) ** 2
-        assert np.array_equal(_wagner_ml_batch(spc, costs), _code_ml(spc)(costs))
+        assert np.array_equal(_WagnerML(spc)(costs), _code_ml(spc)(costs))
 
 
 def test_wagner_agrees_with_reference_decoder():
@@ -208,16 +232,31 @@ def test_wagner_agrees_with_reference_decoder():
     pos = np.arange(8)
     for _ in range(25):
         costs = rng.normal(0, 1, (8, 2)) ** 2
-        wag = _wagner_ml_batch(spc, costs[None, :, :])[0]
+        wag = _WagnerML(spc)(costs[None, :, :])[0]
         ref = ml_decode(spc, costs)
         assert costs[pos, wag].sum() == pytest.approx(costs[pos, ref].sum())
+
+
+def test_wagner_ties_go_to_the_table_ml_word():
+    # costs in {0, 1, 2} sum exactly and tie often: Wagner's rule must return
+    # the first ML word in message order, the word table ML returns
+    rng = np.random.default_rng(12)
+    # the last code's parity row is 1 1 1 0 0: positions 3 and 4 are free
+    free = LinearCode([[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    assert free.parity_check().tolist() == [[1, 1, 1, 0, 0]]
+    for code in [single_parity_check_code(n) for n in range(2, 13)] + [free]:
+        costs = rng.integers(0, 3, (2000, code.n, 2)).astype(np.float64)
+        words = _WagnerML(code)(costs)
+        assert np.array_equal(words, _code_ml(code)(costs)), code
+        for row, cost in zip(words[:30], costs[:30]):
+            assert np.array_equal(row, ml_decode(code, cost)), code
 
 
 def test_wagner_on_wide_codes_outputs_valid_words():
     rng = np.random.default_rng(3)
     spc = single_parity_check_code(24)
     costs = rng.normal(0, 1, (60, 24, 2)) ** 2
-    words = _wagner_ml_batch(spc, costs)
+    words = _WagnerML(spc)(costs)
     assert np.all(words.sum(axis=1) % 2 == 0)
     pos = np.arange(24)
     best = costs[np.arange(60)[:, None], pos, words].sum(axis=1)
@@ -227,6 +266,33 @@ def test_wagner_on_wide_codes_outputs_valid_words():
         c = spc.encode_batch(m)
         other = costs[np.arange(60)[:, None], pos, c].sum(axis=1)
         assert np.all(best <= other + 1e-9)
+
+
+def test_multistage_matches_table_ml_at_every_level():
+    # Wagner's rule runs the [n, n-1] levels; half-integer rows tie exactly
+    for name in ("pair2", "desk8-cube", "desk8-e8", "desk8-ham"):
+        spec = builtin_spec(name)
+        dec = MultistageDecoder(spec)
+        assert [type(ml) for ml in dec._strategies] == [
+            _WagnerML if c.k == c.n - 1 else _TableML for c in spec.chain.codes], name
+        x = spec.representative_batch(random_ordinals(spec, 2560, seed=9))
+        y = x + 0.9 * _standard_normals(9, 0, 2560, spec.n)
+        y[2048:] = np.round(y[2048:] * 2) / 2
+        assert np.array_equal(dec.lattice_points(y), multistage_reference(spec, y)), name
+
+
+def test_multistage_memory_is_bounded_per_call():
+    spec = builtin_spec("desk8-e8")
+    dec = MultistageDecoder(spec)
+    y = spec.representative_batch(random_ordinals(spec, 4096, seed=2)) + 0.5 * (
+        _standard_normals(2, 0, 4096, spec.n))
+    tracemalloc.start()
+    try:
+        dec.lattice_points(y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_decoders_recover_clean_points():
