@@ -47,9 +47,12 @@ def _dn_round(y: np.ndarray) -> np.ndarray:
     return f
 
 
-def _finite(ys) -> np.ndarray:
-    """ys as float64, refusing NaN and infinite entries with a ValueError."""
+def _finite(ys, n: int) -> np.ndarray:
+    """ys as a float64 (rows, n) array; other shapes and NaN or infinite
+    entries are refused with a ValueError."""
     y = np.asarray(ys, dtype=np.float64)
+    if y.ndim != 2 or y.shape[1] != n:
+        raise ValueError(f"expected a 2-d array of rows with {n} columns, got shape {y.shape}")
     if not np.isfinite(y).all():
         at = tuple(int(i) for i in np.argwhere(~np.isfinite(y))[0])
         raise ValueError(f"cannot quantize non-finite input {y[at]} at index {at}")
@@ -71,32 +74,79 @@ class Quantizer:
 
 class ZnQuantizer(Quantizer):
     def quantize_batch(self, ys):
-        return round_half_up(_finite(ys)).astype(np.int64)
+        return round_half_up(_finite(ys, self.lattice.dim)).astype(np.int64)
 
 
 class DnQuantizer(Quantizer):
     def quantize_batch(self, ys):
-        return _dn_round(_finite(ys)).astype(np.int64)
+        return _dn_round(_finite(ys, self.lattice.dim)).astype(np.int64)
 
 
-def _e8_unimodular_round(y: np.ndarray) -> np.ndarray:
-    """Nearest point of the unit Gosset lattice (D8 union D8 + half-ones)."""
-    a = _dn_round(y)
-    b = _dn_round(y - 0.5) + 0.5
-    da = ((y - a) ** 2).sum(axis=1)
-    db = ((y - b) ** 2).sum(axis=1)
-    # a is integral and b is not, so they differ in their first coordinate:
-    # on a tie the lexicographically smaller point has the smaller first one.
+# Rows per block: each (2, 8, rows) float temporary is 64 KB, under the 128 KB
+# from which glibc maps (and page-faults) every allocation afresh by default.
+_E8_ROWS = 512
+_E8_FIRST = np.arange(8, 0, -1, dtype=np.uint8)[:, None]  # weight 8 - i of coordinate i
+
+
+def _e8_block(y: np.ndarray, out: np.ndarray) -> None:
+    """Write the nearest E8_int point of each row of y into the same rows of out.
+
+    Works coordinate-major on w = (y/2, y/2 - 1/2), shape (2, 8, rows), so
+    that every per-row reduction runs along the rows. Each coset is rounded
+    as `_dn_round` does; the float steps are the same, so the output is too.
+    """
+    w = np.empty((2, 8, len(y)))
+    z = w[0]
+    np.multiply(y.T, 0.5, out=z)
+    np.subtract(z, 0.5, out=w[1])
+    f = np.floor(w + 0.5)
+    e = w - f
+    # where a coordinate sum is odd (it is exact below 2^53), step the first
+    # coordinate of largest |error| the other way: it holds the largest weight
+    # on the `== max` mask, and the weight is zeroed where the sum is even
+    half = f.sum(axis=1) * 0.5
+    mag = np.abs(e)
+    top = mag == mag.max(axis=1, keepdims=True)
+    first = (top * _E8_FIRST).max(axis=1)
+    first *= half != np.floor(half)
+    at = _E8_FIRST == first[:, None]
+    step = (e > 0).view(np.int8) * np.int8(2)
+    step -= at
+    step *= at  # +1 at a marked positive error, -1 at a marked error <= 0
+    f += step
+    f[1] += 0.5
+    # squared distances summed in the pairwise order of a row-major .sum(axis=1)
+    d = e
+    np.subtract(z, f[0], out=d[0])
+    np.subtract(z, f[1], out=d[1])
+    d *= d
+    s = d[:, 0::2] + d[:, 1::2]
+    s = s[:, 0::2] + s[:, 1::2]
+    da, db = s[:, 0] + s[:, 1]
+    # the D8 point is integral and the other is not, so they differ in their
+    # first coordinate: on a tie the smaller first one is the smaller point
     tie = np.abs(da - db) <= TIE_EPS
-    pick_b = (db < da - TIE_EPS) | (tie & (b[:, 0] < a[:, 0]))
-    return np.where(pick_b[:, None], b, a)
+    pick = (db < da - TIE_EPS) | (tie & (f[1, 0] < f[0, 0]))
+    np.multiply(np.where(pick, f[1], f[0]), 2.0, out=out.T, casting="unsafe")
 
 
 class E8FastQuantizer(Quantizer):
-    """Exact nearest point of E8_int via the doubled Gosset decoder."""
+    """Exact nearest point of E8_int via the doubled Gosset decoder.
+
+    At half scale E8_int is D8 union D8 + 1/2 (Conway & Sloane, 1982). Rows are
+    taken in blocks of _E8_ROWS; each block rounds both cosets in one
+    coordinate-major pass and keeps the nearer point, so memory stays bounded
+    by the output plus a few 64 KB temporaries whatever the batch size. Ties
+    within a coset follow `_dn_round` (lowest index); ties within TIE_EPS
+    between the cosets go to the lexicographically smaller point.
+    """
 
     def quantize_batch(self, ys):
-        return np.rint(2.0 * _e8_unimodular_round(_finite(ys) * 0.5)).astype(np.int64)
+        y = _finite(ys, 8)
+        out = np.empty(y.shape, dtype=np.int64)
+        for lo in range(0, len(y), _E8_ROWS):
+            _e8_block(y[lo : lo + _E8_ROWS], out[lo : lo + _E8_ROWS])
+        return out
 
 
 _LEECH_ROWS = 16  # rows per block: the per-class temporaries stay under 1 MB
@@ -178,7 +228,7 @@ class LeechFastQuantizer(Quantizer):
         return out
 
     def quantize_batch(self, ys):
-        y = np.atleast_2d(_finite(ys))
+        y = _finite(ys, 24)
         yq = y.T * 0.25
         best = np.empty(y.shape[0], dtype=np.int64)
         for lo in range(0, y.shape[0], _LEECH_ROWS):
@@ -297,7 +347,6 @@ class EnumerationQuantizer(Quantizer):
                 step[k] = -step[k] - (1 if step[k] > 0 else -1)
 
     def _nearest(self, y):
-        y = _finite(y)
         cov_sq = self.lattice.cov_sq
         leaves, best = self._search(self._q.T @ y, math.inf if cov_sq is None else cov_sq)
         # matvec returns int tuples, which compare lexicographically
@@ -306,7 +355,8 @@ class EnumerationQuantizer(Quantizer):
 
     def quantize_batch(self, ys):
         y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-        return np.stack([self._nearest(row) for row in y])
+        # any width: a wrong one fails in the search's own matrix product
+        return np.stack([self._nearest(row) for row in _finite(y, y.shape[-1])])
 
 
 class ScaledQuantizer(Quantizer):

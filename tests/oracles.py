@@ -3,7 +3,9 @@
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
 they check. The exceptions are the Leech coset oracle, which takes the
-Golay codebook from the package as data; the point membership test, which
+Golay codebook from the package as data; the E8 reference, which rounds each
+D8 coset with the package's `_dn_round`, so that the fast E8 kernel and the
+D_n quantizer answer to one D_n rule; the point membership test, which
 solves against the lattice's own triangular generator with the package's
 integer solver; the reference encode, index, ML, multistage, energy and
 sweep loops, which are the package's earlier, unoptimised forms of the same
@@ -22,7 +24,7 @@ from vorlat import golay
 from vorlat.codes import _CODEWORD_TABLE_LIMIT, ordinals_to_symbols
 from vorlat.intmat import IntMatrix, integer_solve_lower_triangular
 from vorlat.lattice import Lattice, quotient_order
-from vorlat.quantize import fold_batch, fold_mod_parallelotope_batch
+from vorlat.quantize import TIE_EPS, _dn_round, fold_batch, fold_mod_parallelotope_batch
 from vorlat.shaping import _ENUM_LIMIT, VoronoiCodeSpec
 from vorlat.simulate import (
     _TRIAL_BLOCK,
@@ -223,6 +225,25 @@ def index_reference(spec, points) -> np.ndarray:
         weights[i] = w
         w *= int(spec.s_box[i])
     return ords + radix * (s @ weights)
+
+
+def e8_round_reference(ys) -> np.ndarray:
+    """Nearest E8_int points by two row-major `_dn_round` calls, one per coset.
+
+    At half scale E8_int is D8 union D8 + 1/2: round y/2 and y/2 - 1/2 to D8,
+    keep the nearer of the two points, and on a tie within TIE_EPS the
+    lexicographically smaller one. Squared distances are `.sum(axis=1)` of
+    (rows, 8) arrays. This is the package's earlier E8 quantizer.
+    """
+    h = np.asarray(ys, dtype=np.float64) * 0.5
+    a = _dn_round(h)
+    b = _dn_round(h - 0.5) + 0.5
+    da = ((h - a) ** 2).sum(axis=1)
+    db = ((h - b) ** 2).sum(axis=1)
+    # a is integral and b is not, so they differ in their first coordinate
+    tie = np.abs(da - db) <= TIE_EPS
+    pick_b = (db < da - TIE_EPS) | (tie & (b[:, 0] < a[:, 0]))
+    return np.rint(2.0 * np.where(pick_b[:, None], b, a)).astype(np.int64)
 
 
 def leech_coset_reference(ys) -> np.ndarray:

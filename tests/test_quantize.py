@@ -1,5 +1,6 @@
 """Tests for nearest-point search, folding, and second-moment estimation."""
 
+import tracemalloc
 from itertools import combinations
 
 import hypothesis.extra.numpy as hnp
@@ -19,6 +20,7 @@ from vorlat.quantize import (
     E8FastQuantizer,
     EnumerationQuantizer,
     LeechFastQuantizer,
+    Quantizer,
     ScaledQuantizer,
     ZnQuantizer,
     _dn_round,
@@ -33,6 +35,7 @@ from vorlat.simulate import random_ordinals, second_moment_mc
 from oracles import (
     contains_point,
     e8_int_short_vectors,
+    e8_round_reference,
     fold_mod_parallelotope,
     in_span,
     leech_coset_reference,
@@ -210,6 +213,76 @@ def test_e8_fast_outputs_are_optimal_voronoi_points():
     err_norms = (errs**2).sum(axis=1)
     assert np.all(err_norms <= 4.0 + 1e-9)
     assert np.all(2.0 * errs @ vecs.T <= norms[None, :] + 1e-9)
+
+
+def _e8_inputs(kind, rows, rng):
+    """E8_int inputs y of one kind; the decoder rounds y/2 and y/2 - 1/2 to D8."""
+    if kind == "uniform":
+        return rng.uniform(-8, 8, size=(rows, 8))
+    if kind == "integer":
+        return rng.integers(-6, 7, size=(rows, 8)).astype(np.float64)
+    if kind == "half":
+        return rng.integers(-12, 13, size=(rows, 8)) * 0.5
+    if kind == "quarter":
+        return rng.integers(-24, 25, size=(rows, 8)) * 0.25
+    k = rng.integers(-3, 4, size=(rows, 8))
+    k[:, 0] += 1 - k.sum(axis=1) % 2  # odd coordinate sum
+    if kind == "odd_integral":
+        # y/2 (even y) or y/2 - 1/2 (odd y) is integral with an odd sum: every
+        # error is 0, and the first coordinate steps down
+        return 2.0 * k + rng.integers(0, 2, size=(rows, 1))
+    # two coordinates share the largest |error| 3/8 at half scale, the rest
+    # err by at most 1/8: the first of the two steps
+    err = rng.choice([-0.125, 0.0, 0.125], size=(rows, 8))
+    pair = rng.random((rows, 8)).argsort(axis=1)[:, :2]
+    np.put_along_axis(err, pair, rng.choice([-0.375, 0.375], size=(rows, 2)), axis=1)
+    return 2.0 * (k + err)
+
+
+@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 4097])
+def test_e8_fast_matches_the_two_coset_reference(rows):
+    """Pointwise equality with the row-major reference across block edges."""
+    fast = E8FastQuantizer(standard_lattice("E8_int"))
+    rng = np.random.default_rng(rows)
+    for kind in ("uniform", "integer", "half", "quarter", "odd_integral", "two_largest"):
+        ys = _e8_inputs(kind, rows, rng)
+        got = fast.quantize_batch(ys)
+        assert got.dtype == np.int64 and got.shape == (rows, 8)
+        assert np.array_equal(got, e8_round_reference(ys)), kind
+
+
+def test_e8_fast_steps_the_first_of_two_largest_errors():
+    fast = E8FastQuantizer(standard_lattice("E8_int"))
+    # y/2 = (0, 3/8, 0, -3/8, 1, 0, 0, 0): odd sum, the largest errors tie at
+    # indices 1 and 3, and index 1 steps up; the D8 + 1/2 point is farther
+    y = 2.0 * np.array([0.0, 0.375, 0.0, -0.375, 1.0, 0.0, 0.0, 0.0])
+    assert nearest(fast, y).tolist() == [0, 2, 0, 0, 2, 0, 0, 0]
+    # y/2 = (1, 0, ..., 0) is integral with an odd sum: every error is 0 and
+    # coordinate 0 steps down, to the origin (the D8 + 1/2 point is farther)
+    assert nearest(fast, [2.0, 0, 0, 0, 0, 0, 0, 0]).tolist() == [0] * 8
+
+
+def test_second_moment_is_the_same_through_the_e8_reference():
+    lat = standard_lattice("E8_int")
+
+    class Reference(Quantizer):
+        def quantize_batch(self, ys):
+            return e8_round_reference(ys)
+
+    fast = second_moment_mc(E8FastQuantizer(lat), samples=20000, seed=3)
+    assert fast == second_moment_mc(Reference(lat), samples=20000, seed=3)
+
+
+def test_e8_fast_memory_is_the_output_plus_one_block():
+    ys = np.random.default_rng(6).uniform(-8, 8, size=(65536, 8))
+    fast = E8FastQuantizer(standard_lattice("E8_int"))
+    tracemalloc.start()
+    try:
+        fast.quantize_batch(ys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 << 20  # the int64 output alone is 4 MiB
 
 
 def test_leech_fast_matches_enumeration_distances():
@@ -405,6 +478,19 @@ def test_leaf_quantizers_refuse_non_finite_input(quantizer, bad):
     for ys in (one[None, :], block):
         with pytest.raises(ValueError, match=f"non-finite input {bad}"):
             quantizer.quantize_batch(ys)
+
+
+@pytest.mark.parametrize("quantizer", [
+    ZnQuantizer(standard_lattice("Zn(4)")),
+    DnQuantizer(standard_lattice("Dn(4)")),
+    E8FastQuantizer(standard_lattice("E8_int")),
+    LeechFastQuantizer(standard_lattice("Leech_int")),
+], ids=lambda q: type(q).__name__)
+def test_leaf_quantizers_refuse_rows_of_the_wrong_width(quantizer):
+    n = quantizer.lattice.dim
+    for shape in ((2, n - 1), (2, n + 1), (n,), (1, 2, n)):
+        with pytest.raises(ValueError, match=f"with {n} columns, got shape"):
+            quantizer.quantize_batch(np.zeros(shape))
 
 
 def test_wrapped_quantizers_refuse_non_finite_input():
