@@ -228,7 +228,7 @@ class _TableML:
         self.chunk = max(1, _ML_SCORES // weights.shape[1])
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        flat = x.reshape(x.shape[0], -1)
+        flat = x.reshape(x.shape[0], self.weights.shape[0])
         best = np.empty(flat.shape[0], dtype=np.int64)
         for lo in range(0, flat.shape[0], self.chunk):
             best[lo : lo + self.chunk] = np.argmin(flat[lo : lo + self.chunk] @ self.weights,
@@ -315,6 +315,17 @@ class MultistageDecoder:
     decision for a box representative plus noise and for its fold plus the
     same noise differ by the fold's shaping-lattice vector and carry one
     message (`shift_equivariant`).
+
+    Level i decides the nearest coset of q^i (C_i + q Z^n), whose cosets lie
+    q^i sqrt(d_i) apart when C_i has minimum Hamming distance d_i, and the
+    grid round decides the nearest point of q^a Z^n. So noise of norm below
+    `radius` = min(min_i q^i sqrt(d_i) / 2, q^a / 2) returns the sent
+    lattice point at every level (Barnes and Sloane, Canad. J. Math. 35,
+    1983; Forney, IEEE Trans. IT 34(5), 1988). d_i is the least nonzero
+    weight of a table level's codewords, and 2 for a Wagner level whose
+    parity row covers every position (1 otherwise); a level with no nonzero
+    word does not bound the radius. `wer_sweep` decodes no trial whose noise
+    lies inside it.
     """
 
     shift_equivariant = True
@@ -322,15 +333,27 @@ class MultistageDecoder:
     def __init__(self, spec: VoronoiCodeSpec):
         self.spec = spec
         self._strategies = []
+        bounds = [spec.qa / 2]
         for level, code in enumerate(spec.chain.codes):
             if code.q == 2 and code.k == code.n - 1:
-                self._strategies.append(_WagnerML(code))
+                ml = _WagnerML(code)
+                distance = 2 if len(ml.support) == code.n else 1
             elif code.q**code.k <= _TABLE_ML_LIMIT:
-                self._strategies.append(_code_ml(code))
+                ml = _code_ml(code)
+                weights = np.count_nonzero(ml.table, axis=1)
+                distance = min(weights[weights > 0], default=math.inf)
             else:
                 raise ValueError(
                     f"level {level} code is too large for exhaustive metrics"
                 )
+            self._strategies.append(ml)
+            bounds.append(code.q**level * math.sqrt(distance) / 2)
+        self._radius = min(bounds)
+
+    @property
+    def radius(self) -> float:
+        """Norm below which noise cannot change the decoded lattice point."""
+        return self._radius
 
     def lattice_points(self, ys: np.ndarray) -> np.ndarray:
         """Per-level ML plus the grid round: coding-lattice points, unfolded."""
@@ -426,7 +449,20 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     noise within about one ulp of a decision boundary). Every other decoder,
     `ExhaustiveDecoder` and duck-typed ones included, receives the folded
     constellation points plus noise.
+
+    A decoder with a `radius` (`MultistageDecoder`) returns the sent point
+    for any noise of smaller norm (the bound and its citation are in its
+    docstring). So each block's squared noise norms ||z||^2 are taken once,
+    and at each point the decoder gets only the rows with
+    sigma^2 ||z||^2 >= radius^2 (1 - 1e-9), in block order; every other row
+    is a correct trial, and a point with no such row makes no decoder call.
+    A block builds sent vectors only for the rows its noisiest active point
+    decodes. The 1e-9 margin covers the float rounding of the decoder's
+    sums, so the counts are those of decoding every row. Decoders without a
+    `radius` get every row.
     """
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if max_errors < 1:
         raise ValueError("max_errors must be positive")
     db_values = [float(v) for v in es_n0_list]
@@ -435,6 +471,8 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     if decoder is None:
         decoder = make_decoder(spec, mode)
     unfolded = getattr(decoder, "shift_equivariant", False)
+    radius = getattr(decoder, "radius", None)
+    screen = -math.inf if radius is None else radius * radius * (1.0 - 1e-9)
     sigmas = [sigma_for(energy, db) for db in db_values]
     errors = [0] * len(db_values)
     done = [0] * len(db_values)
@@ -445,12 +483,19 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
             break
         take = min(_TRIAL_BLOCK, trials - start)
         ords = random_ordinals(spec, take, seed, trial_offset=start)
-        x = spec.representative_batch(ords) if unfolded else spec.encode_batch(ords)
         z = _standard_normals(seed, start, take, spec.n)
+        norms = np.einsum("ij,ij->i", z, z)
+        rows = np.flatnonzero(max(sigmas[i] for i in active) ** 2 * norms >= screen)
+        ords, z, norms = ords[rows], z[rows], norms[rows]
+        x = spec.representative_batch(ords) if unfolded else spec.encode_batch(ords)
         for i in active:
-            p = decoder.lattice_points(x + sigmas[i] * z)
-            wrong = np.any(p != x, axis=1)
-            errors[i] += int(wrong.sum()) - int(spec.same_message(p[wrong], x[wrong]).sum())
+            far = np.flatnonzero(sigmas[i] ** 2 * norms >= screen)
+            if len(far):
+                sent = x[far]
+                p = decoder.lattice_points(sent + sigmas[i] * z[far])
+                wrong = np.any(p != sent, axis=1)
+                errors[i] += (int(wrong.sum())
+                              - int(spec.same_message(p[wrong], sent[wrong]).sum()))
             done[i] += take
         start += take
     points = []

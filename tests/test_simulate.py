@@ -1,10 +1,13 @@
 """Channel simulation, decoders, WER sweeps, and the encode benchmark."""
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     energy_reference,
@@ -13,8 +16,9 @@ from oracles import (
     table_ml_reference,
     wer_sweep_reference,
 )
-from vorlat.codes import LinearCode, single_parity_check_code
-from vorlat.shaping import builtin_spec
+from vorlat.codes import CodeChain, LinearCode, single_parity_check_code
+from vorlat.lattice import standard_lattice
+from vorlat.shaping import BUILTIN_SPECS, VoronoiCodeSpec, builtin_spec
 from vorlat.simulate import (
     BenchResult,
     ChannelConfig,
@@ -295,6 +299,87 @@ def test_multistage_memory_is_bounded_per_call():
     assert peak < 4 << 20
 
 
+def test_decoders_take_empty_batches():
+    cases = [(name, "multistage") for name in ("desk8-e8", "desk8-ham", "leech24")]
+    for name, mode in cases + [("pair2", "exhaustive_ml")]:
+        spec = builtin_spec(name)
+        dec = make_decoder(spec, mode)
+        y = np.empty((0, spec.n))
+        for out in (dec.lattice_points(y), dec.decode_batch(y)):
+            assert out.shape == (0, spec.n) and out.dtype == np.int64, (name, mode)
+
+
+def test_multistage_radius_of_stock_specs():
+    # min(min_i q^i sqrt(d_i) / 2, q^a / 2): rep2 sets pair2's radius, the
+    # spc level at scale 2 (or rep8 at scale 1) that of the others
+    want = {"pair2": math.sqrt(2) / 2, "desk8-cube": math.sqrt(2), "desk8-e8": math.sqrt(2),
+            "desk8-ham": math.sqrt(2), "leech24": math.sqrt(2)}
+    assert set(want) == set(BUILTIN_SPECS)
+    for name, radius in want.items():
+        assert MultistageDecoder(builtin_spec(name)).radius == pytest.approx(radius, rel=1e-12)
+
+
+def test_a_level_of_distance_one_sets_the_radius_to_one_half():
+    # one code per routine: a Wagner level whose parity row misses positions
+    # 3 and 4, and a table level with a word of weight 1
+    wagner = LinearCode([[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    table = LinearCode([[1, 1, 1, 0], [0, 0, 0, 1]])
+    for code, routine in ((wagner, _WagnerML), (table, _TableML)):
+        spec = VoronoiCodeSpec(CodeChain([code]), standard_lattice(f"Zn({code.n})"))
+        dec = MultistageDecoder(spec)
+        assert type(dec._strategies[0]) is routine
+        assert dec.radius == 0.5
+        # noise just past 1/2 on the weight-1 word's position moves the decision
+        x = spec.representative_batch(spec.all_ordinals())
+        e = np.zeros(code.n)
+        e[code.n - 1] = 0.5
+        assert np.array_equal(dec.lattice_points(x + (1 - 1e-6) * e), x)
+        assert np.all(np.any(dec.lattice_points(x + (1 + 1e-6) * e) != x, axis=1))
+
+
+def _lattice_rows(spec, rows, seed):
+    ords = random_ordinals(spec, rows, seed)
+    return np.vstack([spec.representative_batch(ords), spec.encode_batch(ords)])
+
+
+def test_multistage_radius_is_tight():
+    # e0 + e1 has norm sqrt(2), the radius of both specs: just inside it every
+    # point decodes to itself, just outside it the spc level at scale 2 flips
+    for name in ("desk8-e8", "leech24"):
+        spec = builtin_spec(name)
+        dec = MultistageDecoder(spec)
+        x = _lattice_rows(spec, 256, seed=14)
+        e = np.zeros(spec.n)
+        e[:2] = 1.0
+        assert math.sqrt(2) * (1 - 1e-6) < dec.radius
+        assert np.array_equal(dec.lattice_points(x + (1 - 1e-6) * e), x), name
+        assert np.all(np.any(dec.lattice_points(x + (1 + 1e-6) * e) != x, axis=1)), name
+
+
+@settings(max_examples=80, deadline=None)
+@given(name=st.sampled_from(BUILTIN_SPECS), support=st.integers(0, 24),
+       seed=st.integers(0, 2**32 - 1))
+@example(name="pair2", support=2, seed=0)
+@example(name="desk8-e8", support=2, seed=0)
+@example(name="desk8-ham", support=2, seed=1)
+@example(name="leech24", support=2, seed=2)
+def test_noise_inside_the_radius_returns_the_sent_point(name, support, seed):
+    # a random Gaussian direction (support 0 or above n) or a sparse +-1 one,
+    # scaled to just inside the radius; two +-1 entries meet the radius of
+    # every stock spec, so an inflated radius fails the examples above
+    spec = builtin_spec(name)
+    dec = MultistageDecoder(spec)
+    rng = np.random.default_rng(seed)
+    if 0 < support <= spec.n:
+        u = np.zeros(spec.n)
+        u[rng.choice(spec.n, support, replace=False)] = rng.choice([-1.0, 1.0], support)
+    else:
+        u = rng.standard_normal(spec.n)
+    e = dec.radius * (1 - 1e-9) * u / np.linalg.norm(u)
+    x = _lattice_rows(spec, 32, seed=seed % 1000)
+    assert np.array_equal(dec.lattice_points(x + e), x)
+
+
 def test_decoders_recover_clean_points():
     for name in ("pair2", "desk8-e8", "desk8-cube"):
         spec = builtin_spec(name)
@@ -390,6 +475,14 @@ def test_wer_sweep_reporting():
     again = wer_sweep(spec, [2.0, 4.0, 6.0], trials=2000, seed=3)
     assert points == again
     assert wer_points_to_csv(points) == wer_points_to_csv(again)
+
+
+def test_wer_sweep_refuses_bad_trial_counts():
+    spec = builtin_spec("pair2")
+    for grid in ([], [3.0]):
+        for trials in (0, -5):
+            with pytest.raises(ValueError, match="trials must be positive"):
+                wer_sweep(spec, grid, trials=trials)
 
 
 def test_wer_sweep_early_stop():
@@ -489,10 +582,53 @@ def test_wer_sweep_folds_for_decoders_without_the_shift_declaration():
     for cls, sent in ((_RecordingDecoder, x), (_DeclaredRecordingDecoder, r)):
         dec = cls(spec)
         wer_sweep(spec, [12.0], trials=trials, seed=seed, energy=energy, decoder=dec)
-        (seen,) = dec.inputs
+        (seen,) = dec.inputs  # no radius: every row, inside it or not
+        assert not hasattr(dec, "radius")
         assert np.array_equal(seen, sent + noise)
     assert MultistageDecoder.shift_equivariant is True
     assert ExhaustiveDecoder.shift_equivariant is False
+
+
+class _RadiusRecordingDecoder(_DeclaredRecordingDecoder):
+    def __init__(self, spec):
+        super().__init__(spec)
+        self.radius = self.inner.radius
+
+
+def test_wer_sweep_decodes_only_rows_outside_the_radius():
+    spec = builtin_spec("desk8-e8")
+    energy, seed, grid = average_energy(spec), 6, [8.0, 11.0, 15.0]
+    trials = _TRIAL_BLOCK + 700
+    dec = _RadiusRecordingDecoder(spec)
+    points = wer_sweep(spec, grid, trials=trials, seed=seed, energy=energy, decoder=dec,
+                       max_errors=trials)
+    assert points == wer_sweep(spec, grid, trials=trials, seed=seed, energy=energy,
+                               decoder=_DeclaredRecordingDecoder(spec), max_errors=trials)
+    want = []
+    for start in (0, _TRIAL_BLOCK):
+        take = min(_TRIAL_BLOCK, trials - start)
+        r = spec.representative_batch(random_ordinals(spec, take, seed, start))
+        z = _standard_normals(seed, start, take, spec.n)
+        for db in grid:
+            sigma = sigma_for(energy, db)
+            far = sigma**2 * (z * z).sum(axis=1) >= dec.radius**2 * (1 - 1e-9)
+            if far.any():
+                want.append(r[far] + sigma * z[far])
+    assert len(dec.inputs) == len(want) == 5  # the 15 dB point of block 1 has none
+    for seen, rows in zip(dec.inputs, want):
+        assert np.array_equal(seen, rows)
+    assert 0 < sum(len(v) for v in want[-2:]) < 2 * 700
+
+
+def test_wer_sweep_at_high_snr_makes_no_decoder_call():
+    spec = builtin_spec("desk8-e8")
+    energy = average_energy(spec)
+    dec = _RadiusRecordingDecoder(spec)
+    kwargs = dict(trials=2 * _TRIAL_BLOCK, seed=3, max_errors=10, energy=energy)
+    points = wer_sweep(spec, [40.0], decoder=dec, **kwargs)
+    assert dec.inputs == []
+    assert points == wer_sweep_reference(spec, [40.0], decoder=MultistageDecoder(spec), **kwargs)
+    assert points[0].errors == 0 and points[0].trials == 2 * _TRIAL_BLOCK
 
 
 def test_csv_format():
