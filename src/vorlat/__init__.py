@@ -31,7 +31,6 @@ from .simulate import (
     WerPoint,
     average_energy,
     complexity_bench,
-    decode_lattice,
     second_moment_mc,
     sigma_for,
     transmit,
@@ -56,7 +55,6 @@ __all__ = [
     "builtin_chain",
     "builtin_spec",
     "complexity_bench",
-    "decode_lattice",
     "direct_sum",
     "fold_batch",
     "get_spec",

@@ -294,6 +294,39 @@ class _WagnerML:
         return bits.T.astype(np.int64, order="C")
 
 
+def _min_distance(code: LinearCode) -> float:
+    """Least nonzero Hamming weight of a code's words, inf if it has none.
+
+    A binary [n, n-1] code is read from its parity row h: 2 when h covers
+    every position, 1 otherwise (a unit vector off h's support is a word).
+    Any other code is enumerated.
+    """
+    if code.q == 2 and code.k == code.n - 1:
+        return 2 if np.all(code.parity_check()[0]) else 1
+    weights = np.count_nonzero(code.codewords(), axis=1)
+    return min(weights[weights > 0], default=math.inf)
+
+
+def _guaranteed_radius(spec: VoronoiCodeSpec) -> float:
+    """min(min_i q^i sqrt(d_i) / 2, q^a / 2): noise of smaller norm cannot
+    move the multistage or the exhaustive decision off the sent point.
+
+    Level i of the multistage decoder decides the nearest coset of
+    q^i (C_i + q Z^n), whose cosets lie q^i sqrt(d_i) apart when C_i has
+    minimum Hamming distance d_i (`_min_distance`), and the grid round
+    decides the nearest point of q^a Z^n. So noise of norm below the radius
+    returns the sent lattice point at every level (Barnes and Sloane, Canad.
+    J. Math. 35, 1983; Forney, IEEE Trans. IT 34(5), 1988); a level with no
+    nonzero word does not bound it. Two coding-lattice points closer than
+    twice the radius would both be returned for their midpoint, so the
+    radius is at most d_min(coding lattice) / 2, and noise below it leaves
+    the sent point strictly nearest among all lattice points, hence among
+    the constellation points too.
+    """
+    return min([spec.qa / 2] + [code.q**level * math.sqrt(_min_distance(code)) / 2
+                                for level, code in enumerate(spec.chain.codes)])
+
+
 class MultistageDecoder:
     """Level-by-level decoding: per-symbol metrics, code ML, subtract.
 
@@ -316,16 +349,8 @@ class MultistageDecoder:
     same noise differ by the fold's shaping-lattice vector and carry one
     message (`shift_equivariant`).
 
-    Level i decides the nearest coset of q^i (C_i + q Z^n), whose cosets lie
-    q^i sqrt(d_i) apart when C_i has minimum Hamming distance d_i, and the
-    grid round decides the nearest point of q^a Z^n. So noise of norm below
-    `radius` = min(min_i q^i sqrt(d_i) / 2, q^a / 2) returns the sent
-    lattice point at every level (Barnes and Sloane, Canad. J. Math. 35,
-    1983; Forney, IEEE Trans. IT 34(5), 1988). d_i is the least nonzero
-    weight of a table level's codewords, and 2 for a Wagner level whose
-    parity row covers every position (1 otherwise); a level with no nonzero
-    word does not bound the radius. `wer_sweep` decodes no trial whose noise
-    lies inside it.
+    Noise of norm below `radius` (`_guaranteed_radius`) returns the sent
+    lattice point, so `wer_sweep` decodes no trial whose noise lies inside it.
     """
 
     shift_equivariant = True
@@ -333,22 +358,16 @@ class MultistageDecoder:
     def __init__(self, spec: VoronoiCodeSpec):
         self.spec = spec
         self._strategies = []
-        bounds = [spec.qa / 2]
         for level, code in enumerate(spec.chain.codes):
             if code.q == 2 and code.k == code.n - 1:
-                ml = _WagnerML(code)
-                distance = 2 if len(ml.support) == code.n else 1
+                self._strategies.append(_WagnerML(code))
             elif code.q**code.k <= _TABLE_ML_LIMIT:
-                ml = _code_ml(code)
-                weights = np.count_nonzero(ml.table, axis=1)
-                distance = min(weights[weights > 0], default=math.inf)
+                self._strategies.append(_code_ml(code))
             else:
                 raise ValueError(
                     f"level {level} code is too large for exhaustive metrics"
                 )
-            self._strategies.append(ml)
-            bounds.append(code.q**level * math.sqrt(distance) / 2)
-        self._radius = min(bounds)
+        self._radius = _guaranteed_radius(spec)
 
     @property
     def radius(self) -> float:
@@ -384,6 +403,9 @@ class ExhaustiveDecoder:
     weights picks the nearest point, the first in message order on ties.
     It chooses among constellation points, so its decision does not follow a
     shaping-lattice shift of the input (`shift_equivariant` is false).
+    Noise of norm below `radius` (`_guaranteed_radius`, at most half the
+    coding lattice's minimum distance) leaves the sent point strictly
+    nearest, so `wer_sweep` decodes no trial whose noise lies inside it.
     """
 
     shift_equivariant = False
@@ -398,6 +420,12 @@ class ExhaustiveDecoder:
         points = spec.enumerate_constellation()
         pts = points.astype(np.float64)
         self._ml = _TableML(points, np.vstack([-2.0 * pts.T, (pts**2).sum(axis=1)]))
+        self._radius = _guaranteed_radius(spec)
+
+    @property
+    def radius(self) -> float:
+        """Norm below which noise cannot change the decoded point."""
+        return self._radius
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         y = np.asarray(ys, dtype=np.float64)
@@ -414,15 +442,6 @@ def make_decoder(spec: VoronoiCodeSpec, mode: str):
     raise ValueError(f"unknown decode mode {mode!r}")
 
 
-def decode_lattice(spec: VoronoiCodeSpec, y, mode: str = "multistage") -> np.ndarray:
-    """Decode one received vector (or a batch) back to constellation points."""
-    decoder = make_decoder(spec, mode)
-    y = np.asarray(y, dtype=np.float64)
-    if y.ndim == 1:
-        return decoder.decode_batch(y[None, :])[0]
-    return decoder.decode_batch(y)
-
-
 # ---------------------------------------------------------------------------
 # WER sweeps
 
@@ -434,11 +453,22 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
 
     Messages and noise are paired across points and across specs sharing a
     seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
-    in the outer loop: each block's messages and standard-normal noise are
-    drawn once, the sent vectors are built once, and the block is then sent
-    through every point that has not yet reached max_errors. A trial is an
-    error when the decoder's lattice point carries another message than the
-    sent vector; decoded points are never folded.
+    in the outer loop, each in four steps over the points that have not yet
+    reached max_errors:
+
+    - draw: the block's message ordinals, standard-normal noise z and
+      squared noise norms ||z||^2, once for every point;
+    - screen: point i keeps the rows with sigma_i^2 ||z||^2 >= radius^2
+      (1 - 1e-9) when the decoder has a `radius`, every row otherwise;
+    - decode: the sent vectors of the kept rows plus sigma_i z, stacked in
+      point order and then block order, go to one `decoder.lattice_points`
+      call, so a call holds at most (active points) x _TRIAL_BLOCK rows; a
+      block that keeps no row makes no call;
+    - count: a row is an error when its lattice point carries another
+      message than its sent vector (`spec.same_message`, run once on the
+      rows whose point differs); errors go back to their points by count.
+    Decoded points are never folded. A row's decision does not depend on
+    the other rows of its call, so stacking changes no count.
 
     The fold of encoding only moves a box representative by a shaping-lattice
     vector into the Voronoi region, which sets the energy (`energy`, or
@@ -450,16 +480,12 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     `ExhaustiveDecoder` and duck-typed ones included, receives the folded
     constellation points plus noise.
 
-    A decoder with a `radius` (`MultistageDecoder`) returns the sent point
-    for any noise of smaller norm (the bound and its citation are in its
-    docstring). So each block's squared noise norms ||z||^2 are taken once,
-    and at each point the decoder gets only the rows with
-    sigma^2 ||z||^2 >= radius^2 (1 - 1e-9), in block order; every other row
-    is a correct trial, and a point with no such row makes no decoder call.
-    A block builds sent vectors only for the rows its noisiest active point
-    decodes. The 1e-9 margin covers the float rounding of the decoder's
-    sums, so the counts are those of decoding every row. Decoders without a
-    `radius` get every row.
+    A decoder with a `radius` (`MultistageDecoder`, `ExhaustiveDecoder`)
+    returns the sent point for any noise of smaller norm
+    (`_guaranteed_radius`), so every row the screen drops is a correct
+    trial. The 1e-9 margin covers the float rounding of the decoder's sums,
+    so the counts are those of decoding every row. A block builds sent
+    vectors only for the rows its noisiest active point keeps.
     """
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -487,15 +513,19 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
         norms = np.einsum("ij,ij->i", z, z)
         rows = np.flatnonzero(max(sigmas[i] for i in active) ** 2 * norms >= screen)
         ords, z, norms = ords[rows], z[rows], norms[rows]
-        x = spec.representative_batch(ords) if unfolded else spec.encode_batch(ords)
+        far = [np.flatnonzero(sigmas[i] ** 2 * norms >= screen) for i in active]
+        kept = np.concatenate(far)
+        if len(kept):
+            x = spec.representative_batch(ords) if unfolded else spec.encode_batch(ords)
+            sent = x[kept]
+            p = decoder.lattice_points(
+                sent + np.concatenate([sigmas[i] * z[f] for i, f in zip(active, far)]))
+            wrong = np.flatnonzero(np.any(p != sent, axis=1))
+            wrong = wrong[~spec.same_message(p[wrong], sent[wrong])]
+            point = np.repeat(active, [len(f) for f in far])
+            for i, e in enumerate(np.bincount(point[wrong], minlength=len(sigmas))):
+                errors[i] += int(e)
         for i in active:
-            far = np.flatnonzero(sigmas[i] ** 2 * norms >= screen)
-            if len(far):
-                sent = x[far]
-                p = decoder.lattice_points(sent + sigmas[i] * z[far])
-                wrong = np.any(p != sent, axis=1)
-                errors[i] += (int(wrong.sum())
-                              - int(spec.same_message(p[wrong], sent[wrong]).sum()))
             done[i] += take
         start += take
     points = []

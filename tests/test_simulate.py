@@ -33,7 +33,6 @@ from vorlat.simulate import (
     average_energy,
     bench_spec_for_dim,
     complexity_bench,
-    decode_lattice,
     interpolate_db_at_wer,
     make_decoder,
     random_ordinals,
@@ -299,6 +298,33 @@ def test_multistage_memory_is_bounded_per_call():
     assert peak < 4 << 20
 
 
+def test_lattice_points_do_not_depend_on_the_batch():
+    # wer_sweep stacks the rows of every Es/N0 point into one call, so a row's
+    # decision must not depend on the rows beside it: table ML (desk8-ham's
+    # BLAS matmul, whose stack here spans more than one chunk of its Hamming
+    # level), Wagner's rule (desk8-e8, desk8-cube) and leech24's two levels
+    sigmas = (0.4, 0.7, 1.2)
+    for name in ("desk8-ham", "desk8-e8", "desk8-cube", "leech24"):
+        spec = builtin_spec(name)
+        dec = MultistageDecoder(spec)
+        rows = 2000
+        if name == "desk8-ham":
+            chunk = min(ml.chunk for ml in dec._strategies if isinstance(ml, _TableML))
+            rows = chunk // len(sigmas) + 500
+            assert len(sigmas) * rows > chunk > rows
+        sent = [spec.representative_batch(random_ordinals(spec, rows, seed))
+                for seed in range(len(sigmas))]
+        parts = [x + sigma * _standard_normals(seed, 0, rows, spec.n)
+                 for seed, (sigma, x) in enumerate(zip(sigmas, sent))]
+        stack = np.vstack(parts)
+        got = dec.lattice_points(stack)
+        assert np.array_equal(got, np.vstack([dec.lattice_points(y) for y in parts])), name
+        pick = np.arange(0, len(stack), 97)
+        singles = np.vstack([dec.lattice_points(stack[i : i + 1]) for i in pick])
+        assert np.array_equal(got[pick], singles), name
+        assert 0 < int(np.any(got != np.vstack(sent), axis=1).sum()) < len(stack), name
+
+
 def test_decoders_take_empty_batches():
     cases = [(name, "multistage") for name in ("desk8-e8", "desk8-ham", "leech24")]
     for name, mode in cases + [("pair2", "exhaustive_ml")]:
@@ -387,8 +413,7 @@ def test_decoders_recover_clean_points():
         x = spec.encode_batch(ords)
         y = x.astype(np.float64)
         for mode in ("multistage", "exhaustive_ml"):
-            assert np.array_equal(decode_lattice(spec, y, mode), x)
-        assert np.array_equal(decode_lattice(spec, y[0], "multistage"), x[0])
+            assert np.array_equal(make_decoder(spec, mode).decode_batch(y), x)
 
 
 def test_tiny_noise_gives_zero_errors():
@@ -396,7 +421,7 @@ def test_tiny_noise_gives_zero_errors():
     ords = random_ordinals(spec, 1000, seed=6)
     x = spec.encode_batch(ords)
     y = transmit(x, ChannelConfig(sigma=0.01, seed=6))
-    decoded = decode_lattice(spec, y, "multistage")
+    decoded = make_decoder(spec, "multistage").decode_batch(y)
     assert np.array_equal(decoded, x)
 
 
@@ -406,8 +431,8 @@ def test_multistage_close_to_exhaustive_at_moderate_noise():
     ords = random_ordinals(spec, trials, seed=7)
     x = spec.encode_batch(ords)
     y = transmit(x, ChannelConfig(sigma=0.45, seed=7))
-    e_ms = int(np.any(decode_lattice(spec, y, "multistage") != x, axis=1).sum())
-    e_ex = int(np.any(decode_lattice(spec, y, "exhaustive_ml") != x, axis=1).sum())
+    e_ms, e_ex = (int(np.any(make_decoder(spec, mode).decode_batch(y) != x, axis=1).sum())
+                  for mode in ("multistage", "exhaustive_ml"))
     assert 0 < e_ex <= e_ms <= 2 * e_ex
 
 
@@ -417,7 +442,7 @@ def test_saturated_noise_approaches_blind_guessing():
     ords = random_ordinals(spec, trials, seed=8)
     x = spec.encode_batch(ords)
     y = transmit(x, ChannelConfig(sigma=1000.0, seed=8))
-    wer = np.any(decode_lattice(spec, y, "multistage") != x, axis=1).mean()
+    wer = np.any(make_decoder(spec, "multistage").decode_batch(y) != x, axis=1).mean()
     assert abs(wer - (1 - 1 / spec.message_count)) < 0.01
 
 
@@ -556,10 +581,10 @@ def test_box_representatives_give_the_error_flags_of_folded_points():
 
 
 class _RecordingDecoder:
-    """Multistage decisions that keep a copy of every input they are given."""
+    """Decisions of an inner decoder that keep a copy of every input they get."""
 
-    def __init__(self, spec):
-        self.inner = MultistageDecoder(spec)
+    def __init__(self, spec, inner=MultistageDecoder):
+        self.inner = inner(spec)
         self.inputs = []
 
     def lattice_points(self, ys):
@@ -589,13 +614,33 @@ def test_wer_sweep_folds_for_decoders_without_the_shift_declaration():
     assert ExhaustiveDecoder.shift_equivariant is False
 
 
-class _RadiusRecordingDecoder(_DeclaredRecordingDecoder):
-    def __init__(self, spec):
-        super().__init__(spec)
+class _RadiusRecordingDecoder(_RecordingDecoder):
+    def __init__(self, spec, inner=MultistageDecoder):
+        super().__init__(spec, inner)
         self.radius = self.inner.radius
+        self.shift_equivariant = self.inner.shift_equivariant
+
+
+def _per_point_inputs(spec, grid, *, trials, seed, energy, radius, sent_of):
+    """Per trial block, the screened rows of each point: what a sweep with one
+    decoder call per (block, point) sent, with `sent_of(ords)` as sent vectors."""
+    blocks = []
+    for start in range(0, trials, _TRIAL_BLOCK):
+        take = min(_TRIAL_BLOCK, trials - start)
+        sent = sent_of(random_ordinals(spec, take, seed, start))
+        z = _standard_normals(seed, start, take, spec.n)
+        per_point = []
+        for db in grid:
+            sigma = sigma_for(energy, db)
+            far = sigma**2 * (z * z).sum(axis=1) >= radius**2 * (1 - 1e-9)
+            per_point.append(sent[far] + sigma * z[far])
+        blocks.append(per_point)
+    return blocks
 
 
 def test_wer_sweep_decodes_only_rows_outside_the_radius():
+    # one call per block: the screened rows of every point, stacked in point
+    # order, bit for bit what one call per (block, point) sent before
     spec = builtin_spec("desk8-e8")
     energy, seed, grid = average_energy(spec), 6, [8.0, 11.0, 15.0]
     trials = _TRIAL_BLOCK + 700
@@ -604,20 +649,46 @@ def test_wer_sweep_decodes_only_rows_outside_the_radius():
                        max_errors=trials)
     assert points == wer_sweep(spec, grid, trials=trials, seed=seed, energy=energy,
                                decoder=_DeclaredRecordingDecoder(spec), max_errors=trials)
-    want = []
-    for start in (0, _TRIAL_BLOCK):
-        take = min(_TRIAL_BLOCK, trials - start)
-        r = spec.representative_batch(random_ordinals(spec, take, seed, start))
-        z = _standard_normals(seed, start, take, spec.n)
-        for db in grid:
-            sigma = sigma_for(energy, db)
-            far = sigma**2 * (z * z).sum(axis=1) >= dec.radius**2 * (1 - 1e-9)
-            if far.any():
-                want.append(r[far] + sigma * z[far])
-    assert len(dec.inputs) == len(want) == 5  # the 15 dB point of block 1 has none
-    for seen, rows in zip(dec.inputs, want):
-        assert np.array_equal(seen, rows)
-    assert 0 < sum(len(v) for v in want[-2:]) < 2 * 700
+    blocks = _per_point_inputs(spec, grid, trials=trials, seed=seed, energy=energy,
+                               radius=dec.radius, sent_of=spec.representative_batch)
+    assert len(dec.inputs) == len(blocks) == 2
+    for seen, per_point in zip(dec.inputs, blocks):
+        assert np.array_equal(seen, np.vstack(per_point))
+    assert len(blocks[1][2]) == 0  # the 15 dB point of block 1 has no row
+    assert all(len(rows) for rows in blocks[0] + blocks[1][:2])
+    assert 0 < sum(len(rows) for rows in blocks[1]) < 2 * 700
+
+
+def test_exhaustive_decoder_radius_is_the_multistage_radius_and_holds():
+    # noise just inside the radius, in a Gaussian direction or along e0 + e1,
+    # leaves the sent point strictly nearest
+    for name in ("pair2", "desk8-e8"):
+        spec = builtin_spec(name)
+        dec = ExhaustiveDecoder(spec)
+        assert dec.radius == MultistageDecoder(spec).radius
+        x = spec.encode_batch(random_ordinals(spec, 64, seed=15))
+        u = np.random.default_rng(15).standard_normal((64, spec.n))
+        u[:32] = 0.0
+        u[:32, :2] = 1.0
+        e = dec.radius * (1 - 1e-9) * u / np.linalg.norm(u, axis=1)[:, None]
+        assert np.array_equal(dec.decode_batch(x + e), x), name
+
+
+def test_wer_sweep_screens_exhaustive_decoders_on_folded_points():
+    spec = builtin_spec("pair2")
+    energy, seed, grid = average_energy(spec), 9, [10.0, 14.0, 18.0]
+    trials = _TRIAL_BLOCK + 900
+    dec = _RadiusRecordingDecoder(spec, ExhaustiveDecoder)
+    kwargs = dict(trials=trials, seed=seed, energy=energy, max_errors=trials)
+    points = wer_sweep(spec, grid, decoder=dec, **kwargs)
+    assert points == wer_sweep_reference(spec, grid, decoder=ExhaustiveDecoder(spec), **kwargs)
+    blocks = _per_point_inputs(spec, grid, trials=trials, seed=seed, energy=energy,
+                               radius=dec.radius, sent_of=spec.encode_batch)
+    assert len(dec.inputs) == len(blocks) == 2
+    for seen, per_point in zip(dec.inputs, blocks):
+        assert np.array_equal(seen, np.vstack(per_point))
+    assert 0 < sum(len(v) for v in dec.inputs) < trials
+    assert 0 < points[0].errors and points[-1].errors == 0
 
 
 def test_wer_sweep_at_high_snr_makes_no_decoder_call():
