@@ -15,7 +15,7 @@ import numpy as np
 
 from .lattice import standard_lattice
 from .quantize import make_quantizer
-from .shaping import BUILTIN_SPECS, get_spec
+from .shaping import _ENUM_LIMIT, BUILTIN_SPECS, get_spec
 from .simulate import (
     SIGMA_FORMULA,
     average_energy,
@@ -26,8 +26,6 @@ from .simulate import (
     wer_points_to_csv,
     wer_sweep,
 )
-
-_FULL_ROUNDTRIP_LIMIT = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,7 +124,7 @@ def _cmd_roundtrip(args) -> int:
     spec = get_spec(args.spec)
     exhaustive = args.trials is None
     if exhaustive:
-        if spec.message_count > _FULL_ROUNDTRIP_LIMIT:
+        if spec.message_count > _ENUM_LIMIT:
             print(
                 f"constellation has {spec.message_count} points; pass --trials "
                 f"to check a random sample",

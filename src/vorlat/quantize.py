@@ -13,6 +13,7 @@ Quantizers are stateless after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -28,22 +29,37 @@ def round_half_up(y: np.ndarray) -> np.ndarray:
     return np.floor(y + 0.5)
 
 
-def _dn_round(y: np.ndarray) -> np.ndarray:
-    """Nearest point of Dn (even coordinate sum) for each row of a 2-d array.
+@functools.cache
+def _first_weights(n: int) -> np.ndarray:
+    """Read-only (n, 1) weights n - i of coordinate i, in the narrowest unsigned dtype."""
+    weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    weight.setflags(write=False)
+    return weight
 
-    Standard decoder: round every coordinate; where the rounded sum is odd,
-    re-round the coordinate with the largest rounding error the other way
-    (lowest index on ties). Returns integer-valued float64.
+
+def _dn_columns(w: np.ndarray) -> np.ndarray:
+    """Nearest point of Dn (even coordinate sum) for each column of a float
+    (..., n, rows) array; every reduction runs along the rows.
+
+    Every coordinate rounds with halves toward +inf. Where a column's sum is
+    odd (it is exact below 2^53), its first coordinate of largest |error|
+    steps the other way: that coordinate holds the largest weight n - i on
+    the `== max` mask, and the weight is zeroed where the sum is even. No
+    step branches on the data. Returns integer-valued float64.
     """
-    f = round_half_up(y)
-    err = y - f  # in [-0.5, 0.5)
-    odd = (f.sum(axis=1) % 2.0) != 0.0
-    if np.any(odd):
-        rows = np.nonzero(odd)[0]
-        sub = err[rows]
-        k = np.argmax(np.abs(sub), axis=1)
-        delta = np.where(sub[np.arange(len(rows)), k] > 0, 1.0, -1.0)
-        f[rows, k] += delta
+    weight = _first_weights(w.shape[-2])
+    f = round_half_up(w)
+    e = w - f  # in [-0.5, 0.5)
+    half = f.sum(axis=-2) * 0.5
+    mag = np.abs(e)
+    top = mag == mag.max(axis=-2, keepdims=True)
+    first = (top * weight).max(axis=-2)
+    first *= half != np.floor(half)
+    at = weight == first[..., None, :]
+    step = (e > 0).view(np.int8) * np.int8(2)
+    step -= at
+    step *= at  # +1 at a marked positive error, -1 at a marked error <= 0
+    f += step
     return f
 
 
@@ -79,46 +95,28 @@ class ZnQuantizer(Quantizer):
 
 class DnQuantizer(Quantizer):
     def quantize_batch(self, ys):
-        return _dn_round(_finite(ys, self.lattice.dim)).astype(np.int64)
+        return _dn_columns(_finite(ys, self.lattice.dim).T).T.astype(np.int64)
 
 
 # Rows per block: each (2, 8, rows) float temporary is 64 KB, under the 128 KB
 # from which glibc maps (and page-faults) every allocation afresh by default.
 _E8_ROWS = 512
-_E8_FIRST = np.arange(8, 0, -1, dtype=np.uint8)[:, None]  # weight 8 - i of coordinate i
 
 
 def _e8_block(y: np.ndarray, out: np.ndarray) -> None:
     """Write the nearest E8_int point of each row of y into the same rows of out.
 
-    Works coordinate-major on w = (y/2, y/2 - 1/2), shape (2, 8, rows), so
-    that every per-row reduction runs along the rows. Each coset is rounded
-    as `_dn_round` does; the float steps are the same, so the output is too.
+    Rounds both cosets w = (y/2, y/2 - 1/2), shape (2, 8, rows), in one
+    `_dn_columns` call and keeps the nearer point of each row.
     """
     w = np.empty((2, 8, len(y)))
     z = w[0]
     np.multiply(y.T, 0.5, out=z)
     np.subtract(z, 0.5, out=w[1])
-    f = np.floor(w + 0.5)
-    e = w - f
-    # where a coordinate sum is odd (it is exact below 2^53), step the first
-    # coordinate of largest |error| the other way: it holds the largest weight
-    # on the `== max` mask, and the weight is zeroed where the sum is even
-    half = f.sum(axis=1) * 0.5
-    mag = np.abs(e)
-    top = mag == mag.max(axis=1, keepdims=True)
-    first = (top * _E8_FIRST).max(axis=1)
-    first *= half != np.floor(half)
-    at = _E8_FIRST == first[:, None]
-    step = (e > 0).view(np.int8) * np.int8(2)
-    step -= at
-    step *= at  # +1 at a marked positive error, -1 at a marked error <= 0
-    f += step
+    f = _dn_columns(w)
     f[1] += 0.5
     # squared distances summed in the pairwise order of a row-major .sum(axis=1)
-    d = e
-    np.subtract(z, f[0], out=d[0])
-    np.subtract(z, f[1], out=d[1])
+    d = z - f
     d *= d
     s = d[:, 0::2] + d[:, 1::2]
     s = s[:, 0::2] + s[:, 1::2]
@@ -134,11 +132,12 @@ class E8FastQuantizer(Quantizer):
     """Exact nearest point of E8_int via the doubled Gosset decoder.
 
     At half scale E8_int is D8 union D8 + 1/2 (Conway & Sloane, 1982). Rows are
-    taken in blocks of _E8_ROWS; each block rounds both cosets in one
-    coordinate-major pass and keeps the nearer point, so memory stays bounded
-    by the output plus a few 64 KB temporaries whatever the batch size. Ties
-    within a coset follow `_dn_round` (lowest index); ties within TIE_EPS
-    between the cosets go to the lexicographically smaller point.
+    taken in blocks of _E8_ROWS; each block rounds both cosets in one call of
+    `_dn_columns`, the module's one D_n round, and keeps the nearer point, so
+    memory stays bounded by the output plus a few 64 KB temporaries whatever
+    the batch size. Ties within a coset follow `_dn_columns` (lowest index);
+    ties within TIE_EPS between the cosets go to the lexicographically
+    smaller point.
     """
 
     def quantize_batch(self, ys):
@@ -176,7 +175,8 @@ class LeechFastQuantizer(Quantizer):
     the least upper bound of their row are scored exactly.
 
     Ties within TIE_EPS go to the first coset in table order (m = 0 first, then
-    codeword index), then to the D24 rule of `_dn_round` within that coset.
+    codeword index). Within that coset t the point is t + 4 times the D24
+    round of (y - t)/4 by `_dn_columns`, the module's one D_n round.
     """
 
     _TABLES = None
@@ -234,7 +234,7 @@ class LeechFastQuantizer(Quantizer):
         for lo in range(0, y.shape[0], _LEECH_ROWS):
             best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[:, lo : lo + _LEECH_ROWS])
         t = self._table[best]
-        return t + 4 * _dn_round((y - t) * 0.25).astype(np.int64)
+        return t + 4 * _dn_columns(((y - t) * 0.25).T).T.astype(np.int64)
 
     def _nearest_cosets(self, yq):
         """Table index of the first nearest coset for each column of yq = y.T / 4."""
@@ -354,9 +354,8 @@ class EnumerationQuantizer(Quantizer):
                         dtype=np.int64)
 
     def quantize_batch(self, ys):
-        y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-        # any width: a wrong one fails in the search's own matrix product
-        return np.stack([self._nearest(row) for row in _finite(y, y.shape[-1])])
+        y = _finite(ys, self.lattice.dim)
+        return np.array([self._nearest(row) for row in y], dtype=np.int64).reshape(y.shape)
 
 
 class ScaledQuantizer(Quantizer):
@@ -390,7 +389,7 @@ class DirectSumQuantizer(Quantizer):
         self._block = inner.lattice.dim
 
     def quantize_batch(self, ys):
-        y = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+        y = _finite(ys, self.lattice.dim)
         rows = y.shape[0]
         flat = y.reshape(rows * self.copies, self._block)
         return self.inner.quantize_batch(flat).reshape(rows, self.copies * self._block)
@@ -429,13 +428,13 @@ def make_quantizer(lattice: Lattice) -> Quantizer:
 
 
 def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:
-    """Rows of xs minus their nearest lattice points: Voronoi-region representatives."""
-    xs = np.asarray(xs)
-    if np.issubdtype(xs.dtype, np.integer):
-        xi = xs.astype(np.int64)
-        return xi - q.quantize_batch(xi.astype(np.float64))
-    xf = np.asarray(xs, dtype=np.float64)
-    return xf - q.quantize_batch(xf)
+    """Rows of xs minus their nearest lattice points: Voronoi-region representatives.
+
+    Integer rows give int64 and any other rows float64.
+    """
+    x = np.asarray(xs)
+    x = x.astype(np.int64 if x.dtype.kind in "iu" else np.float64, copy=False)
+    return x - q.quantize_batch(x)
 
 
 def fold_mod_parallelotope_batch(tri: np.ndarray, rs: np.ndarray) -> np.ndarray:

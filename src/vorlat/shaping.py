@@ -229,8 +229,20 @@ class VoronoiCodeSpec:
     # -- encoding -------------------------------------------------------------
 
     def representative_batch(self, ordinals) -> np.ndarray:
-        """Box representatives x = sum q^i c_i + q^a s + offset, unfolded."""
-        return self._representatives(self._digit_table.split(ordinals))
+        """Box representatives x = sum q^i c_i + q^a s + offset, unfolded.
+
+        Ordinals that are not integers or lie outside [0, message_count) are
+        refused with a ValueError.
+        """
+        given = np.asarray(ordinals)
+        if given.dtype.kind not in "iu":
+            raise ValueError(f"message ordinals must be integers, got dtype {given.dtype}")
+        o = given.astype(np.int64, copy=False)
+        # one unsigned max: a negative int64 reads as at least 2^63 > message_count
+        if o.size and o.view(np.uint64).max() >= self.message_count:
+            bad = given[(given < 0) | (given >= self.message_count)]
+            raise ValueError(f"message ordinal {bad[0]} outside [0, {self.message_count})")
+        return self._representatives(self._digit_table.split(o))
 
     def _representatives(self, digits) -> np.ndarray:
         """Representatives from (rows, digits) tables of symbols and s.

@@ -19,12 +19,11 @@ import numpy as np
 from .codes import LinearCode, make_rep_spc_chain
 from .lattice import log2_volume, standard_lattice
 from .quantize import Quantizer, fold_batch, round_half_up
-from .shaping import VoronoiCodeSpec, _check_int64_ordinals
+from .shaping import _ENUM_LIMIT, VoronoiCodeSpec, _check_int64_ordinals
 
 _TRIAL_BLOCK = 4096
 _TABLE_ML_LIMIT = 1 << 14
 _ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
-_EXHAUSTIVE_LIMIT = 1 << 20
 _BENCH_SAMPLE_NS = 5_000_000  # one complexity_bench timing sample lasts at least this
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
@@ -119,7 +118,7 @@ def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0)
     `samples` random messages.
     """
     count = spec.message_count
-    if count <= _EXHAUSTIVE_LIMIT:
+    if count <= _ENUM_LIMIT:
         total = 0
         for lo in range(0, count, _TRIAL_BLOCK):
             x = spec.encode_batch(np.arange(lo, min(lo + _TRIAL_BLOCK, count)))
@@ -411,10 +410,10 @@ class ExhaustiveDecoder:
     shift_equivariant = False
 
     def __init__(self, spec: VoronoiCodeSpec):
-        if spec.message_count > _EXHAUSTIVE_LIMIT:
+        if spec.message_count > _ENUM_LIMIT:
             raise ValueError(
                 f"constellation has {spec.message_count} points, "
-                f"more than the exhaustive bound {_EXHAUSTIVE_LIMIT}"
+                f"more than the exhaustive bound {_ENUM_LIMIT}"
             )
         self.spec = spec
         points = spec.enumerate_constellation()

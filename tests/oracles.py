@@ -3,15 +3,16 @@
 Deliberately written from scratch (plain Fraction Gaussian elimination and
 brute-force enumeration) so they share no code with the package internals
 they check. The exceptions are the Leech coset oracle, which takes the
-Golay codebook from the package as data; the E8 reference, which rounds each
-D8 coset with the package's `_dn_round`, so that the fast E8 kernel and the
-D_n quantizer answer to one D_n rule; the point membership test, which
+Golay codebook from the package as data; the point membership test, which
 solves against the lattice's own triangular generator with the package's
 integer solver; the reference encode, index, ML, multistage, energy and
 sweep loops, which are the package's earlier, unoptimised forms of the same
 computation and reuse its codes, channel, decoders, encoder and box fold;
 and the brute-force constellation and coset-representative searches, which
-fold with the spec's quantizer and test membership in its lattices.
+fold with the spec's quantizer and test membership in its lattices. The D_n
+and E8 references are the package's earlier row-major rounds, written out
+here whole, so they share no rounding code with the coordinate-major D_n
+round that the D_n, E8 and Leech quantizers use.
 """
 
 import math
@@ -24,7 +25,7 @@ from vorlat import golay
 from vorlat.codes import _CODEWORD_TABLE_LIMIT, ordinals_to_symbols
 from vorlat.intmat import IntMatrix, integer_solve_lower_triangular
 from vorlat.lattice import Lattice, quotient_order
-from vorlat.quantize import TIE_EPS, _dn_round, fold_batch, fold_mod_parallelotope_batch
+from vorlat.quantize import TIE_EPS, fold_batch, fold_mod_parallelotope_batch
 from vorlat.shaping import _ENUM_LIMIT, VoronoiCodeSpec
 from vorlat.simulate import (
     _TRIAL_BLOCK,
@@ -227,8 +228,28 @@ def index_reference(spec, points) -> np.ndarray:
     return ords + radix * (s @ weights)
 
 
+def dn_round_reference(y) -> np.ndarray:
+    """Nearest point of Dn (even coordinate sum) for each row of a 2-d array.
+
+    Standard decoder: round every coordinate; where the rounded sum is odd,
+    re-round the coordinate with the largest rounding error the other way
+    (lowest index on ties). Returns integer-valued float64. This is the
+    package's earlier D_n round.
+    """
+    f = np.floor(y + 0.5)
+    err = y - f  # in [-0.5, 0.5)
+    odd = (f.sum(axis=1) % 2.0) != 0.0
+    if np.any(odd):
+        rows = np.nonzero(odd)[0]
+        sub = err[rows]
+        k = np.argmax(np.abs(sub), axis=1)
+        delta = np.where(sub[np.arange(len(rows)), k] > 0, 1.0, -1.0)
+        f[rows, k] += delta
+    return f
+
+
 def e8_round_reference(ys) -> np.ndarray:
-    """Nearest E8_int points by two row-major `_dn_round` calls, one per coset.
+    """Nearest E8_int points by two `dn_round_reference` calls, one per coset.
 
     At half scale E8_int is D8 union D8 + 1/2: round y/2 and y/2 - 1/2 to D8,
     keep the nearer of the two points, and on a tie within TIE_EPS the
@@ -236,8 +257,8 @@ def e8_round_reference(ys) -> np.ndarray:
     (rows, 8) arrays. This is the package's earlier E8 quantizer.
     """
     h = np.asarray(ys, dtype=np.float64) * 0.5
-    a = _dn_round(h)
-    b = _dn_round(h - 0.5) + 0.5
+    a = dn_round_reference(h)
+    b = dn_round_reference(h - 0.5) + 0.5
     da = ((h - a) ** 2).sum(axis=1)
     db = ((h - b) ** 2).sum(axis=1)
     # a is integral and b is not, so they differ in their first coordinate

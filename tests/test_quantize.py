@@ -23,7 +23,6 @@ from vorlat.quantize import (
     Quantizer,
     ScaledQuantizer,
     ZnQuantizer,
-    _dn_round,
     fold_batch,
     fold_mod_parallelotope_batch,
     make_quantizer,
@@ -34,6 +33,7 @@ from vorlat.simulate import random_ordinals, second_moment_mc
 
 from oracles import (
     contains_point,
+    dn_round_reference,
     e8_int_short_vectors,
     e8_round_reference,
     fold_mod_parallelotope,
@@ -73,6 +73,20 @@ def test_dn_quantizer_parity_repair():
     assert nearest(q, [0.6, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
     # exact odd-parity integer input: lowest-index coordinate moves down
     assert nearest(q, [1.0, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
+
+
+@pytest.mark.parametrize("n", [2, 3, 24, 300])
+def test_dn_quantizer_matches_the_row_major_reference(n):
+    # Dn(300) needs first-coordinate weights past uint8; half-integer rows
+    # tie many coordinates at the largest |error|, and the first must step
+    q = DnQuantizer(standard_lattice(f"Dn({n})"))
+    rng = np.random.default_rng(n)
+    for kind, ys in (("uniform", rng.uniform(-8, 8, size=(2000, n))),
+                     ("half", rng.integers(-16, 17, size=(2000, n)) * 0.5),
+                     ("quarter", rng.integers(-32, 33, size=(2000, n)) * 0.25)):
+        got = q.quantize_batch(ys)
+        assert got.dtype == np.int64 and got.shape == ys.shape
+        assert np.array_equal(got, dn_round_reference(ys)), kind
 
 
 def test_scaled_quantizer_example():
@@ -179,8 +193,8 @@ def test_e8_fast_coset_tie_keeps_the_lexicographically_smaller_point():
     fast = E8FastQuantizer(standard_lattice("E8_int"))
     ys = np.random.default_rng(8).integers(-6, 7, size=(3000, 8)).astype(np.float64)
     half = ys * 0.5
-    a = _dn_round(half)
-    b = _dn_round(half - 0.5) + 0.5
+    a = dn_round_reference(half)
+    b = dn_round_reference(half - 0.5) + 0.5
     da = ((half - a) ** 2).sum(axis=1)
     db = ((half - b) ** 2).sum(axis=1)
     tie = np.abs(da - db) <= TIE_EPS
@@ -485,12 +499,17 @@ def test_leaf_quantizers_refuse_non_finite_input(quantizer, bad):
     DnQuantizer(standard_lattice("Dn(4)")),
     E8FastQuantizer(standard_lattice("E8_int")),
     LeechFastQuantizer(standard_lattice("Leech_int")),
+    EnumerationQuantizer(Lattice(IntMatrix([[2, 0], [1, 3]]))),
+    ScaledQuantizer(E8FastQuantizer(standard_lattice("E8_int")), 2),
+    DirectSumQuantizer(DnQuantizer(standard_lattice("Dn(4)")), 2),
 ], ids=lambda q: type(q).__name__)
 def test_leaf_quantizers_refuse_rows_of_the_wrong_width(quantizer):
     n = quantizer.lattice.dim
     for shape in ((2, n - 1), (2, n + 1), (n,), (1, 2, n)):
         with pytest.raises(ValueError, match=f"with {n} columns, got shape"):
             quantizer.quantize_batch(np.zeros(shape))
+    empty = quantizer.quantize_batch(np.zeros((0, n)))
+    assert empty.dtype == np.int64 and empty.shape == (0, n)
 
 
 def test_wrapped_quantizers_refuse_non_finite_input():

@@ -435,10 +435,14 @@ def test_encode_and_index_match_digit_loop_references(name):
     back = spec.index_batch(pts)
     assert np.array_equal(back, index_reference(spec, pts))
     assert np.array_equal(back, ords)
-    # ordinals outside [0, M) wrap modulo M, as they did digit by digit
-    wrap = np.array([-1, m, m + 5, -m - 3], dtype=np.int64)
-    assert np.array_equal(spec.representative_batch(wrap),
-                          representative_reference(spec, wrap))
+    # ordinals outside [0, M) or not integers are refused, not wrapped
+    for bad in (-1, m, m + 5, -m - 3):
+        with pytest.raises(ValueError, match=f"message ordinal {bad} outside"):
+            spec.encode_batch(np.append(ords[:3], bad))
+    with pytest.raises(ValueError, match="message ordinal 9223372036854775808 outside"):
+        spec.representative_batch(np.array([0, 2**63], dtype=np.uint64))
+    with pytest.raises(ValueError, match="must be integers"):
+        spec.representative_batch([0.0, 1.7])
 
 
 @functools.cache
