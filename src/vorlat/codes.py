@@ -54,17 +54,21 @@ def _rref_mod(rows: list[list[int]], q: int) -> tuple[list[tuple[int, ...]], lis
 
 
 class _MixedRadix:
-    """Place values and radices of the digits of int64 ordinals.
+    """Place values and radices of some or all of the digits of int64 ordinals.
 
-    An ordinal is sum_d places[d] * digit[d] with 0 <= digit[d] < radices[d],
-    and each place value is the product of the radices of the less
-    significant digits. `split` takes every digit in one broadcast: floor
-    division by the place value, then reduction by the radix, so ordinals
-    outside [0, prod(radices)) wrap modulo it. When every radix is a power
-    of two (so every place value is too) the division is a shift and the
-    reduction a mask. int64 division by an array of divisors costs about ten
-    times a shift per element; the general path alone made 4096-row desk8-e8
-    representatives 1.5x slower.
+    Digit d of an ordinal is ordinal // places[d] % radices[d]. Over all of
+    an ordinal's digits each place value is the product of the radices of
+    the less significant digits, and the ordinal is sum_d places[d] *
+    digit[d]; a split may also take only some digits, such as one code
+    level's. `split` takes every digit in one broadcast: floor division by
+    the place value, then reduction by the radix, so over all digits
+    ordinals outside [0, prod(radices)) wrap modulo it. When every place
+    value and every radix is a power of two the division is a shift and the
+    reduction a mask. Both must be checked: a split over some digits can
+    have power-of-two radices at places that are not powers of two. int64
+    division by an array of divisors costs about ten times a shift per
+    element; the general path alone made 4096-row desk8-e8 representatives
+    1.5x slower.
     """
 
     __slots__ = ("places", "_div", "_mod", "_pow2")
@@ -73,7 +77,7 @@ class _MixedRadix:
         places = [int(p) for p in places]
         radices = [int(r) for r in radices]
         self.places = np.array(places, dtype=np.int64)
-        self._pow2 = all(r & (r - 1) == 0 for r in radices)
+        self._pow2 = all(v & (v - 1) == 0 for v in places + radices)
         if self._pow2:
             div = [p.bit_length() - 1 for p in places]
             mod = [r - 1 for r in radices]

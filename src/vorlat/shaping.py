@@ -49,6 +49,7 @@ from .quantize import (
 _ENUM_LIMIT = 1 << 20
 _ENCODE_BLOCK = 4096  # rows per encode call when enumerating the constellation
 _INT64_ORDINALS = 1 << 63  # message counts from here on do not fit int64 ordinals
+_LOOKUP_ROWS = 256  # most rows of one representative lookup table
 
 
 def construction_d_lattice(chain: CodeChain) -> Lattice:
@@ -175,6 +176,52 @@ class VoronoiCodeSpec:
         return _MixedRadix(*self._layout)
 
     @functools.cached_property
+    def _encode_plan(self) -> tuple:
+        """(lookups, splits): the steps that sum to a representative.
+
+        An ordinal is made of units in place order: each code level, with
+        q^k values, then the box, with |Z^n / L'| values. Adjacent units
+        whose value counts multiply to at most _LOOKUP_ROWS share a table
+        whose row j is their combined share of x for the ordinal j * place,
+        place being the place value of their lowest digit; the offset is
+        folded into the first table. A lookup is (table, div, mod, shift):
+        the row is (o >> div) & mod when shift is set, else o // div % mod.
+        A larger unit is a split (_MixedRadix over its own digits, code or
+        None for the box, scale): its digits are encoded by the code, if
+        any, and scaled by q^level or q^a. With no small unit, a one-row
+        table holds the offset, so every encode starts from a lookup.
+        """
+        _check_int64_ordinals(self.message_count)
+        places, radices = self._layout
+        units = [(cols, self.q**code.k, code, self.q**level)
+                 for level, (code, cols) in enumerate(zip(self.chain.codes, self._level_cols))]
+        units.append((self._box_cols, math.prod(radices[self._box_cols]), None, self.qa))
+        groups = []  # [first column, stop column, value count, unit or None if merged]
+        for unit in units:
+            cols, count = unit[:2]
+            if groups and groups[-1][2] * count <= _LOOKUP_ROWS:
+                groups[-1][1:] = [cols.stop, groups[-1][2] * count, None]
+            else:
+                groups.append([cols.start, cols.stop, count, unit])
+        lookups, splits = [], []
+        for lo, hi, count, unit in groups:
+            if count > _LOOKUP_ROWS:
+                cols, _, code, scale = unit
+                splits.append((_MixedRadix(places[cols], radices[cols]), code, scale))
+                continue
+            place = min(places[lo:hi])
+            ordinals = np.arange(count, dtype=np.int64) * place
+            table = self._representatives(self._digit_table.split(ordinals))
+            if lookups:  # the first table keeps the offset
+                table -= self._offset_np
+            shift = place & (place - 1) == 0 and count & (count - 1) == 0
+            lookups.append((table, place.bit_length() - 1, count - 1, True) if shift
+                           else (table, place, count, False))
+        if not lookups:
+            lookups.append((self._offset_np[None], 0, 0, True))
+        return tuple(lookups), tuple(splits)
+
+    @functools.cached_property
     def _shaping_prime_t(self) -> np.ndarray:
         """int64 triangular generator of L' (OverflowError if it does not fit)."""
         return self.shaping_prime.triangular_generator.to_int64()
@@ -231,10 +278,15 @@ class VoronoiCodeSpec:
     def representative_batch(self, ordinals) -> np.ndarray:
         """Box representatives x = sum q^i c_i + q^a s + offset, unfolded.
 
-        Ordinals that are not integers or lie outside [0, message_count) are
-        refused with a ValueError.
+        Built straight from each int64 ordinal by the steps of _encode_plan:
+        one table lookup per group of small units (code levels and box),
+        then a digit split and code encode for each larger unit. The rows
+        are C-ordered int64. Ordinals must form a 1-d integer array within
+        [0, message_count); anything else is refused with a ValueError.
         """
         given = np.asarray(ordinals)
+        if given.ndim != 1:
+            raise ValueError(f"message ordinals must be a 1-d array, got shape {given.shape}")
         if given.dtype.kind not in "iu":
             raise ValueError(f"message ordinals must be integers, got dtype {given.dtype}")
         o = given.astype(np.int64, copy=False)
@@ -242,12 +294,26 @@ class VoronoiCodeSpec:
         if o.size and o.view(np.uint64).max() >= self.message_count:
             bad = given[(given < 0) | (given >= self.message_count)]
             raise ValueError(f"message ordinal {bad[0]} outside [0, {self.message_count})")
-        return self._representatives(self._digit_table.split(o))
+        lookups, splits = self._encode_plan
+        (table, div, mod, shift), *rest = lookups
+        x = table[(o >> div) & mod if shift else o // div % mod]
+        for table, div, mod, shift in rest:
+            x += table[(o >> div) & mod if shift else o // div % mod]
+        for split, code, scale in splits:
+            share = split.split(o)
+            if code is not None:
+                share = code.encode_batch(share)
+            x += share * scale
+        return x
 
     def _representatives(self, digits) -> np.ndarray:
         """Representatives from (rows, digits) tables of symbols and s.
 
-        Horner's rule from the top level down: x = (q s + c_{a-1}) q + ...
+        The digit-row encoder: Horner's rule from the top level down,
+        x = (q s + c_{a-1}) q + ..., with one code encode per level. It
+        builds the lookup tables of _encode_plan, complexity_bench times it
+        as its split path, it is the only encoder for specs past the int64
+        ordinal limit, and tests compare representative_batch against it.
         The rows come out C-ordered whatever the layout of `digits`.
         """
         x = np.multiply(digits[:, self._box_cols], self.q, order="C")

@@ -1,5 +1,7 @@
 """End-to-end checks of the command line interface."""
 
+import tracemalloc
+
 import pytest
 
 from vorlat import cli
@@ -20,9 +22,15 @@ def test_roundtrip_small_system(capsys):
 
 
 def test_roundtrip_full_desk_system(capsys):
-    code, out, _ = run(capsys, "roundtrip", "--spec", "desk8-e8")
+    tracemalloc.start()
+    try:
+        code, out, _ = run(capsys, "roundtrip", "--spec", "desk8-e8")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert code == 0
     assert out.strip() == "65536/65536 ok"
+    assert peak < 8 << 20  # blocks of points, not all 65536 at once
 
 
 def test_roundtrip_large_system_needs_sampling(capsys):

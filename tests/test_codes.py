@@ -278,6 +278,14 @@ def test_mixed_radix_split_and_join(radices):
     assert np.array_equal(table.join(digits), ords % total)
 
 
+def test_mixed_radix_split_over_some_digits():
+    """Power-of-two radices at places that are not powers of two."""
+    table = _MixedRadix([6, 3], [2, 2])
+    assert table.split([6, 9]).tolist() == [[1, 0], [1, 1]]
+    ords = np.arange(24)
+    assert np.array_equal(table.split(ords), np.stack([ords // 6 % 2, ords // 3 % 2], 1))
+
+
 @pytest.mark.parametrize("q, length", [(2, 64), (2, 66), (3, 41)])
 def test_symbols_past_the_int64_places_are_zero(q, length):
     top = 2**63 - 1

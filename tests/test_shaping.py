@@ -2,11 +2,12 @@
 
 import functools
 import math
+import re
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vorlat.codes import (
@@ -128,12 +129,16 @@ def _carries_close(chain):
 @settings(max_examples=100, deadline=None)
 @given(chain=nested_chains(), base=st.sampled_from(["Zn", "Dn"]), alpha=st.integers(1, 3),
        seed=st.integers(0, 2**32 - 1))
+# a q = 3 level below a box of power-of-two radices
+@example(chain=_prefix_chain(3, [[1, 2]], [1]), base="Zn", alpha=2, seed=0)
 def test_codec_is_a_bijection_on_random_specs(chain, base, alpha, seed):
     """Single-level chains of any q, and q = 2 chains whose carries close."""
     assume(chain.a == 1 or (chain.q == 2 and _carries_close(chain)))
     spec = VoronoiCodeSpec(chain, standard_lattice(f"{base}({chain.n})"), alpha=alpha)
     assert spec.message_count == quotient_order(spec.coding, spec.shaping)
     ords = np.random.default_rng(seed).integers(0, spec.message_count, 64, dtype=np.int64)
+    assert np.array_equal(spec.representative_batch(ords),
+                          spec._representatives(spec._digit_table.split(ords)))
     assert np.array_equal(spec.index_batch(spec.encode_batch(ords)), ords)
     if spec.message_count <= 2**12:
         points = spec.enumerate_constellation()
@@ -443,6 +448,80 @@ def test_encode_and_index_match_digit_loop_references(name):
         spec.representative_batch(np.array([0, 2**63], dtype=np.uint64))
     with pytest.raises(ValueError, match="must be integers"):
         spec.representative_batch([0.0, 1.7])
+
+
+_ORDINAL_PATH_SPECS = (
+    *BUILTIN_SPECS,
+    "desk8-e8+offset",
+    # a box of 8^4 values, split by powers of two at places 3^j
+    "q3-box-split",
+    # two small units that a split level keeps apart
+    "rep10-spc10-d10",
+    # no small unit: a one-row table holds the offset
+    "f2^9-over-2z9+offset",
+)
+
+
+@functools.cache
+def _ordinal_path_spec(name):
+    if name == "desk8-e8+offset":
+        return VoronoiCodeSpec(builtin_chain("rep8-spc8"), standard_lattice("E8_int"),
+                               offset=(3, -1, 0, 7, -2, 0, 1, -5))
+    if name == "q3-box-split":
+        return VoronoiCodeSpec(_prefix_chain(3, [[1, 1, 1, 1]], [1]),
+                               standard_lattice("Zn(4)"), alpha=8)
+    if name == "rep10-spc10-d10":
+        return VoronoiCodeSpec(make_rep_spc_chain(10), standard_lattice("Dn(10)"))
+    if name == "f2^9-over-2z9+offset":
+        return VoronoiCodeSpec(_prefix_chain(2, np.eye(9, dtype=int).tolist(), [9]),
+                               standard_lattice("Zn(9)"), alpha=2, offset=range(-4, 5))
+    return _stock_spec(name)
+
+
+@pytest.mark.parametrize("name", _ORDINAL_PATH_SPECS)
+def test_ordinal_path_matches_the_digit_row_encoder(name):
+    spec = _ordinal_path_spec(name)
+    m = spec.message_count
+    rng = np.random.default_rng(23)
+    picks = rng.integers(0, m, 2 * 4097, dtype=np.int64)
+    picks[:2] = [0, m - 1]
+    for ords in (picks[:0], picks[:1], picks[1:2], picks[:4097], picks[::2]):
+        reps = spec.representative_batch(ords)
+        assert reps.shape == (len(ords), spec.n) and reps.dtype == np.int64
+        assert reps.flags.c_contiguous
+        assert np.array_equal(reps, spec._representatives(spec._digit_table.split(ords)))
+    lookups, _ = spec._encode_plan
+    assert all(len(table) <= 256 for table, *_ in lookups)
+
+
+@pytest.mark.parametrize("name, encoder_calls", [
+    ("pair2", 0), ("desk8-e8", 0), ("desk8-cube", 0), ("desk8-ham", 0), ("leech24", 1),
+])
+def test_small_code_levels_encode_by_lookup(name, encoder_calls, monkeypatch):
+    """Once the tables are built, only levels past the table size call their code."""
+    spec = _stock_spec(name)
+    ords = np.array([0, 1, spec.message_count - 1], dtype=np.int64)
+    spec.encode_batch(ords)
+    calls = []
+    original = LinearCode.encode_batch
+
+    def counted(code, messages):
+        calls.append(code)
+        return original(code, messages)
+
+    monkeypatch.setattr(LinearCode, "encode_batch", counted)
+    spec.encode_batch(ords)
+    assert len(calls) == encoder_calls
+    assert all(code.k == 23 for code in calls)  # leech24's spc24 level
+
+
+@pytest.mark.parametrize("ordinals", [np.zeros((2, 3), np.int64), np.int64(5)])
+def test_ordinal_arrays_that_are_not_1d_are_refused(ordinals):
+    spec = _stock_spec("desk8-e8")
+    with pytest.raises(ValueError, match=re.escape(f"1-d array, got shape {ordinals.shape}")):
+        spec.encode_batch(ordinals)
+    empty = spec.encode_batch(np.zeros(0, np.int64))
+    assert empty.shape == (0, 8) and empty.dtype == np.int64
 
 
 @functools.cache
