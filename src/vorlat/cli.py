@@ -210,6 +210,9 @@ def _cmd_bench(args) -> int:
         f"repeats = {args.repeats}",
         f"seed = {args.seed}",
         "times are median ns per encoded message",
+        "split_encode_ns times the per-unit share step that also builds the "
+        "lookup tables; specs under 2^63 messages read their small units from "
+        "those tables",
     ]
     _emit(bench_to_csv(results, header_lines=header), args.out)
     if not all(r.outputs_match for r in results):

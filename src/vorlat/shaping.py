@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from dataclasses import dataclass
 
@@ -81,6 +82,23 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
     return Lattice(triangular, _triangular=triangular, name=f"multilevel({chain!r})")
 
 
+def _as_int(value, what: str) -> int:
+    """value as a Python int; anything that is not an integer is refused."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
+def _share(unit, digits) -> np.ndarray:
+    """A VoronoiCodeSpec._units entry's share of representatives from its digits.
+
+    A code level's share is its codewords times q^level, the box's s times q^a.
+    """
+    code, scale = unit[2:]
+    return (digits if code is None else code.encode_batch(digits)) * scale
+
+
 def _check_int64_ordinals(message_count: int) -> None:
     """Refuse a message count whose ordinals do not all fit int64."""
     if message_count >= _INT64_ORDINALS:
@@ -142,78 +160,67 @@ class VoronoiCodeSpec:
         self.message_count = self.shaping_prime.volume * self.q ** sum(chain.dims())
         self._quantizer = make_quantizer(self.shaping)
         self._offset_np = np.array(self.offset, dtype=np.int64)
-        self._build_digit_columns()
-
-    def _build_digit_columns(self) -> None:
-        """Columns of a digit row: code symbols level by level, then s."""
-        starts = list(itertools.accumulate(self.chain.dims(), initial=0))
-        self._level_cols = tuple(slice(lo, hi) for lo, hi in zip(starts, starts[1:]))
-        self._box_cols = slice(starts[-1], starts[-1] + self.n)
 
     @functools.cached_property
-    def _layout(self) -> tuple:
-        """(places, radices): place value and radix of every digit of an ordinal.
+    def _units(self) -> tuple:
+        """(places, radices, code, scale) of each unit of an ordinal.
 
-        Columns follow a digit row: code symbols level by level, then s.
-        Within a level the most significant symbol comes first. In the
-        ordinal, level 0's symbols are the least significant digits, then
-        each higher level's, then s with s_{n-1} below s_0. Python integers,
-        so the layout holds past the int64 ordinal limit.
+        The units are the code levels, then the box: level 0's symbols are
+        the least significant digits of an ordinal, then each higher
+        level's, then s with s_{n-1} below s_0. Within a unit the most
+        significant digit comes first. A unit's share of a representative
+        is code.encode_batch(digits) * q^level, or s * q^a for the box,
+        whose code is None. Python integers, so the layout holds past the
+        int64 ordinal limit.
         """
-        radices = [self.q] * self._box_cols.start + [int(d) for d in self.s_box]
-        places = [0] * len(radices)
-        unit = 1
-        for cols in (*self._level_cols, self._box_cols):
-            for c in reversed(range(cols.start, cols.stop)):
-                places[c] = unit
-                unit *= radices[c]
-        return places, radices
+        blocks = [([self.q] * code.k, code, self.q**level)
+                  for level, code in enumerate(self.chain.codes)]
+        blocks.append(([int(d) for d in self.s_box], None, self.qa))
+        units, place = [], 1
+        for radices, code, scale in blocks:
+            places = itertools.accumulate(reversed(radices[1:]), operator.mul, initial=place)
+            units.append((list(places)[::-1], radices, code, scale))
+            place *= math.prod(radices)
+        return tuple(units)
 
     @functools.cached_property
-    def _digit_table(self) -> _MixedRadix:
-        """The digit layout for int64 ordinals; refused past the int64 limit."""
+    def _radix(self) -> tuple:
+        """One int64 _MixedRadix per unit; refused past the int64 ordinal limit."""
         _check_int64_ordinals(self.message_count)
-        return _MixedRadix(*self._layout)
+        return tuple(_MixedRadix(places, radices) for places, radices, *_ in self._units)
 
     @functools.cached_property
     def _encode_plan(self) -> tuple:
         """(lookups, splits): the steps that sum to a representative.
 
-        An ordinal is made of units in place order: each code level, with
-        q^k values, then the box, with |Z^n / L'| values. Adjacent units
-        whose value counts multiply to at most _LOOKUP_ROWS share a table
-        whose row j is their combined share of x for the ordinal j * place,
-        place being the place value of their lowest digit; the offset is
-        folded into the first table. A lookup is (table, div, mod, shift):
-        the row is (o >> div) & mod when shift is set, else o // div % mod.
-        A larger unit is a split (_MixedRadix over its own digits, code or
-        None for the box, scale): its digits are encoded by the code, if
-        any, and scaled by q^level or q^a. With no small unit, a one-row
-        table holds the offset, so every encode starts from a lookup.
+        Adjacent units whose value counts multiply to at most _LOOKUP_ROWS
+        share a table whose row j is their combined share of x for the
+        ordinal j * place, place being the place value of their lowest
+        digit; the offset is folded into the first table. A lookup is
+        (table, div, mod, shift): the row is (o >> div) & mod when shift is
+        set, else o // div % mod. A larger unit is a split (unit, radix):
+        its digits are split from the ordinal and go through _share. With
+        no small unit, a one-row table holds the offset, so every encode
+        starts from a lookup.
         """
-        _check_int64_ordinals(self.message_count)
-        places, radices = self._layout
-        units = [(cols, self.q**code.k, code, self.q**level)
-                 for level, (code, cols) in enumerate(zip(self.chain.codes, self._level_cols))]
-        units.append((self._box_cols, math.prod(radices[self._box_cols]), None, self.qa))
-        groups = []  # [first column, stop column, value count, unit or None if merged]
-        for unit in units:
-            cols, count = unit[:2]
-            if groups and groups[-1][2] * count <= _LOOKUP_ROWS:
-                groups[-1][1:] = [cols.stop, groups[-1][2] * count, None]
+        groups = []  # [place of the lowest digit, value count, [(unit, radix), ...]]
+        for unit, radix in zip(self._units, self._radix):
+            count = math.prod(unit[1])
+            if groups and groups[-1][1] * count <= _LOOKUP_ROWS:
+                groups[-1][1] *= count
+                groups[-1][2].append((unit, radix))
             else:
-                groups.append([cols.start, cols.stop, count, unit])
+                groups.append([unit[0][-1], count, [(unit, radix)]])
         lookups, splits = [], []
-        for lo, hi, count, unit in groups:
+        for place, count, members in groups:
             if count > _LOOKUP_ROWS:
-                cols, _, code, scale = unit
-                splits.append((_MixedRadix(places[cols], radices[cols]), code, scale))
+                splits.extend(members)
                 continue
-            place = min(places[lo:hi])
             ordinals = np.arange(count, dtype=np.int64) * place
-            table = self._representatives(self._digit_table.split(ordinals))
-            if lookups:  # the first table keeps the offset
-                table -= self._offset_np
+            table = np.ascontiguousarray(
+                sum(_share(unit, radix.split(ordinals)) for unit, radix in members))
+            if not lookups:
+                table += self._offset_np
             shift = place & (place - 1) == 0 and count & (count - 1) == 0
             lookups.append((table, place.bit_length() - 1, count - 1, True) if shift
                            else (table, place, count, False))
@@ -241,23 +248,25 @@ class VoronoiCodeSpec:
 
     # -- message bookkeeping --------------------------------------------------
 
-    def message_from_ordinal(self, ordinal: int) -> Message:
+    def message_from_ordinal(self, ordinal) -> Message:
+        ordinal = _as_int(ordinal, "ordinal")
         if not 0 <= ordinal < self.message_count:
             raise ValueError("ordinal out of range")
-        digits = [int(ordinal) // p % r for p, r in zip(*self._layout)]
-        return Message(symbols=tuple(tuple(digits[cols]) for cols in self._level_cols),
-                       s=tuple(digits[self._box_cols]))
+        *symbols, s = (tuple(ordinal // p % r for p, r in zip(places, radices))
+                       for places, radices, *_ in self._units)
+        return Message(symbols=tuple(symbols), s=s)
 
     def ordinal_from_message(self, message: Message) -> int:
         if tuple(map(len, message.symbols)) != self.chain.dims() or len(message.s) != self.n:
             raise ValueError("message shape does not match the spec")
-        s = [int(v) for v in message.s]
-        if any(not 0 <= v < d for v, d in zip(s, self.s_box)):
-            raise ValueError("shaping vector outside its box")
-        symbols = [int(v) for block in message.symbols for v in block]
-        if any(not 0 <= v < self.q for v in symbols):
-            raise ValueError("code symbols outside their range")
-        return sum(p * d for p, d in zip(self._layout[0], symbols + s))
+        ordinal = 0
+        for (places, radices, code, _), block in zip(self._units, (*message.symbols, message.s)):
+            digits = [_as_int(v, "message entry") for v in block]
+            if any(not 0 <= d < r for d, r in zip(digits, radices)):
+                raise ValueError("shaping vector outside its box" if code is None
+                                 else "code symbols outside their range")
+            ordinal += sum(p * d for p, d in zip(places, digits))
+        return ordinal
 
     def random_message(self, rng: np.random.Generator) -> Message:
         _check_int64_ordinals(self.message_count)
@@ -299,30 +308,8 @@ class VoronoiCodeSpec:
         x = table[(o >> div) & mod if shift else o // div % mod]
         for table, div, mod, shift in rest:
             x += table[(o >> div) & mod if shift else o // div % mod]
-        for split, code, scale in splits:
-            share = split.split(o)
-            if code is not None:
-                share = code.encode_batch(share)
-            x += share * scale
-        return x
-
-    def _representatives(self, digits) -> np.ndarray:
-        """Representatives from (rows, digits) tables of symbols and s.
-
-        The digit-row encoder: Horner's rule from the top level down,
-        x = (q s + c_{a-1}) q + ..., with one code encode per level. It
-        builds the lookup tables of _encode_plan, complexity_bench times it
-        as its split path, it is the only encoder for specs past the int64
-        ordinal limit, and tests compare representative_batch against it.
-        The rows come out C-ordered whatever the layout of `digits`.
-        """
-        x = np.multiply(digits[:, self._box_cols], self.q, order="C")
-        for level in range(self.a - 1, -1, -1):
-            code = self.chain.codes[level]
-            x += code.encode_batch(digits[:, self._level_cols[level]])
-            if level:
-                x *= self.q
-        x += self._offset_np
+        for unit, radix in splits:
+            x += _share(unit, radix.split(o))
         return x
 
     def encode_batch(self, ordinals) -> np.ndarray:
@@ -332,30 +319,33 @@ class VoronoiCodeSpec:
     # -- indexing ---------------------------------------------------------------
 
     def index_batch(self, points) -> np.ndarray:
-        """Message ordinals of coding-lattice points (inverse of encode)."""
-        table = self._digit_table
+        """Message ordinals of coding-lattice points (inverse of encode).
+
+        The ordinal is the sum of each unit's join: a level's pivot symbols,
+        then the remainder folded into the box of L'.
+        """
+        radix = self._radix
         x = np.asarray(points)
+        if x.ndim != 2 or x.shape[1] != self.n:
+            raise ValueError(f"points must be rows of length {self.n}")
         if np.issubdtype(x.dtype, np.floating):
             xi = np.rint(x).astype(np.int64)
             if not np.all(np.abs(x - xi) < 1e-9):
                 raise ValueError("not a constellation point: non-integer input")
             x = xi
-        x = x.astype(np.int64) - self._offset_np
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(f"points must be rows of length {self.n}")
-        digits = np.empty((len(x), self._box_cols.stop), dtype=np.int64)
-        t = x
-        for code, cols in zip(self.chain.codes, self._level_cols):
+        t = x.astype(np.int64) - self._offset_np
+        ordinals = np.zeros(len(t), dtype=np.int64)
+        for code, level_radix in zip(self.chain.codes, radix):
             high = t // self.q
             level = t - self.q * high
             if not code._holds(level):
                 raise ValueError(
                     "not a constellation point: level digits leave the code"
                 )
-            digits[:, cols] = level[:, code._pivots]
+            ordinals += level_radix.join(level[:, code._pivots])
             t = high
-        digits[:, self._box_cols] = fold_mod_parallelotope_batch(self._shaping_prime_t, t)
-        return table.join(digits)
+        ordinals += radix[-1].join(fold_mod_parallelotope_batch(self._shaping_prime_t, t))
+        return ordinals
 
     def same_message(self, p, x) -> np.ndarray:
         """Per row, whether coding-lattice points p and x carry one message.

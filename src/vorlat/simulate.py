@@ -19,7 +19,7 @@ import numpy as np
 from .codes import LinearCode, make_rep_spc_chain
 from .lattice import log2_volume, standard_lattice
 from .quantize import Quantizer, fold_batch, round_half_up
-from .shaping import _ENUM_LIMIT, VoronoiCodeSpec, _check_int64_ordinals
+from .shaping import _ENUM_LIMIT, VoronoiCodeSpec, _check_int64_ordinals, _share
 
 _TRIAL_BLOCK = 4096
 _TABLE_ML_LIMIT = 1 << 14
@@ -573,7 +573,7 @@ def wer_points_to_csv(points, header_lines=()) -> str:
 class BenchResult:
     dim: int
     baseline_ns: float  # dense generator multiply, per message
-    split_encode_ns: float  # code encoders + digit assembly (no fold), per message
+    split_encode_ns: float  # per-unit share step plus offset (no fold), per message
     code_encode_ns: float  # code encoders alone, per message
     fold_ns: float  # blockwise fold, per message
     outputs_match: bool
@@ -605,10 +605,10 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
     """Median per-message cost of dense encoding vs the split encoder.
 
     Times (a) the dense n x n generator multiply on precomputed coordinates,
-    (b) the split path, which is the spec's own assembly of representatives
-    from digit rows (per-level code encoders, q^a s and the offset), (c) the
-    per-level code encoders alone, and (d) the fold, on identical messages,
-    and verifies that (a) reproduces the representatives of (b).
+    (b) the split path, the spec's own share step on per-unit digit blocks
+    (code encoders times q^i, then q^a s) plus the offset, (c) the per-level
+    code encoders alone, and (d) the fold, on identical messages, and
+    verifies that (a) reproduces the representatives of (b).
 
     Each sample times as many back-to-back calls of a path as fill
     _BENCH_SAMPLE_NS, so a sample of a fast path spans the short swings in
@@ -620,9 +620,7 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
         raise ValueError("repeats must be positive")
     rng = np.random.default_rng(seed)
     msgs, s = _random_components(spec, trials, rng)
-    digits = np.concatenate([*msgs, s], axis=1)
-    reps = spec._representatives(digits)
-    coords = _exact_coordinates(spec, reps)
+    blocks = [*msgs, s]
     gen = spec.coding.triangular_generator.to_int64()
 
     def run_baseline():
@@ -632,11 +630,13 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
         return [c.encode_batch(m) for c, m in zip(spec.chain.codes, msgs)]
 
     def run_split():
-        return spec._representatives(digits)
+        return sum(map(_share, spec._units, blocks), spec._offset_np)
 
     def run_fold():
         return fold_batch(spec._quantizer, reps)
 
+    reps = run_split()
+    coords = _exact_coordinates(spec, reps)
     match = np.array_equal(run_baseline(), reps)
 
     # Repeats run round-robin over the four paths, so drift in machine speed

@@ -164,6 +164,9 @@ def test_bench_csv(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert "dim,baseline_ns,split_encode_ns,code_encode_ns,fold_ns,outputs_match" in lines
+    assert ("# split_encode_ns times the per-unit share step that also builds the lookup "
+            "tables; specs under 2^63 messages read their small units from those tables"
+            in lines)
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert [ln.split(",")[0] for ln in data] == ["8", "16"]
     assert all(ln.endswith(",1") for ln in data)

@@ -137,8 +137,7 @@ def test_codec_is_a_bijection_on_random_specs(chain, base, alpha, seed):
     spec = VoronoiCodeSpec(chain, standard_lattice(f"{base}({chain.n})"), alpha=alpha)
     assert spec.message_count == quotient_order(spec.coding, spec.shaping)
     ords = np.random.default_rng(seed).integers(0, spec.message_count, 64, dtype=np.int64)
-    assert np.array_equal(spec.representative_batch(ords),
-                          spec._representatives(spec._digit_table.split(ords)))
+    assert np.array_equal(spec.representative_batch(ords), representative_reference(spec, ords))
     assert np.array_equal(spec.index_batch(spec.encode_batch(ords)), ords)
     if spec.message_count <= 2**12:
         points = spec.enumerate_constellation()
@@ -271,6 +270,26 @@ def test_message_validation():
         spec.ordinal_from_message(Message(symbols=((0,),), s=(2, 0)))
     with pytest.raises(ValueError, match="outside their range"):
         spec.ordinal_from_message(Message(symbols=((2,),), s=(0, 0)))
+    for ordinal in (3.7, 3.0, np.float64(5), "5"):
+        with pytest.raises(ValueError, match="ordinal must be an integer"):
+            spec.message_from_ordinal(ordinal)
+
+
+def test_message_entries_must_be_integers():
+    spec = builtin_spec("desk8-e8")
+    message = spec.message_from_ordinal(5)
+    for ordinal in (np.int64(5), np.uint8(5), np.array(5)):
+        assert spec.message_from_ordinal(ordinal) == message
+    numpy_ints = Message(symbols=tuple(tuple(map(np.int64, b)) for b in message.symbols),
+                         s=tuple(map(np.int32, message.s)))
+    assert spec.ordinal_from_message(numpy_ints) == 5
+    shifted = Message(symbols=tuple(tuple(v + 0.5 for v in b) for b in message.symbols),
+                      s=message.s)
+    with pytest.raises(ValueError, match="message entry must be an integer"):
+        spec.ordinal_from_message(shifted)
+    with pytest.raises(ValueError, match="message entry must be an integer"):
+        spec.ordinal_from_message(Message(symbols=message.symbols,
+                                          s=(*message.s[:-1], 0.25)))
 
 
 def test_index_rejects_foreign_points():
@@ -279,6 +298,10 @@ def test_index_rejects_foreign_points():
         spec.index_batch(np.array([[0.4, 0.0]]))
     with pytest.raises(ValueError, match="leave the code"):
         spec.index_batch(np.array([[1, 0]]))
+    desk = builtin_spec("desk8-e8")
+    for points in (np.zeros((2, 9), np.int64), np.zeros((2, 7)), np.zeros(8, np.int64)):
+        with pytest.raises(ValueError, match="points must be rows of length 8"):
+            desk.index_batch(points)
 
 
 def test_offset_translates_the_constellation():
@@ -424,7 +447,7 @@ def test_same_message_matches_index_equality(data):
 
 
 # ---------------------------------------------------------------------------
-# the digit table against the digit-by-digit loops it replaced
+# the ordinal path against the digit-by-digit reference loops
 
 
 @pytest.mark.parametrize("name", BUILTIN_SPECS)
@@ -479,7 +502,7 @@ def _ordinal_path_spec(name):
 
 
 @pytest.mark.parametrize("name", _ORDINAL_PATH_SPECS)
-def test_ordinal_path_matches_the_digit_row_encoder(name):
+def test_ordinal_path_matches_the_digit_peeling_reference(name):
     spec = _ordinal_path_spec(name)
     m = spec.message_count
     rng = np.random.default_rng(23)
@@ -489,7 +512,11 @@ def test_ordinal_path_matches_the_digit_row_encoder(name):
         reps = spec.representative_batch(ords)
         assert reps.shape == (len(ords), spec.n) and reps.dtype == np.int64
         assert reps.flags.c_contiguous
-        assert np.array_equal(reps, spec._representatives(spec._digit_table.split(ords)))
+        assert np.array_equal(reps, representative_reference(spec, ords))
+        pts = spec.encode_batch(ords)
+        back = spec.index_batch(pts)
+        assert np.array_equal(back, index_reference(spec, pts))
+        assert np.array_equal(back, ords)
     lookups, _ = spec._encode_plan
     assert all(len(table) <= 256 for table, *_ in lookups)
 
@@ -584,13 +611,13 @@ def test_message_from_ordinal_with_a_level_wider_than_int64():
 
 @pytest.mark.parametrize("name", BUILTIN_SPECS)
 def test_message_from_ordinal_agrees_with_the_digit_table(name):
-    """The one digit layout serves both the Python-int and the int64 split."""
+    """The one per-unit layout serves both the Python-int and the int64 split."""
     spec = _stock_spec(name)
     m = spec.message_count
     rng = np.random.default_rng(19)
     ords = np.concatenate([[0, 1, m - 1], rng.integers(0, m, 200, dtype=np.int64)])
-    for ordinal, row in zip(ords, spec._digit_table.split(ords)):
+    blocks = [radix.split(ords) for radix in spec._radix]
+    for i, ordinal in enumerate(ords):
         message = spec.message_from_ordinal(int(ordinal))
-        digits = [v for block in message.symbols for v in block] + list(message.s)
-        assert digits == row.tolist()
+        assert [*message.symbols, message.s] == [tuple(b[i].tolist()) for b in blocks]
         assert spec.ordinal_from_message(message) == ordinal
