@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 
 from .lattice import standard_lattice
@@ -43,6 +44,8 @@ def _sweep_values(text: str) -> list:
         start, stop, step = (float(p) for p in parts)
     except ValueError as exc:
         raise argparse.ArgumentTypeError("sweep values must be numbers") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise argparse.ArgumentTypeError("sweep values must be finite")
     if step <= 0:
         raise argparse.ArgumentTypeError("sweep step must be positive")
     if start > stop:

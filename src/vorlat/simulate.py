@@ -11,6 +11,7 @@ paired runs are calibration-free.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .codes import LinearCode, make_rep_spc_chain
 from .lattice import log2_volume, standard_lattice
-from .quantize import Quantizer, fold_batch, round_half_up
+from .quantize import Quantizer, fold_batch
 from .shaping import _ENUM_LIMIT, VoronoiCodeSpec, _check_int64_ordinals, _share
 
 _TRIAL_BLOCK = 4096
@@ -57,28 +58,41 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
-def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, draw) -> np.ndarray:
+def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, fill) -> np.ndarray:
     """Fill `out` with the draws of trials trial_offset .. trial_offset + len(out) - 1.
 
     Trials are grouped into fixed blocks and each block has its own Philox
     stream on `lane`, so a trial's draw is a fixed function of (seed, lane,
-    trial index). `draw(generator, count)` returns a block's first `count`
-    draws. A call draws a block's stream only up to its last trial there;
-    Philox fills rows in order, so that draw is a prefix of the full block.
+    trial index). `fill(generator, buf)` fills `buf` with a block's first
+    len(buf) draws. A call draws a block's stream only up to its last trial
+    there; Philox fills rows in order, so that draw is a prefix of the full
+    block. A part that starts a block is filled in place; a part that starts
+    inside one fills a temporary from the block's start and keeps its tail.
     """
     done = 0
     while done < len(out):
         block, inner = divmod(trial_offset + done, _TRIAL_BLOCK)
         take = min(_TRIAL_BLOCK - inner, len(out) - done)
-        out[done : done + take] = draw(_stream(seed, lane, block), inner + take)[inner:]
+        part, gen = out[done : done + take], _stream(seed, lane, block)
+        if inner:
+            head = np.empty((inner + take,) + out.shape[1:], dtype=out.dtype)
+            fill(gen, head)
+            part[...] = head[inner:]
+        else:
+            fill(gen, part)
         done += take
     return out
 
 
-def _standard_normals(seed: int, trial_offset: int, rows: int, n: int) -> np.ndarray:
-    """Standard normals of trials trial_offset .. trial_offset + rows - 1."""
-    return _block_draws(seed, 0, trial_offset, np.empty((rows, n)),
-                        lambda gen, size: gen.standard_normal((size, n)))
+def _standard_normals(seed: int, trial_offset: int, rows: int, n: int,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """Standard normals of trials trial_offset .. trial_offset + rows - 1,
+    written into `out` (C-ordered, shape (rows, n)) when it is given."""
+    if out is None:
+        out = np.empty((rows, n))
+    elif out.shape != (rows, n):
+        raise ValueError(f"out has shape {out.shape}, not {(rows, n)}")
+    return _block_draws(seed, 0, trial_offset, out, lambda gen, buf: gen.standard_normal(out=buf))
 
 
 def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
@@ -100,9 +114,11 @@ def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
                     trial_offset: int = 0) -> np.ndarray:
     """Uniform message ordinals, reproducible per (seed, trial index)."""
     _check_int64_ordinals(spec.message_count)
-    return _block_draws(seed, 1, trial_offset, np.empty(count, dtype=np.int64),
-                        lambda gen, size: gen.integers(0, spec.message_count, size,
-                                                       dtype=np.int64))
+
+    def fill(gen, buf):
+        buf[...] = gen.integers(0, spec.message_count, len(buf), dtype=np.int64)
+
+    return _block_draws(seed, 1, trial_offset, np.empty(count, dtype=np.int64), fill)
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +207,25 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
 
 
 def sigma_for(energy_per_dim: float, es_n0_db: float) -> float:
-    """Noise std per dimension for the documented Es/N0 convention."""
+    """Noise std per dimension for the documented Es/N0 convention.
+
+    A non-finite Es/N0, an energy that is not finite and positive, or a pair
+    whose sigma is not finite and positive (past about +-3000 dB) is refused.
+    """
+    if not math.isfinite(es_n0_db):
+        raise ValueError(f"es_n0_db must be finite, got {es_n0_db}")
+    if not (math.isfinite(energy_per_dim) and energy_per_dim > 0):
+        raise ValueError(f"energy_per_dim must be finite and positive, got {energy_per_dim}")
     es = 2.0 * energy_per_dim
-    ratio = 10.0 ** (es_n0_db / 10.0)
-    return math.sqrt(es / (2.0 * ratio) * 0.5)
+    try:
+        ratio = 10.0 ** (es_n0_db / 10.0)
+        sigma = math.sqrt(es / (2.0 * ratio) * 0.5)
+    except (OverflowError, ZeroDivisionError):
+        sigma = 0.0
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(f"es_n0_db {es_n0_db} gives no finite positive sigma at energy "
+                         f"{energy_per_dim}")
+    return sigma
 
 
 def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
@@ -268,8 +299,10 @@ class _WagnerML:
     """
 
     def __init__(self, code: LinearCode):
-        self.support = np.flatnonzero(code.parity_check()[0])
-        m = len(self.support)
+        h = code.parity_check()[0]
+        m = int(np.count_nonzero(h))
+        # a full support is a slice, so the support rows are views, not copies
+        self.support = slice(None) if m == len(h) else np.flatnonzero(h)
         # Position j of the support gets key j if it holds a 1 and 2m-1-j if
         # it holds a 0, plus 2m off the least |delta|: the least key marks
         # the position to flip.
@@ -374,22 +407,51 @@ class MultistageDecoder:
         return self._radius
 
     def lattice_points(self, ys: np.ndarray) -> np.ndarray:
-        """Per-level ML plus the grid round: coding-lattice points, unfolded."""
-        spec = self.spec
-        y = np.asarray(ys, dtype=np.float64)
-        t = y - spec._offset_np
+        """Per-level ML plus the grid round: coding-lattice points, unfolded.
+
+        One (rows, n, q) cost buffer and one (rows, n) work buffer serve
+        every level. Symbol v's cost is (t - scale (v + q z))^2 with
+        z = round_half_up((t / scale - v) / q), built in place in that
+        operation order. Steps that divide or multiply by a scale of 1 or
+        add v = 0 are left out: they change no cost bit (at most the sign of
+        a zero difference, which the square drops). The residual t loses
+        each level's words in place and then holds the grid round.
+        """
+        spec, q = self.spec, self.spec.q
+        t = np.subtract(ys, spec._offset_np, dtype=np.float64)
         assembled = np.zeros(t.shape, dtype=np.int64)
+        costs = np.empty(t.shape + (q,), dtype=np.float64)
+        u = np.empty(t.shape)
         for level, ml in enumerate(self._strategies):
-            scale = float(spec.q**level)
-            costs = np.empty(t.shape + (spec.q,), dtype=np.float64)
-            for v in range(spec.q):
-                z = round_half_up((t / scale - v) / spec.q)
-                costs[:, :, v] = (t - scale * (v + spec.q * z)) ** 2
+            scale = q**level
+            for v in range(q):
+                if level:
+                    np.divide(t, scale, out=u)
+                    u -= v
+                else:
+                    np.subtract(t, v, out=u)
+                u /= q
+                u += 0.5
+                np.floor(u, out=u)  # z, as round_half_up gives it
+                u *= q
+                if v:
+                    u += v
+                if level:
+                    u *= scale
+                np.subtract(t, u, out=u)
+                np.square(u, out=costs[:, :, v])
             words = ml(costs)
-            assembled += spec.q**level * words
-            t = t - scale * words
-        grid = round_half_up(t / spec.qa).astype(np.int64)
-        return assembled + spec.qa * grid + spec._offset_np
+            if level:
+                words *= scale
+            assembled += words
+            t -= words
+        t /= spec.qa
+        t += 0.5
+        grid = np.floor(t, out=t).astype(np.int64)  # round_half_up(t / q^a)
+        grid *= spec.qa
+        grid += assembled
+        grid += spec._offset_np
+        return grid
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
         return fold_batch(self.spec._quantizer, self.lattice_points(ys))
@@ -452,20 +514,25 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
 
     Messages and noise are paired across points and across specs sharing a
     seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
-    in the outer loop, each in four steps over the points that have not yet
-    reached max_errors:
+    in the outer loop, each one pass of four steps over the points that have
+    not yet reached max_errors. The noise and norm buffers are made once per
+    call; nothing outlives the call.
 
-    - draw: the block's message ordinals, standard-normal noise z and
-      squared noise norms ||z||^2, once for every point;
-    - screen: point i keeps the rows with sigma_i^2 ||z||^2 >= radius^2
-      (1 - 1e-9) when the decoder has a `radius`, every row otherwise;
-    - decode: the sent vectors of the kept rows plus sigma_i z, stacked in
-      point order and then block order, go to one `decoder.lattice_points`
-      call, so a call holds at most (active points) x _TRIAL_BLOCK rows; a
-      block that keeps no row makes no call;
-    - count: a row is an error when its lattice point carries another
+    - draw: the block's message ordinals (`random_ordinals`), and its
+      standard-normal noise z and squared norms ||z||^2 written into the
+      buffers, once for every point;
+    - screen: one comparison sigma_i^2 ||z||^2 >= radius^2 (1 - 1e-9) of
+      every active point i on the rows that the noisiest one keeps (every
+      row when the decoder has no `radius`), and one `np.nonzero`, which
+      lists the kept (point, row) pairs in point order, then row order;
+    - decode: sent vectors are built once per kept row and gathered per
+      pair; sent vector plus sigma_i z, in pair order, goes to one
+      `decoder.lattice_points` call of at most (active points) x
+      _TRIAL_BLOCK rows; a block that keeps no pair makes no call;
+    - count: a pair is an error when its lattice point carries another
       message than its sent vector (`spec.same_message`, run once on the
-      rows whose point differs); errors go back to their points by count.
+      pairs whose point differs); one `np.bincount` adds the errors to the
+      points' int64 counts.
     Decoded points are never folded. A row's decision does not depend on
     the other rows of its call, so stacking changes no count.
 
@@ -483,55 +550,74 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     returns the sent point for any noise of smaller norm
     (`_guaranteed_radius`), so every row the screen drops is a correct
     trial. The 1e-9 margin covers the float rounding of the decoder's sums,
-    so the counts are those of decoding every row. A block builds sent
-    vectors only for the rows its noisiest active point keeps.
+    so the counts are those of decoding every row.
+
+    Non-integral or non-positive `trials` and `max_errors`, non-finite
+    Es/N0 values and an energy that is not finite and positive are refused
+    with a ValueError naming the argument, before anything is drawn.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if max_errors < 1:
-        raise ValueError("max_errors must be positive")
+    trials = _positive_count("trials", trials)
+    max_errors = _positive_count("max_errors", max_errors)
     db_values = [float(v) for v in es_n0_list]
+    bad = [v for v in db_values if not math.isfinite(v)]
+    if bad:
+        raise ValueError(f"es_n0_list must hold finite values, got {bad[0]}")
     if energy is None:
         energy = average_energy(spec)
+    if not (math.isfinite(energy) and energy > 0):
+        raise ValueError(f"energy must be finite and positive, got {energy}")
     if decoder is None:
         decoder = make_decoder(spec, mode)
     unfolded = getattr(decoder, "shift_equivariant", False)
+    sent_of = spec.representative_batch if unfolded else spec.encode_batch
     radius = getattr(decoder, "radius", None)
     screen = -math.inf if radius is None else radius * radius * (1.0 - 1e-9)
-    sigmas = [sigma_for(energy, db) for db in db_values]
-    errors = [0] * len(db_values)
-    done = [0] * len(db_values)
+    sigma_list = [sigma_for(energy, db) for db in db_values]
+    sigmas = np.array(sigma_list)
+    sig2 = np.array([s**2 for s in sigma_list])
+    errors = np.zeros(len(db_values), dtype=np.int64)
+    done = np.zeros(len(db_values), dtype=np.int64)
+    z_buf = np.empty((min(_TRIAL_BLOCK, trials), spec.n))
+    norm_buf = np.empty(len(z_buf))
     start = 0
     while start < trials:
-        active = [i for i, e in enumerate(errors) if e < max_errors]
-        if not active:
+        active = np.flatnonzero(errors < max_errors)
+        if not len(active):
             break
         take = min(_TRIAL_BLOCK, trials - start)
         ords = random_ordinals(spec, take, seed, trial_offset=start)
-        z = _standard_normals(seed, start, take, spec.n)
-        norms = np.einsum("ij,ij->i", z, z)
-        rows = np.flatnonzero(max(sigmas[i] for i in active) ** 2 * norms >= screen)
-        ords, z, norms = ords[rows], z[rows], norms[rows]
-        far = [np.flatnonzero(sigmas[i] ** 2 * norms >= screen) for i in active]
-        kept = np.concatenate(far)
-        if len(kept):
-            x = spec.representative_batch(ords) if unfolded else spec.encode_batch(ords)
-            sent = x[kept]
-            p = decoder.lattice_points(
-                sent + np.concatenate([sigmas[i] * z[f] for i, f in zip(active, far)]))
+        z = _standard_normals(seed, start, take, spec.n, out=z_buf[:take])
+        norms = np.einsum("ij,ij->i", z, z, out=norm_buf[:take])
+        s2 = sig2[active]
+        rows = np.flatnonzero(s2.max() * norms >= screen)
+        point, row = np.nonzero(s2[:, None] * norms[rows] >= screen)
+        if len(point):
+            sent = sent_of(ords[rows])[row]
+            y = z[rows[row]]
+            y *= sigmas[active[point], None]
+            y += sent
+            p = decoder.lattice_points(y)
             wrong = np.flatnonzero(np.any(p != sent, axis=1))
             wrong = wrong[~spec.same_message(p[wrong], sent[wrong])]
-            point = np.repeat(active, [len(f) for f in far])
-            for i, e in enumerate(np.bincount(point[wrong], minlength=len(sigmas))):
-                errors[i] += int(e)
-        for i in active:
-            done[i] += take
+            errors[active] += np.bincount(point[wrong], minlength=len(active))
+        done[active] += take
         start += take
     points = []
-    for db, e, d in zip(db_values, errors, done):
+    for db, e, d in zip(db_values, errors.tolist(), done.tolist()):
         lo, hi = wilson_interval(e, d)
         points.append(WerPoint(db, e / d, e, d, lo, hi))
     return points
+
+
+def _positive_count(name: str, value) -> int:
+    """`value` as a positive int; anything else is refused by `name`."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be positive")
+    return value
 
 
 def interpolate_db_at_wer(points, target_wer: float) -> float:

@@ -123,6 +123,17 @@ def test_malformed_sweep_is_a_usage_error(capsys):
     assert info.value.code == 1
 
 
+@pytest.mark.parametrize("sweep", ["nan:1:0.5", "1:nan:0.5", "1:2:nan", "1:inf:1",
+                                   "-inf:2:1", "1:2:inf"])
+def test_non_finite_sweep_is_a_usage_error(capsys, sweep):
+    # unchecked, nan:1:0.5 and 1:nan:0.5 print an empty table, 1:2:nan runs
+    # one point, and 1:inf:1 and -inf:2:1 never end
+    with pytest.raises(SystemExit) as info:
+        cli.main(["wer", "--spec", "pair2", f"--sweep={sweep}", "--trials", "10"])
+    assert info.value.code == 1
+    assert "sweep values must be finite" in capsys.readouterr().err
+
+
 def test_enumerate_toy_spec_file(tmp_path, capsys):
     (tmp_path / "c.chain").write_text("2 1 2\n2\n1 0\n0 1\n")
     (tmp_path / "sys.vspec").write_text("chain = c.chain\nbase = Zn(2)\n")

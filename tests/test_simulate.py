@@ -125,6 +125,25 @@ def test_short_draws_are_prefixes_of_the_full_block():
     assert np.array_equal(random_ordinals(spec, 64, 12, offset), draws[100:164])
 
 
+def test_normals_drawn_into_a_buffer_equal_the_allocated_ones():
+    # wer_sweep draws each block into a prefix of one per-call buffer; that
+    # must equal the allocating draw at block-aligned and unaligned offsets,
+    # across block edges, and on a short last block
+    buf = np.full((_TRIAL_BLOCK + 300, 8), np.nan)
+    cases = [(0, _TRIAL_BLOCK), (2 * _TRIAL_BLOCK, 700), (100, 64),
+             (_TRIAL_BLOCK - 120, 300), (3 * _TRIAL_BLOCK - 5, _TRIAL_BLOCK + 300), (0, 1)]
+    for offset, rows in cases:
+        out = buf[:rows]
+        got = _standard_normals(5, offset, rows, 8, out=out)
+        assert got is out
+        assert np.array_equal(got, _standard_normals(5, offset, rows, 8))
+    full = _standard_normals(5, 2 * _TRIAL_BLOCK, _TRIAL_BLOCK, 8)
+    assert np.array_equal(_standard_normals(5, 2 * _TRIAL_BLOCK, 700, 8, out=buf[:700]),
+                          full[:700])
+    with pytest.raises(ValueError, match="out has shape"):
+        _standard_normals(5, 0, 10, 8, out=buf[:9])
+
+
 def test_average_energy_small_systems_exact():
     assert average_energy(builtin_spec("pair2")) == pytest.approx(1.5)
     assert average_energy(builtin_spec("desk8-cube")) == pytest.approx(5.5)
@@ -160,6 +179,19 @@ def test_sigma_for_implements_the_documented_convention():
         sigma = sigma_for(energy, db)
         es = 2.0 * energy
         assert sigma**2 == pytest.approx(es / (2.0 * 10.0 ** (db / 10.0)) * 0.5)
+
+
+def test_sigma_for_refuses_values_outside_its_domain():
+    for db in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="es_n0_db must be finite"):
+            sigma_for(1.5, db)
+    for energy in (math.nan, math.inf, 0.0, -1.5):
+        with pytest.raises(ValueError, match="energy_per_dim must be finite and positive"):
+            sigma_for(energy, 5.0)
+    # finite inputs whose sigma overflows or underflows
+    for energy, db in ((1.5, 4000.0), (1.5, -4000.0), (1.5, 3100.0), (1e308, -3000.0)):
+        with pytest.raises(ValueError, match="no finite positive sigma"):
+            sigma_for(energy, db)
 
 
 def test_wilson_interval_values():
@@ -222,11 +254,12 @@ def test_table_ml_chunks_rows_of_large_codes():
 
 def test_wagner_matches_table_ml():
     # continuous costs tie with probability zero, so the words themselves agree
+    # (a parity row that covers every position, or one that misses two)
     rng = np.random.default_rng(11)
-    for n in range(3, 13):
-        spc = single_parity_check_code(n)
-        costs = rng.normal(0, 1, (200, n, 2)) ** 2
-        assert np.array_equal(_WagnerML(spc)(costs), _code_ml(spc)(costs))
+    partial = LinearCode([[1, 0, 1, 0, 0], [0, 1, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    for code in [single_parity_check_code(n) for n in range(3, 13)] + [partial]:
+        costs = rng.normal(0, 1, (200, code.n, 2)) ** 2
+        assert np.array_equal(_WagnerML(code)(costs), _code_ml(code)(costs))
 
 
 def test_wagner_agrees_with_reference_decoder():
@@ -700,6 +733,90 @@ def test_wer_sweep_at_high_snr_makes_no_decoder_call():
     assert dec.inputs == []
     assert points == wer_sweep_reference(spec, [40.0], decoder=MultistageDecoder(spec), **kwargs)
     assert points[0].errors == 0 and points[0].trials == 2 * _TRIAL_BLOCK
+
+
+def test_wer_sweep_refuses_bad_inputs_before_any_draw(monkeypatch):
+    spec = builtin_spec("desk8-e8")
+    energy = average_energy(spec)
+    good = dict(trials=500, seed=1, energy=energy)
+    cases = [
+        (dict(es_n0_list=[math.nan, 5.0]), "es_n0_list must hold finite values"),
+        (dict(es_n0_list=[5.0, math.inf]), "es_n0_list must hold finite values"),
+        (dict(energy=math.nan), "energy must be finite and positive"),
+        (dict(energy=math.inf), "energy must be finite and positive"),
+        (dict(energy=-1.0), "energy must be finite and positive"),
+        (dict(energy=0.0), "energy must be finite and positive"),
+        (dict(trials=100.5), "trials must be an integer"),
+        (dict(trials=100.0), "trials must be an integer"),
+        (dict(trials="100"), "trials must be an integer"),
+        (dict(max_errors=2.5), "max_errors must be an integer"),
+        (dict(max_errors=-3), "max_errors must be positive"),
+        (dict(es_n0_list=[4000.0]), "no finite positive sigma"),
+    ]
+    # the valid calls below are what these bad values were before: a NaN
+    # point zeroed the 5 dB point after it
+    alone = wer_sweep(spec, [5.0], **good)
+    assert alone[0].errors > 0
+    assert wer_sweep(spec, [5.0], trials=np.int64(500), seed=1, energy=energy,
+                     max_errors=np.int32(200)) == alone
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a refused sweep drew")
+
+    monkeypatch.setattr("vorlat.simulate._stream", no_draw)
+    for change, message in cases:
+        kwargs = {"es_n0_list": [5.0], **good, **change}
+        grid = kwargs.pop("es_n0_list")
+        with pytest.raises(ValueError, match=message):
+            wer_sweep(spec, grid, **kwargs)
+
+
+@pytest.mark.parametrize("name, mode, grid, max_errors", [
+    ("desk8-e8", "multistage", [12.0, 14.0, 30.0], 40),
+    ("pair2", "exhaustive_ml", [8.0, 12.0, 30.0], 40),
+])
+def test_wer_sweep_matches_the_reference_through_stops_empty_screens_and_a_short_block(
+        name, mode, grid, max_errors):
+    # the first point stops at max_errors after its first block, the last
+    # point's screen keeps no row of any block, and the last block is short
+    spec = builtin_spec(name)
+    energy, seed = average_energy(spec), 21
+    trials = 2 * _TRIAL_BLOCK + 700
+    kwargs = dict(trials=trials, seed=seed, max_errors=max_errors, energy=energy)
+    dec = _RadiusRecordingDecoder(spec, type(make_decoder(spec, mode)))
+    points = wer_sweep(spec, grid, decoder=dec, **kwargs)
+    assert points == wer_sweep_reference(spec, grid, decoder=make_decoder(spec, mode),
+                                         **kwargs)
+    first, middle, last = points
+    assert first.errors >= max_errors and first.trials == _TRIAL_BLOCK
+    assert 0 < middle.errors < max_errors and middle.trials == trials
+    z = _standard_normals(seed, 0, trials, spec.n)
+    assert sigma_for(energy, grid[-1]) ** 2 * (z * z).sum(axis=1).max() < dec.radius**2
+    assert last.errors == 0 and last.trials == trials
+    assert [len(y) for y in dec.inputs][-1] < 700  # the short block's call
+
+
+def test_interleaved_sweeps_equal_the_sweeps_run_alone():
+    # a sweep keeps no state outside its call: a second sweep run from inside
+    # the first one's decoder calls changes neither
+    cube, e8 = builtin_spec("desk8-cube"), builtin_spec("desk8-e8")
+    outer_kwargs = dict(trials=_TRIAL_BLOCK + 900, seed=5, max_errors=50,
+                        energy=average_energy(e8))
+    inner_kwargs = dict(trials=2 * _TRIAL_BLOCK + 300, seed=8, max_errors=30,
+                        energy=average_energy(cube))
+    outer_grid, inner_grid = [12.5, 13.5, 14.5], [13.0, 14.0]
+    inner_runs = []
+
+    class Interleaving(MultistageDecoder):
+        def lattice_points(self, ys):
+            inner_runs.append(wer_sweep(cube, inner_grid, **inner_kwargs))
+            return super().lattice_points(ys)
+
+    outer = wer_sweep(e8, outer_grid, decoder=Interleaving(e8), **outer_kwargs)
+    assert len(inner_runs) == 2
+    assert outer == wer_sweep(e8, outer_grid, **outer_kwargs)
+    assert all(run == wer_sweep(cube, inner_grid, **inner_kwargs) for run in inner_runs)
+    assert all(p.errors > 0 for p in outer + inner_runs[0])
 
 
 def test_csv_format():
