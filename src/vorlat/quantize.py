@@ -148,7 +148,10 @@ class E8FastQuantizer(Quantizer):
         return out
 
 
-_LEECH_ROWS = 16  # rows per block: the per-class temporaries stay under 1 MB
+_LEECH_ROWS = 32  # rows per block: the pattern and class sums stay near 150 KB
+# flat index 128*j of the first class sum of half-row j, for the 2*_LEECH_ROWS half-rows of a block
+_CLASS_STARTS = np.arange(0, 256 * _LEECH_ROWS, 128)
+_CLASS_STARTS.setflags(write=False)
 
 
 class LeechFastQuantizer(Quantizer):
@@ -169,10 +172,17 @@ class LeechFastQuantizer(Quantizer):
     costs B and leaves a residual in Z2^2: the complement parity still owed
     and the D24 parity. Changing a single tetrad (flipping the D24 parity in
     it, complementing it, or both) repairs any residual, so B plus the
-    cheapest such correction bounds the class minimum from above; B plus the
-    cheaper of that and one correction of each other kind bounds it from
-    below. Only the words of classes whose lower bound is within TIE_EPS of
-    the least upper bound of their row are scored exactly.
+    cheapest such correction bounds the class minimum from above, and B alone,
+    corrections costing at least 0, bounds it from below.
+
+    Bounds come in the order B, pass-1 bound, survivors. Pass 1 bounds each
+    row by B plus the correction of each half's least-B class. Pass 2 gives
+    corrections only to the classes with B within that bound. Every class
+    that bounding all 256 (class, half) pairs would keep is among them, so
+    they give the same row bound (their least upper bound) and the same
+    survivors: the classes whose lower bound, B plus the cheaper of the owed
+    correction and one of each other kind, is within TIE_EPS of it. Only the
+    survivors' words are scored exactly.
 
     Ties within TIE_EPS go to the first coset in table order (m = 0 first, then
     codeword index). Within that coset t the point is t + 4 times the D24
@@ -186,7 +196,7 @@ class LeechFastQuantizer(Quantizer):
         if LeechFastQuantizer._TABLES is None:
             LeechFastQuantizer._TABLES = self._build_tables()
         (self._table, self._offsets, self._tetrads, self._pattern_bits, self._pattern_coords,
-         self._class_sum, self._owed, self._residual, self._class_rows, self._class_words,
+         self._class_sum, self._owed, self._residual, self._tetrad_at, self._class_words,
          self._word_rows, self._class_index) = LeechFastQuantizer._TABLES
 
     @staticmethod
@@ -194,8 +204,8 @@ class LeechFastQuantizer(Quantizer):
         words = golay.codewords().astype(np.int64)
         u = np.array([-3] + [1] * 23, dtype=np.int64)
         table = np.concatenate([2 * words, 2 * words + u], axis=0)
-        # quarter-scale coset offsets (m*u_i + 2b)/4, indexed [b, i, m]
-        offsets = (np.stack([np.zeros(24), u], axis=1) + 2.0 * np.arange(2)[:, None, None]) * 0.25
+        # quarter-scale coset offsets (m*u_i + 2b)/4, indexed [m, b, i]
+        offsets = (np.stack([np.zeros(24), u])[:, None] + 2.0 * np.arange(2)[:, None]) * 0.25
         # The sextet: tetrad {0, 1, 2, 3} and the five octads through it, less it.
         octads = words[(words.sum(axis=1) == 8) & words[:, :4].all(axis=1)]
         tetrads = np.vstack([np.arange(4)] + [np.flatnonzero(o)[4:] for o in octads])
@@ -206,87 +216,103 @@ class LeechFastQuantizer(Quantizer):
         class_words = np.argsort(cls, kind="stable").reshape(128, 32)
         first = class_words[:, 0]
         # Pattern rows (flip, tetrad, canonical pattern): row r reads bit b of
-        # coordinate i from row b*24 + i of the rounding errors.
+        # coordinate i from entry b*24 + i of a half-row's rounding errors.
         r = np.arange(96)[:, None]
         bits = ((r % 8) ^ (15 * (r >= 48))) >> np.arange(4) & 1
         coords = bits * 24 + tetrads[r % 48 // 8, np.arange(4)]  # (96, 4)
-        pattern_bits = np.zeros((96, 48))
-        pattern_bits[r, coords] = 1.0
+        pattern_bits = np.zeros((48, 96))
+        pattern_bits[coords, r] = 1.0
         class_rows = 8 * np.arange(6) + canon[first]  # (128, 6), unflipped rows
-        class_sum = np.zeros((128, 48))
-        class_sum[np.arange(128)[:, None], class_rows] = 1.0
-        owed = 8 * (flip[first].sum(axis=1, keepdims=True) & 1)  # 8 * complement parity
+        class_sum = np.zeros((48, 128))
+        class_sum[class_rows, np.arange(128)[:, None]] = 1.0
+        owed = 8 * (flip[first].sum(axis=1) & 1)  # 8 * complement parity
         z = np.arange(64)
         residual = (z >> 2 & 2) | (z & 1)  # 8*flips + parities -> 2*(flip parity) + D24 parity
+        # flat index 48*j + row of the rows of class c in half-row j, at [:, 128*j + c]
+        tetrad_at = (np.ascontiguousarray(class_rows.T)[:, None]
+                     + 48 * np.arange(2 * _LEECH_ROWS)[:, None]).reshape(6, -1)
         rows = 48 * flip + 8 * np.arange(6) + canon  # (4096, 6)
         word_rows = rows[class_words].transpose(0, 2, 1).reshape(128, 192)
-        class_index = class_words[:, None, :] + 4096 * np.arange(2)[:, None]  # [class, m]
+        class_index = (class_words + 4096 * np.arange(2)[:, None, None]).reshape(256, 32)
         out = (table, offsets, tetrads, pattern_bits, coords.T.copy(), class_sum, owed,
-               residual, class_rows.T.copy(), class_words, word_rows, class_index)
+               residual, tetrad_at, class_words, word_rows, class_index)
         for arr in out:
             arr.setflags(write=False)
         return out
 
     def quantize_batch(self, ys):
         y = _finite(ys, 24)
-        yq = y.T * 0.25
-        best = np.empty(y.shape[0], dtype=np.int64)
-        for lo in range(0, y.shape[0], _LEECH_ROWS):
-            best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[:, lo : lo + _LEECH_ROWS])
+        yq = y * 0.25
+        best = np.empty(len(y), dtype=np.int64)
+        for lo in range(0, len(y), _LEECH_ROWS):
+            best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[lo : lo + _LEECH_ROWS])
         t = self._table[best]
         return t + 4 * _dn_columns(((y - t) * 0.25).T).T.astype(np.int64)
 
     def _nearest_cosets(self, yq):
-        """Table index of the first nearest coset for each column of yq = y.T / 4."""
-        rows = yq.shape[1]
-        h = 2 * rows  # column 2*row + m holds half m of a row
-        w = (yq[None, :, :, None] - self._offsets[:, :, None, :]).reshape(48, h)
-        x = np.zeros((48, h, 3))
-        f = np.floor(w + 0.5, out=x[..., 1])
+        """Table index of the first nearest coset for each row of yq = y / 4."""
+        rows = len(yq)
+        h = 2 * rows  # half-row 2*r + m holds half m of row r
+        w = (yq[:, None, None, :] - self._offsets).reshape(h, 48)
+        x = np.empty((2, h, 48))
+        f = np.floor(w + 0.5, out=x[1])
         e = w - f  # rounding errors, in [-0.5, 0.5)
-        np.multiply(e, e, out=x[..., 0])
-        # per pattern row and column: sum(e^2), sum(f), flip penalty 1 - 2*max|e|
-        s = (self._pattern_bits @ x.reshape(48, 3 * h)).reshape(96, h, 3)
-        cost = s[..., 0]
-        par = s[..., 1].astype(np.int64) & 1
-        pen = s[..., 2]
-        np.subtract(1.0, 2.0 * np.abs(e).take(self._pattern_coords, axis=0).max(axis=0), out=pen)
+        np.multiply(e, e, out=x[0])
+        # per half-row and pattern row: sum(e^2), sum(f), flip penalty 1 - 2*max|e|
+        s = np.empty((3, h, 96))
+        cost, fsum, pen = s[0], s[1], s[2]
+        np.matmul(x, self._pattern_bits, out=s[:2])
+        # max|e| per pattern row, gathered coordinate-major: one contiguous copy per row
+        top = np.abs(e.T, order="C").take(self._pattern_coords, axis=0).max(axis=0)
+        np.subtract(1.0, 2.0 * top.T, out=pen)
+        par = fsum.astype(np.int64) & 1
         # Each tetrad takes its cheaper pattern; class sums of those costs and
         # of the codes 8*flip + parity give each class its B and its residual.
-        flip = cost[48:] < cost[:48]
-        pick = np.empty((48, 2 * h))
-        np.minimum(cost[:48], cost[48:], out=pick[:, :h])
-        pick[:, h:] = np.where(flip, par[48:] + 8, par[:48])
-        sums = self._class_sum @ pick
-        res = self._residual.take(sums[:, h:].astype(np.int64) + self._owed)
-        # one-tetrad corrections: flip the D24 parity, complement keeping it,
-        # complement flipping it (via the other pattern's penalty if needed)
-        corr = np.empty((48, 3, h))
-        corr[:, 0] = np.where(flip, pen[48:], pen[:48])
-        dc = np.abs(cost[48:] - cost[:48])
-        both = dc + np.where(flip, pen[:48], pen[48:])
-        split = par[:48] != par[48:]
-        corr[:, 1] = np.where(split, both, dc)
-        corr[:, 2] = np.where(split, dc, both)
-        # per class, the cheapest correction of each kind over its six tetrads
-        md = np.zeros((4, 128, h))
-        least = corr.reshape(48, 3 * h).take(self._class_rows, axis=0).min(axis=0)
-        md[1:] = least.reshape(128, 3, h).transpose(1, 0, 2)
-        one = md.reshape(-1).take(res * (128 * h) + np.arange(128 * h).reshape(128, h))  # md[res]
+        flip = cost[:, 48:] < cost[:, :48]
+        pick = np.empty((2 * h, 48))
+        np.minimum(cost[:, :48], cost[:, 48:], out=pick[:h])
+        pick[h:] = np.where(flip, par[:, 48:] + 8, par[:, :48])
+        sums = pick @ self._class_sum  # flat index 128*half-row + class
+        b = sums[:h].reshape(-1)
+        res = self._residual.take(sums[h:].astype(np.int64) + self._owed).reshape(-1)
+        # one-tetrad corrections by kind: none, flip the D24 parity, complement
+        # keeping it, complement flipping it (via the other pattern's penalty if needed)
+        corr = np.zeros((4, h, 48))
+        corr[1] = np.where(flip, pen[:, 48:], pen[:, :48])
+        dc = np.abs(cost[:, 48:] - cost[:, :48])
+        both = dc + np.where(flip, pen[:, :48], pen[:, 48:])
+        split = par[:, :48] != par[:, 48:]
+        corr[2] = np.where(split, both, dc)
+        corr[3] = np.where(split, dc, both)
+        corr = corr.reshape(4, -1)
+
+        def bounds(at):
+            """B, each kind's cheapest correction and the one owed, at flat class indices."""
+            md = corr.take(self._tetrad_at.take(at, axis=1), axis=1).min(axis=1)
+            return b.take(at), md, res.take(at).choose(md)
+
+        # pass 1: the least-B class of each half, with its correction, bounds the row
+        starts = _CLASS_STARTS[:h]
+        bc, _, one = bounds(starts + b.reshape(h, 128).argmin(axis=1))
+        bound = (bc + one).reshape(rows, 2).min(axis=1) + TIE_EPS
+        # pass 2: B bounds its class from below, so only classes with B <= bound
+        # can hold the row's least upper bound or its nearest coset
+        at = (b.reshape(rows, 256) <= bound[:, None]).ravel().nonzero()[0]
+        bc, md, one = bounds(at)
+        bound = np.minimum.reduceat(bc + one, at.searchsorted(starts[::2])) + TIE_EPS
         # one correction always works; two of the other kinds may be cheaper
-        lb = sums[:, :h] + np.minimum(one, md.sum(axis=0) - one)
-        bound = (sums[:, :h] + one).min(axis=0).reshape(rows, 2).min(axis=1) + TIE_EPS
-        col, cls = np.nonzero((lb.reshape(128, rows, 2) <= bound[:, None]).reshape(128, h).T)
+        lb = bc + np.minimum(one, md.sum(axis=0) - one)
+        at = at[lb <= bound.take(at >> 8)]
         # score every word of the surviving classes exactly
-        at = self._word_rows.take(cls, axis=0) * h + col[:, None]
-        rec = s.reshape(-1, 3).take(at, axis=0).reshape(-1, 6, 32, 3)
-        tot = rec.sum(axis=1)
-        score = tot[..., 0] + (tot[..., 1].astype(np.int64) & 1) * rec[..., 2].min(axis=1)
+        words = self._word_rows.take(at & 127, axis=0) + (96 * (at >> 7))[:, None]
+        rec = s.reshape(3, -1).take(words, axis=1).reshape(3, -1, 6, 32)
+        tot = rec[:2].sum(axis=2)
+        score = tot[0] + (tot[1].astype(np.int64) & 1) * rec[2].min(axis=1)
         # first coset within TIE_EPS of the minimum, in table order m*4096 + codeword index
-        start = 32 * np.searchsorted(col, np.arange(0, h, 2))
+        start = 32 * at.searchsorted(starts[::2])
         low = np.minimum.reduceat(score.reshape(-1), start)
-        tied = score <= low.take(col >> 1)[:, None] + TIE_EPS
-        index = np.where(tied, self._class_index[cls, col & 1], 8192)
+        tied = score <= low.take(at >> 8)[:, None] + TIE_EPS
+        index = np.where(tied, self._class_index.take(at & 255, axis=0), 8192)
         return np.minimum.reduceat(index.reshape(-1), start)
 
 

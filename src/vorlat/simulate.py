@@ -147,9 +147,9 @@ def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0)
 def _mc_mean(samples: int, values) -> tuple:
     """(mean, standard error) over `samples` samples of `values(offset, count)`,
     the values of samples offset .. offset + count - 1, called on consecutive
-    blocks of _TRIAL_BLOCK samples so that each block keys its own stream."""
-    if samples < 1:
-        raise ValueError("samples must be positive")
+    blocks of _TRIAL_BLOCK samples so that each block keys its own stream.
+    A non-integral or non-positive `samples` is refused."""
+    samples = _positive_count("samples", samples)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, samples, _TRIAL_BLOCK):
@@ -698,12 +698,11 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
 
     Each sample times as many back-to-back calls of a path as fill
     _BENCH_SAMPLE_NS, so a sample of a fast path spans the short swings in
-    machine speed instead of landing in one of them.
+    machine speed instead of landing in one of them. Non-integral or
+    non-positive `trials` and `repeats` are refused.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    if repeats < 1:
-        raise ValueError("repeats must be positive")
+    trials = _positive_count("trials", trials)
+    repeats = _positive_count("repeats", repeats)
     rng = np.random.default_rng(seed)
     msgs, s = _random_components(spec, trials, rng)
     blocks = [*msgs, s]

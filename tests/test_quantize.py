@@ -327,10 +327,25 @@ def test_leech_fast_matches_coset_reference():
         rng.uniform(-8, 8, size=(512, 24)),
     ):
         assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
-    # one batch call across internal block boundaries equals single-row calls
-    ys = np.concatenate([reps[:11].astype(np.float64), rng.uniform(-8, 8, size=(10, 24))])
+    # one batch call across two internal block boundaries equals single-row calls
+    ys = np.concatenate([reps[: _LEECH_ROWS + 2].astype(np.float64),
+                         rng.uniform(-8, 8, size=(_LEECH_ROWS + 1, 24))])
     rows = np.stack([nearest(fast, y) for y in ys])
     assert np.array_equal(fast.quantize_batch(ys), rows)
+
+
+@pytest.mark.parametrize("rows", [_LEECH_ROWS - 1, _LEECH_ROWS, _LEECH_ROWS + 1])
+def test_leech_fast_matches_coset_reference_around_one_block(rows):
+    """Batches just short of, at and just past one internal block, on the
+    inputs of a leech24 fold (encoder representatives over the scale 4) and
+    of second_moment_mc (uniform draws in the fundamental parallelotope)."""
+    lat = standard_lattice("Leech_int")
+    fast = LeechFastQuantizer(lat)
+    spec = builtin_spec("leech24")
+    reps = spec.representative_batch(random_ordinals(spec, rows, seed=rows)) / 4.0
+    draws = np.random.default_rng(rows).random((rows, 24)) @ lat.float_triangular().T
+    for ys in (reps, draws):
+        assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
 
 
 @settings(max_examples=40, deadline=None)

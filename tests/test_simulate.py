@@ -18,6 +18,7 @@ from oracles import (
 )
 from vorlat.codes import CodeChain, LinearCode, single_parity_check_code
 from vorlat.lattice import standard_lattice
+from vorlat.quantize import make_quantizer
 from vorlat.shaping import BUILTIN_SPECS, VoronoiCodeSpec, builtin_spec
 from vorlat.simulate import (
     BenchResult,
@@ -37,6 +38,7 @@ from vorlat.simulate import (
     make_decoder,
     random_ordinals,
     sampled_energy,
+    second_moment_mc,
     sigma_for,
     transmit,
     wer_gap_db,
@@ -853,6 +855,32 @@ def test_complexity_bench_smoke():
     assert result.baseline_ns > 0
     assert result.split_encode_ns >= result.code_encode_ns > 0
     assert result.fold_ns > 0
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: second_moment_mc(make_quantizer(standard_lattice("E8_int")), 100.5),
+     "samples must be an integer"),
+    (lambda: second_moment_mc(make_quantizer(standard_lattice("E8_int")), 0),
+     "samples must be positive"),
+    (lambda: sampled_energy(builtin_spec("desk8-e8"), 100.5), "samples must be an integer"),
+    (lambda: sampled_energy(builtin_spec("desk8-e8"), "100"), "samples must be an integer"),
+    (lambda: complexity_bench(builtin_spec("desk8-e8"), trials=2.5), "trials must be an integer"),
+    (lambda: complexity_bench(builtin_spec("desk8-e8"), trials=0), "trials must be positive"),
+    (lambda: complexity_bench(builtin_spec("desk8-e8"), repeats=3.0),
+     "repeats must be an integer"),
+    (lambda: complexity_bench(builtin_spec("desk8-e8"), repeats=-1), "repeats must be positive"),
+], ids=["mc-half", "mc-zero", "energy-half", "energy-str", "bench-trials-half",
+        "bench-trials-zero", "bench-repeats-float", "bench-repeats-negative"])
+def test_monte_carlo_and_bench_counts_are_refused_by_name(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_monte_carlo_counts_accept_numpy_integers():
+    q = make_quantizer(standard_lattice("E8_int"))
+    assert second_moment_mc(q, np.int64(300), seed=2) == second_moment_mc(q, 300, seed=2)
+    spec = builtin_spec("desk8-e8")
+    assert sampled_energy(spec, np.int32(300)) == sampled_energy(spec, 300)
 
 
 def test_bench_spec_family_structure():
