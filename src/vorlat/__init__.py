@@ -27,7 +27,6 @@ from .shaping import (
     load_spec,
 )
 from .simulate import (
-    ChannelConfig,
     WerPoint,
     average_energy,
     complexity_bench,
@@ -43,7 +42,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BUILTIN_CHAINS",
     "BUILTIN_SPECS",
-    "ChannelConfig",
     "CodeChain",
     "IntMatrix",
     "Lattice",

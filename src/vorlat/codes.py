@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .intmat import _integer
+
 _CODEWORD_TABLE_LIMIT = 1 << 20
 
 
@@ -124,9 +126,10 @@ class LinearCode:
                  "_parity")
 
     def __init__(self, generator_rows, q: int = 2):
+        q = _integer("q", q)
         if not is_prime(q):
             raise ValueError("q must be prime")
-        rows = [list(r) for r in generator_rows]
+        rows = [[_integer("generator entry", v) for v in r] for r in generator_rows]
         if not rows or not rows[0]:
             raise ValueError("empty generator")
         if any(len(r) != len(rows[0]) for r in rows):

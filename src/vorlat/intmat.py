@@ -8,7 +8,25 @@ for an integer coordinate vector b.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+
+def _integer(name: str, value, low: int | None = None) -> int:
+    """value as a Python int, for every integer argument of the package.
+
+    Python and numpy integers pass; anything else (floats, strings, arrays)
+    is refused with a ValueError naming the argument, and so is a value
+    below `low`, which is 0 (non-negative) or 1 (positive) when given.
+    """
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}")
+    return value
 
 
 class IntMatrix:
@@ -17,7 +35,7 @@ class IntMatrix:
     __slots__ = ("_data", "rows", "cols")
 
     def __init__(self, entries):
-        data = tuple(tuple(int(x) for x in row) for row in entries)
+        data = tuple(tuple(_integer("matrix entry", x) for x in row) for row in entries)
         if not data or not data[0]:
             raise ValueError("empty matrix")
         w = len(data[0])
@@ -69,11 +87,11 @@ class IntMatrix:
         return IntMatrix(list(zip(*self._data)))
 
     def scale(self, k: int) -> "IntMatrix":
-        k = int(k)
+        k = _integer("scale", k)
         return IntMatrix([[k * x for x in r] for r in self._data])
 
     def matvec(self, v) -> tuple:
-        v = [int(x) for x in v]
+        v = [_integer("vector entry", x) for x in v]
         if len(v) != self.cols:
             raise ValueError("shape mismatch")
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self._data)

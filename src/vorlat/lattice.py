@@ -25,6 +25,7 @@ import numpy as np
 from . import golay
 from .intmat import (
     IntMatrix,
+    _integer,
     hnf_from_spanning,
     hnf_lower_triangular,
     integer_solve_lower_triangular,
@@ -90,9 +91,7 @@ class Lattice:
 
     def scaled(self, k: int) -> "Lattice":
         """The lattice k * self (every point multiplied by the integer k)."""
-        k = int(k)
-        if k <= 0:
-            raise ValueError("scale must be positive")
+        k = _integer("scale", k, 1)
         if k == 1:
             return self
         return Lattice(
@@ -204,10 +203,8 @@ def standard_lattice(name: str) -> Lattice:
 
 def direct_sum(base: Lattice, copies: int, alpha: int = 1) -> Lattice:
     """Direct sum of `copies` blocks of alpha * base."""
-    copies = int(copies)
-    alpha = int(alpha)
-    if copies < 1 or alpha < 1:
-        raise ValueError("copies and alpha must be positive")
+    copies = _integer("copies", copies, 1)
+    alpha = _integer("alpha", alpha, 1)
     block = base.scaled(alpha)
     if copies == 1:
         return block

@@ -385,15 +385,12 @@ class EnumerationQuantizer(Quantizer):
 
 
 class ScaledQuantizer(Quantizer):
-    """Nearest point of alpha * L from a quantizer for L."""
+    """Nearest point of a lattice alpha * L (`Lattice.scaled`) from L's quantizer."""
 
-    def __init__(self, inner: Quantizer, alpha: int, lattice: Lattice | None = None):
-        alpha = int(alpha)
-        if alpha < 1:
-            raise ValueError("alpha must be a positive integer")
-        super().__init__(lattice if lattice is not None else inner.lattice.scaled(alpha))
-        self.inner = inner
-        self.alpha = alpha
+    def __init__(self, lattice: Lattice):
+        super().__init__(lattice)
+        _, self.alpha, base = lattice.structure
+        self.inner = make_quantizer(base)
 
     def quantize_batch(self, ys):
         y = np.asarray(ys, dtype=np.float64)
@@ -401,18 +398,13 @@ class ScaledQuantizer(Quantizer):
 
 
 class DirectSumQuantizer(Quantizer):
-    """Blockwise quantizer for a direct sum of identical blocks."""
+    """Blockwise quantizer for a direct sum of identical blocks (`direct_sum`)."""
 
-    def __init__(self, inner: Quantizer, copies: int, lattice: Lattice | None = None):
-        from .lattice import direct_sum  # local import to avoid a cycle
-
-        copies = int(copies)
-        if copies < 1:
-            raise ValueError("copies must be positive")
-        super().__init__(lattice if lattice is not None else direct_sum(inner.lattice, copies))
-        self.inner = inner
-        self.copies = copies
-        self._block = inner.lattice.dim
+    def __init__(self, lattice: Lattice):
+        super().__init__(lattice)
+        _, self.copies, block = lattice.structure
+        self.inner = make_quantizer(block)
+        self._block = block.dim
 
     def quantize_batch(self, ys):
         y = _finite(ys, self.lattice.dim)
@@ -421,24 +413,14 @@ class DirectSumQuantizer(Quantizer):
         return self.inner.quantize_batch(flat).reshape(rows, self.copies * self._block)
 
 
-def _blockwise(wrapper):
-    """Factory for a lattice made of one block: wrap the block's own quantizer."""
-
-    def make(lattice):
-        _, count, block = lattice.structure
-        return wrapper(make_quantizer(block), count, lattice)
-
-    return make
-
-
 # Structure tag -> quantizer factory; untagged lattices fall back to enumeration.
 _DISPATCH = {
     "Zn": ZnQuantizer,
     "Dn": DnQuantizer,
     "E8_int": E8FastQuantizer,
     "Leech_int": LeechFastQuantizer,
-    "scaled": _blockwise(ScaledQuantizer),
-    "blocks": _blockwise(DirectSumQuantizer),
+    "scaled": ScaledQuantizer,
+    "blocks": DirectSumQuantizer,
 }
 
 

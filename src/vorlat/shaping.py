@@ -30,7 +30,7 @@ from .codes import (
     nested_basis,
     verify_carry_closure,
 )
-from .intmat import IntMatrix
+from .intmat import IntMatrix, _integer
 # is_sublattice and quotient_order are not called here (the nesting holds by
 # construction); perfbench/tracer.py wraps them as attributes of this module.
 from .lattice import (  # noqa: F401
@@ -82,14 +82,6 @@ def construction_d_lattice(chain: CodeChain) -> Lattice:
     return Lattice(triangular, _triangular=triangular, name=f"multilevel({chain!r})")
 
 
-def _as_int(value, what: str) -> int:
-    """value as a Python int; anything that is not an integer is refused."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 def _share(unit, digits) -> np.ndarray:
     """A VoronoiCodeSpec._units entry's share of representatives from its digits.
 
@@ -122,12 +114,14 @@ class VoronoiCodeSpec:
     The shaping lattice is q^a * (direct sum of `copies` blocks of
     alpha * base), nested in the coding lattice by construction; its
     quotient by the coding lattice enumerates exactly message_count points.
-    `offset` translates every representative before folding (integer
-    entries keep all arithmetic exact).
+    `offset` translates every representative before folding; its entries,
+    alpha and copies must be integers (alpha and copies positive).
     """
 
     def __init__(self, chain: CodeChain, base: Lattice, *, alpha: int = 1,
                  copies: int = 1, offset=None, name: str | None = None):
+        alpha = _integer("alpha", alpha, 1)
+        copies = _integer("copies", copies, 1)
         if chain.a > 1:
             # multilevel carries must stay inside the chain; proven for q = 2
             verify_carry_closure(chain)
@@ -139,8 +133,8 @@ class VoronoiCodeSpec:
             )
         self.chain = chain
         self.base = base
-        self.alpha = int(alpha)
-        self.copies = int(copies)
+        self.alpha = alpha
+        self.copies = copies
         self.name = name
         self.q = chain.q
         self.a = chain.a
@@ -152,7 +146,7 @@ class VoronoiCodeSpec:
         self.s_box = self.shaping_prime.diag()
         if offset is None:
             offset = (0,) * n
-        self.offset = tuple(int(v) for v in offset)
+        self.offset = tuple(_integer("offset entry", v) for v in offset)
         if len(self.offset) != n:
             raise ValueError("offset length does not match dimension")
         # q^a L' is inside q^a Z^n (L' is an integer lattice), which is inside
@@ -249,7 +243,7 @@ class VoronoiCodeSpec:
     # -- message bookkeeping --------------------------------------------------
 
     def message_from_ordinal(self, ordinal) -> Message:
-        ordinal = _as_int(ordinal, "ordinal")
+        ordinal = _integer("ordinal", ordinal)
         if not 0 <= ordinal < self.message_count:
             raise ValueError("ordinal out of range")
         *symbols, s = (tuple(ordinal // p % r for p, r in zip(places, radices))
@@ -261,7 +255,7 @@ class VoronoiCodeSpec:
             raise ValueError("message shape does not match the spec")
         ordinal = 0
         for (places, radices, code, _), block in zip(self._units, (*message.symbols, message.s)):
-            digits = [_as_int(v, "message entry") for v in block]
+            digits = [_integer("message entry", v) for v in block]
             if any(not 0 <= d < r for d, r in zip(digits, radices)):
                 raise ValueError("shaping vector outside its box" if code is None
                                  else "code symbols outside their range")
@@ -443,21 +437,19 @@ def load_spec(path) -> VoronoiCodeSpec:
             raise ValueError(f"spec file: missing required key {required!r}")
     chain = _resolve_chain(values["chain"], base_dir)
     base = _resolve_base(values["base"], base_dir)
-    alpha = _positive_int(values.get("alpha", "1"), "alpha")
-    copies = _positive_int(values.get("copies", "1"), "copies")
+    alpha = _int_value(values.get("alpha", "1"), "alpha")
+    copies = _int_value(values.get("copies", "1"), "copies")
     return VoronoiCodeSpec(
         chain, base, alpha=alpha, copies=copies, name=values.get("name")
     )
 
 
-def _positive_int(text: str, key: str) -> int:
+def _int_value(text: str, key: str) -> int:
+    """A spec file's integer value; VoronoiCodeSpec checks its range."""
     try:
-        value = int(text)
+        return int(text)
     except ValueError as exc:
         raise ValueError(f"spec file: {key} must be an integer") from exc
-    if value < 1:
-        raise ValueError(f"spec file: {key} must be positive")
-    return value
 
 
 def _resolve_chain(value: str, base_dir: str) -> CodeChain:

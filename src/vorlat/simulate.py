@@ -11,15 +11,15 @@ paired runs are calibration-free.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .codes import LinearCode, make_rep_spc_chain
+from .intmat import _integer
 from .lattice import log2_volume, standard_lattice
-from .quantize import Quantizer, fold_batch
+from .quantize import Quantizer, _finite, fold_batch
 from .shaping import _ENUM_LIMIT, VoronoiCodeSpec, _check_int64_ordinals, _share
 
 _TRIAL_BLOCK = 4096
@@ -28,18 +28,6 @@ _ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
 _BENCH_SAMPLE_NS = 5_000_000  # one complexity_bench timing sample lasts at least this
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
-
-
-@dataclass(frozen=True)
-class ChannelConfig:
-    """Per-dimension noise level plus the reproducibility seed."""
-
-    sigma: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
 
 
 @dataclass(frozen=True)
@@ -54,7 +42,10 @@ class WerPoint:
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
     """The Philox stream of `seed` under a spawn key: (block,) for Monte Carlo
-    estimates, (lane, block) for the noise and message lanes."""
+    estimates, (lane, block) for the noise and message lanes. Every draw of
+    the module comes from here, so this is where a seed that is not a
+    non-negative integer is refused."""
+    seed = _integer("seed", seed, 0)
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
 
 
@@ -68,7 +59,9 @@ def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, fill)
     there; Philox fills rows in order, so that draw is a prefix of the full
     block. A part that starts a block is filled in place; a part that starts
     inside one fills a temporary from the block's start and keeps its tail.
+    A trial_offset that is not a non-negative integer is refused.
     """
+    trial_offset = _integer("trial_offset", trial_offset, 0)
     done = 0
     while done < len(out):
         block, inner = divmod(trial_offset + done, _TRIAL_BLOCK)
@@ -95,24 +88,30 @@ def _standard_normals(seed: int, trial_offset: int, rows: int, n: int,
     return _block_draws(seed, 0, trial_offset, out, lambda gen, buf: gen.standard_normal(out=buf))
 
 
-def transmit(x, cfg: ChannelConfig, trial_offset: int = 0) -> np.ndarray:
-    """y = x + white Gaussian noise, std cfg.sigma per dimension.
+def transmit(x, sigma: float, seed: int = 0, trial_offset: int = 0) -> np.ndarray:
+    """y = x + white Gaussian noise, std sigma per dimension.
 
-    The noise of absolute trial t is cfg.sigma times a standard normal that
-    depends only on (cfg.seed, t), so batching and early stopping cannot
-    change any draw, and sweeps at different sigma share one noise stream.
+    The noise of absolute trial t is sigma times a standard normal that
+    depends only on (seed, t), so batching and early stopping cannot change
+    any draw, and sweeps at different sigma share one noise stream. A sigma
+    that is not positive is refused.
     """
+    if not sigma > 0:
+        raise ValueError("sigma must be positive")
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 1
     if squeeze:
         arr = arr[None, :]
-    out = arr + cfg.sigma * _standard_normals(cfg.seed, trial_offset, *arr.shape)
+    out = arr + sigma * _standard_normals(seed, trial_offset, *arr.shape)
     return out[0] if squeeze else out
 
 
 def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
                     trial_offset: int = 0) -> np.ndarray:
-    """Uniform message ordinals, reproducible per (seed, trial index)."""
+    """Uniform message ordinals, reproducible per (seed, trial index).
+
+    count and trial_offset must be non-negative integers."""
+    count = _integer("count", count, 0)
     _check_int64_ordinals(spec.message_count)
 
     def fill(gen, buf):
@@ -149,7 +148,7 @@ def _mc_mean(samples: int, values) -> tuple:
     the values of samples offset .. offset + count - 1, called on consecutive
     blocks of _TRIAL_BLOCK samples so that each block keys its own stream.
     A non-integral or non-positive `samples` is refused."""
-    samples = _positive_count("samples", samples)
+    samples = _integer("samples", samples, 1)
     total = 0.0
     total_sq = 0.0
     for lo in range(0, samples, _TRIAL_BLOCK):
@@ -415,10 +414,11 @@ class MultistageDecoder:
         operation order. Steps that divide or multiply by a scale of 1 or
         add v = 0 are left out: they change no cost bit (at most the sign of
         a zero difference, which the square drops). The residual t loses
-        each level's words in place and then holds the grid round.
+        each level's words in place and then holds the grid round. Rows that
+        are not n wide or hold NaN or inf are refused (`quantize._finite`).
         """
         spec, q = self.spec, self.spec.q
-        t = np.subtract(ys, spec._offset_np, dtype=np.float64)
+        t = np.subtract(_finite(ys, spec.n), spec._offset_np)
         assembled = np.zeros(t.shape, dtype=np.int64)
         costs = np.empty(t.shape + (q,), dtype=np.float64)
         u = np.empty(t.shape)
@@ -467,6 +467,8 @@ class ExhaustiveDecoder:
     Noise of norm below `radius` (`_guaranteed_radius`, at most half the
     coding lattice's minimum distance) leaves the sent point strictly
     nearest, so `wer_sweep` decodes no trial whose noise lies inside it.
+    Rows that are not n wide or hold NaN or inf are refused, as by the
+    quantizers.
     """
 
     shift_equivariant = False
@@ -489,7 +491,7 @@ class ExhaustiveDecoder:
         return self._radius
 
     def decode_batch(self, ys: np.ndarray) -> np.ndarray:
-        y = np.asarray(ys, dtype=np.float64)
+        y = _finite(ys, self.spec.n)
         return self._ml(np.hstack([y, np.ones((len(y), 1))]))
 
     lattice_points = decode_batch  # decisions are already constellation points
@@ -556,8 +558,8 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     Es/N0 values and an energy that is not finite and positive are refused
     with a ValueError naming the argument, before anything is drawn.
     """
-    trials = _positive_count("trials", trials)
-    max_errors = _positive_count("max_errors", max_errors)
+    trials = _integer("trials", trials, 1)
+    max_errors = _integer("max_errors", max_errors, 1)
     db_values = [float(v) for v in es_n0_list]
     bad = [v for v in db_values if not math.isfinite(v)]
     if bad:
@@ -607,17 +609,6 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
         lo, hi = wilson_interval(e, d)
         points.append(WerPoint(db, e / d, e, d, lo, hi))
     return points
-
-
-def _positive_count(name: str, value) -> int:
-    """`value` as a positive int; anything else is refused by `name`."""
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be positive")
-    return value
 
 
 def interpolate_db_at_wer(points, target_wer: float) -> float:
@@ -701,9 +692,9 @@ def complexity_bench(spec: VoronoiCodeSpec, trials: int = 256, repeats: int = 9,
     machine speed instead of landing in one of them. Non-integral or
     non-positive `trials` and `repeats` are refused.
     """
-    trials = _positive_count("trials", trials)
-    repeats = _positive_count("repeats", repeats)
-    rng = np.random.default_rng(seed)
+    trials = _integer("trials", trials, 1)
+    repeats = _integer("repeats", repeats, 1)
+    rng = np.random.default_rng(_integer("seed", seed, 0))
     msgs, s = _random_components(spec, trials, rng)
     blocks = [*msgs, s]
     gen = spec.coding.triangular_generator.to_int64()

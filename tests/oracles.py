@@ -29,7 +29,6 @@ from vorlat.quantize import TIE_EPS, fold_batch, fold_mod_parallelotope_batch
 from vorlat.shaping import _ENUM_LIMIT, VoronoiCodeSpec
 from vorlat.simulate import (
     _TRIAL_BLOCK,
-    ChannelConfig,
     WerPoint,
     random_ordinals,
     sigma_for,
@@ -409,7 +408,7 @@ def wer_sweep_reference(spec, es_n0_list, *, trials, seed, max_errors, energy,
             take = min(_TRIAL_BLOCK, trials - done)
             ords = random_ordinals(spec, take, seed, trial_offset=done)
             x = spec.encode_batch(ords)
-            y = transmit(x, ChannelConfig(sigma, seed), trial_offset=done)
+            y = transmit(x, sigma, seed, trial_offset=done)
             decoded = decoder.decode_batch(y)
             errors += int(np.any(decoded != x, axis=1).sum())
             done += take

@@ -90,13 +90,15 @@ def test_dn_quantizer_matches_the_row_major_reference(n):
 
 
 def test_scaled_quantizer_example():
-    inner = make_quantizer(standard_lattice("Zn(2)"))
-    assert nearest(ScaledQuantizer(inner, 4), [3.0, 3.0]).tolist() == [4, 4]
+    q = ScaledQuantizer(standard_lattice("Zn(2)").scaled(4))
+    assert type(q.inner) is ZnQuantizer
+    assert nearest(q, [3.0, 3.0]).tolist() == [4, 4]
 
 
 def test_direct_sum_quantizer_example():
-    inner = make_quantizer(standard_lattice("Zn(2)"))
-    got = nearest(DirectSumQuantizer(inner, 2), [0.4, -1.2, 2.5, 0.6])
+    q = DirectSumQuantizer(direct_sum(standard_lattice("Zn(2)"), 2))
+    assert type(q.inner) is ZnQuantizer
+    got = nearest(q, [0.4, -1.2, 2.5, 0.6])
     assert got.tolist() == [0, -1, 3, 1]
 
 
@@ -515,8 +517,8 @@ def test_leaf_quantizers_refuse_non_finite_input(quantizer, bad):
     E8FastQuantizer(standard_lattice("E8_int")),
     LeechFastQuantizer(standard_lattice("Leech_int")),
     EnumerationQuantizer(Lattice(IntMatrix([[2, 0], [1, 3]]))),
-    ScaledQuantizer(E8FastQuantizer(standard_lattice("E8_int")), 2),
-    DirectSumQuantizer(DnQuantizer(standard_lattice("Dn(4)")), 2),
+    ScaledQuantizer(standard_lattice("E8_int").scaled(2)),
+    DirectSumQuantizer(direct_sum(standard_lattice("Dn(4)"), 2)),
 ], ids=lambda q: type(q).__name__)
 def test_leaf_quantizers_refuse_rows_of_the_wrong_width(quantizer):
     n = quantizer.lattice.dim

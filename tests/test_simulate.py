@@ -22,7 +22,6 @@ from vorlat.quantize import make_quantizer
 from vorlat.shaping import BUILTIN_SPECS, VoronoiCodeSpec, builtin_spec
 from vorlat.simulate import (
     BenchResult,
-    ChannelConfig,
     ExhaustiveDecoder,
     MultistageDecoder,
     _TRIAL_BLOCK,
@@ -48,38 +47,37 @@ from vorlat.simulate import (
 )
 
 
-def test_channel_config_validation():
-    with pytest.raises(ValueError, match="sigma must be positive"):
-        ChannelConfig(0.0)
+def test_transmit_refuses_non_positive_sigma():
+    for sigma in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="sigma must be positive"):
+            transmit(np.zeros((2, 4)), sigma)
 
 
 def test_transmit_is_reproducible_and_batch_invariant():
-    cfg = ChannelConfig(sigma=0.7, seed=42)
     x = np.zeros((10000, 4))
-    whole = transmit(x, cfg)
-    again = transmit(x, cfg)
+    whole = transmit(x, 0.7, seed=42)
+    again = transmit(x, 0.7, seed=42)
     assert np.array_equal(whole, again)
     parts = np.vstack([
-        transmit(x[:3000], cfg),
-        transmit(x[3000:9000], cfg, trial_offset=3000),
-        transmit(x[9000:], cfg, trial_offset=9000),
+        transmit(x[:3000], 0.7, seed=42),
+        transmit(x[3000:9000], 0.7, seed=42, trial_offset=3000),
+        transmit(x[9000:], 0.7, seed=42, trial_offset=9000),
     ])
     assert np.array_equal(whole, parts)
-    one = transmit(np.zeros(4), cfg, trial_offset=77)
+    one = transmit(np.zeros(4), 0.7, seed=42, trial_offset=77)
     assert np.array_equal(one, whole[77])
 
 
 def test_transmit_noise_statistics():
-    cfg = ChannelConfig(sigma=0.5, seed=9)
-    noise = transmit(np.zeros((100000, 2)), cfg)
+    noise = transmit(np.zeros((100000, 2)), 0.5, seed=9)
     assert abs(noise.std() - 0.5) / 0.5 < 0.02
     assert abs(noise.mean()) < 0.005
 
 
 def test_noise_scales_linearly_with_sigma():
     # paired sweeps rely on a shared underlying standard-normal stream
-    base = transmit(np.zeros((500, 3)), ChannelConfig(1.0, seed=5))
-    double = transmit(np.zeros((500, 3)), ChannelConfig(2.0, seed=5))
+    base = transmit(np.zeros((500, 3)), 1.0, seed=5)
+    double = transmit(np.zeros((500, 3)), 2.0, seed=5)
     assert np.allclose(double, 2.0 * base)
 
 
@@ -90,7 +88,7 @@ def test_transmit_adds_sigma_times_the_shared_standard_normals():
     offset = 2 * _TRIAL_BLOCK - 120
     for sigma in (0.37, 2.5):
         z = _standard_normals(8, offset, 300, 5)
-        y = transmit(x, ChannelConfig(sigma, seed=8), offset)
+        y = transmit(x, sigma, seed=8, trial_offset=offset)
         assert np.array_equal(y, x + sigma * z)
     assert np.array_equal(z[120:], _standard_normals(8, 2 * _TRIAL_BLOCK, 180, 5))
 
@@ -119,9 +117,8 @@ def test_short_draws_are_prefixes_of_the_full_block():
             assert np.array_equal(short, full[:rows])
     # and the public draws equal slices of the full blocks
     offset = 3 * _TRIAL_BLOCK + 100
-    cfg = ChannelConfig(sigma=0.5, seed=12)
     noise = _stream(12, 0, 3).normal(0.0, 0.5, (_TRIAL_BLOCK, 24))
-    assert np.array_equal(transmit(np.zeros((64, 24)), cfg, offset), noise[100:164])
+    assert np.array_equal(transmit(np.zeros((64, 24)), 0.5, 12, offset), noise[100:164])
     spec = SimpleNamespace(message_count=(1 << 40) + 7)
     draws = _stream(12, 1, 3).integers(0, spec.message_count, _TRIAL_BLOCK, dtype=np.int64)
     assert np.array_equal(random_ordinals(spec, 64, 12, offset), draws[100:164])
@@ -455,7 +452,7 @@ def test_tiny_noise_gives_zero_errors():
     spec = builtin_spec("desk8-e8")
     ords = random_ordinals(spec, 1000, seed=6)
     x = spec.encode_batch(ords)
-    y = transmit(x, ChannelConfig(sigma=0.01, seed=6))
+    y = transmit(x, 0.01, seed=6)
     decoded = make_decoder(spec, "multistage").decode_batch(y)
     assert np.array_equal(decoded, x)
 
@@ -465,7 +462,7 @@ def test_multistage_close_to_exhaustive_at_moderate_noise():
     trials = 10000
     ords = random_ordinals(spec, trials, seed=7)
     x = spec.encode_batch(ords)
-    y = transmit(x, ChannelConfig(sigma=0.45, seed=7))
+    y = transmit(x, 0.45, seed=7)
     e_ms, e_ex = (int(np.any(make_decoder(spec, mode).decode_batch(y) != x, axis=1).sum())
                   for mode in ("multistage", "exhaustive_ml"))
     assert 0 < e_ex <= e_ms <= 2 * e_ex
@@ -476,7 +473,7 @@ def test_saturated_noise_approaches_blind_guessing():
     trials = 30000
     ords = random_ordinals(spec, trials, seed=8)
     x = spec.encode_batch(ords)
-    y = transmit(x, ChannelConfig(sigma=1000.0, seed=8))
+    y = transmit(x, 1000.0, seed=8)
     wer = np.any(make_decoder(spec, "multistage").decode_batch(y) != x, axis=1).mean()
     assert abs(wer - (1 - 1 / spec.message_count)) < 0.01
 
@@ -486,8 +483,23 @@ def test_leech24_multistage_round_trip():
     dec = MultistageDecoder(spec)
     ords = random_ordinals(spec, 64, seed=5)
     x = spec.encode_batch(ords)
-    y = transmit(x, ChannelConfig(sigma=0.05, seed=5))
+    y = transmit(x, 0.05, seed=5)
     assert np.array_equal(dec.decode_batch(y), x)
+
+
+@pytest.mark.parametrize("mode", ["multistage", "exhaustive_ml"])
+def test_decoders_refuse_non_finite_and_misshaped_rows(mode):
+    # both used to decode NaN and inf rows to the all-zero point
+    decoder = make_decoder(builtin_spec("desk8-e8"), mode)
+    for call in (decoder.decode_batch, decoder.lattice_points):
+        for bad in (np.nan, np.inf, -np.inf):
+            ys = np.zeros((3, 8))
+            ys[1, 5] = bad
+            with pytest.raises(ValueError, match=rf"non-finite input {bad} at index \(1, 5\)"):
+                call(ys)
+        for shape in ((8,), (2, 7), (2, 9), (1, 2, 8)):
+            with pytest.raises(ValueError, match=r"with 8 columns, got shape"):
+                call(np.zeros(shape))
 
 
 def test_exhaustive_decoder_is_the_first_nearest_point():
