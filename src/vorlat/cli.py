@@ -12,6 +12,7 @@ import functools
 import math
 import sys
 
+from .intmat import _integer
 from .lattice import standard_lattice
 from .quantize import make_quantizer
 from .shaping import _ENCODE_BLOCK, _ENUM_LIMIT, BUILTIN_SPECS, get_spec
@@ -132,10 +133,8 @@ def _cmd_roundtrip(args) -> int:
             )
             return 1
         ordinals = spec.all_ordinals()
-    elif args.trials < 1:
-        raise ValueError("trials must be positive")
     else:
-        ordinals = random_ordinals(spec, args.trials, args.seed)
+        ordinals = random_ordinals(spec, _integer("trials", args.trials, 1), args.seed)
     # Blocks of _ENCODE_BLOCK keep memory at a block's size. No separate
     # distinctness pass is needed: two ordinals that share a point cannot
     # both index back to themselves, so an exhaustive round trip also shows

@@ -6,7 +6,10 @@ rules are deterministic: coordinatewise rounding sends halves toward +inf,
 flip decisions pick the lowest index, and enumeration breaks exact distance
 ties (difference below 1e-9) by the lexicographically smallest lattice point.
 Fast structured decoders are exact and are cross-checked against sphere
-enumeration in the test suite.
+enumeration in the test suite. Second moments come from
+`Quantizer.squared_errors`, each row's squared distance to its nearest
+point: E8_int takes it from its decoder's own coset distances, and every
+other quantizer from its points.
 
 Quantizers are stateless after construction and safe to share across threads.
 """
@@ -84,6 +87,14 @@ class Quantizer:
     def quantize_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def squared_errors(self, ys: np.ndarray) -> np.ndarray:
+        """Each row's squared distance to its nearest lattice point, summed in
+        the pairwise order of a row-major `.sum(axis=1)`; input is refused as
+        by `quantize_batch`."""
+        y = np.asarray(ys, dtype=np.float64)
+        e = y - self.quantize_batch(y)
+        return (e * e).sum(axis=1)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.lattice!r})"
 
@@ -103,11 +114,11 @@ class DnQuantizer(Quantizer):
 _E8_ROWS = 512
 
 
-def _e8_block(y: np.ndarray, out: np.ndarray) -> None:
-    """Write the nearest E8_int point of each row of y into the same rows of out.
-
-    Rounds both cosets w = (y/2, y/2 - 1/2), shape (2, 8, rows), in one
-    `_dn_columns` call and keeps the nearer point of each row.
+def _e8_cosets(y: np.ndarray) -> tuple:
+    """(f, pick, da, db) for the rows of y: the nearest points f of both
+    cosets w = (y/2, y/2 - 1/2) at half scale, shape (2, 8, rows), rounded in
+    one `_dn_columns` call; where the second coset's point is the nearer one;
+    and both points' squared distances to y/2.
     """
     w = np.empty((2, 8, len(y)))
     z = w[0]
@@ -125,7 +136,7 @@ def _e8_block(y: np.ndarray, out: np.ndarray) -> None:
     # first coordinate: on a tie the smaller first one is the smaller point
     tie = np.abs(da - db) <= TIE_EPS
     pick = (db < da - TIE_EPS) | (tie & (f[1, 0] < f[0, 0]))
-    np.multiply(np.where(pick, f[1], f[0]), 2.0, out=out.T, casting="unsafe")
+    return f, pick, da, db
 
 
 class E8FastQuantizer(Quantizer):
@@ -137,14 +148,26 @@ class E8FastQuantizer(Quantizer):
     memory stays bounded by the output plus a few 64 KB temporaries whatever
     the batch size. Ties within a coset follow `_dn_columns` (lowest index);
     ties within TIE_EPS between the cosets go to the lexicographically
-    smaller point.
+    smaller point. `squared_errors` returns the kept coset's distance, which
+    the decoder has already summed, without building the point.
     """
 
     def quantize_batch(self, ys):
         y = _finite(ys, 8)
         out = np.empty(y.shape, dtype=np.int64)
         for lo in range(0, len(y), _E8_ROWS):
-            _e8_block(y[lo : lo + _E8_ROWS], out[lo : lo + _E8_ROWS])
+            f, pick, _, _ = _e8_cosets(y[lo : lo + _E8_ROWS])
+            np.multiply(np.where(pick, f[1], f[0]), 2.0, out=out[lo : lo + _E8_ROWS].T,
+                        casting="unsafe")
+        return out
+
+    def squared_errors(self, ys):
+        # 4 ||y/2 - f||^2 is ||y - 2f||^2 bit for bit: the same sums scaled by a power of two
+        y = _finite(ys, 8)
+        out = np.empty(len(y))
+        for lo in range(0, len(y), _E8_ROWS):
+            _, pick, da, db = _e8_cosets(y[lo : lo + _E8_ROWS])
+            np.multiply(np.where(pick, db, da), 4.0, out=out[lo : lo + _E8_ROWS])
         return out
 
 
@@ -201,9 +224,13 @@ class LeechFastQuantizer(Quantizer):
 
     @staticmethod
     def _build_tables():
-        words = golay.codewords().astype(np.int64)
-        u = np.array([-3] + [1] * 23, dtype=np.int64)
-        table = np.concatenate([2 * words, 2 * words + u], axis=0)
+        words = golay.codewords()
+        u = np.array([-3] + [1] * 23, dtype=np.int8)
+        # entries lie in -3..3; y - t and t + 4 * ... promote them to the same values
+        table = np.empty((2, 4096, 24), dtype=np.int8)
+        np.multiply(words, 2, out=table[0], casting="unsafe")
+        np.add(table[0], u, out=table[1])
+        table = table.reshape(8192, 24)
         # quarter-scale coset offsets (m*u_i + 2b)/4, indexed [m, b, i]
         offsets = (np.stack([np.zeros(24), u])[:, None] + 2.0 * np.arange(2)[:, None]) * 0.25
         # The sextet: tetrad {0, 1, 2, 3} and the five octads through it, less it.

@@ -189,17 +189,21 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     Draws points uniformly in the fundamental parallelotope, folds them into
     the Voronoi region, and returns E||e||^2 / (n * vol^(2/n)) with its
     standard error. Block b of _TRIAL_BLOCK samples draws from the stream
-    keyed (seed, b), so the estimate depends only on (seed, samples).
+    keyed (seed, b), so the estimate depends only on (seed, samples). Each
+    block is drawn into the same two buffers, made once per call, and scored
+    by `q.squared_errors`.
     """
     lat = q.lattice
     n = lat.dim
     t = lat.float_triangular()
     scale = n * 2.0 ** (2.0 * log2_volume(lat) / n)
+    samples = _integer("samples", samples, 1)
+    u = np.empty((min(samples, _TRIAL_BLOCK), n))
+    p = np.empty_like(u)
 
     def squared_error(lo, take):
-        p = _stream(seed, lo // _TRIAL_BLOCK).random((take, n)) @ t.T
-        e = p - q.quantize_batch(p)
-        return (e * e).sum(axis=1)
+        _stream(seed, lo // _TRIAL_BLOCK).random(out=u[:take])
+        return q.squared_errors(np.matmul(u[:take], t.T, out=p[:take]))
 
     mean, stderr = _mc_mean(samples, squared_error)
     return NsmEstimate(nsm=mean / scale, stderr=stderr / scale, samples=samples)
@@ -554,12 +558,14 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     trial. The 1e-9 margin covers the float rounding of the decoder's sums,
     so the counts are those of decoding every row.
 
-    Non-integral or non-positive `trials` and `max_errors`, non-finite
-    Es/N0 values and an energy that is not finite and positive are refused
-    with a ValueError naming the argument, before anything is drawn.
+    Non-integral or non-positive `trials` and `max_errors`, a `seed` that is
+    not a non-negative integer, non-finite Es/N0 values and an energy that is
+    not finite and positive are refused with a ValueError naming the
+    argument, before anything is computed or drawn.
     """
     trials = _integer("trials", trials, 1)
     max_errors = _integer("max_errors", max_errors, 1)
+    seed = _integer("seed", seed, 0)
     db_values = [float(v) for v in es_n0_list]
     bad = [v for v in db_values if not math.isfinite(v)]
     if bad:

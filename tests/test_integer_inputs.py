@@ -8,6 +8,7 @@ is refused with a ValueError that names the argument, never truncated.
 import numpy as np
 import pytest
 
+from vorlat import simulate
 from vorlat.codes import LinearCode, builtin_chain
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import Lattice, direct_sum, standard_lattice
@@ -103,3 +104,13 @@ def test_numpy_integers_pass_the_gate():
     assert _spec(alpha=np.int32(2), offset=np.ones(8, dtype=np.int64)).offset == (1,) * 8
     assert np.array_equal(random_ordinals(builtin_spec("pair2"), np.int64(5), np.uint8(3)),
                           random_ordinals(builtin_spec("pair2"), 5, 3))
+
+
+@pytest.mark.parametrize("seed", [1.5, -1])
+def test_wer_sweep_refuses_a_bad_seed_before_computing_the_energy(monkeypatch, seed):
+    def no_energy(*args, **kwargs):
+        raise RuntimeError("average_energy ran before the seed was checked")
+
+    monkeypatch.setattr(simulate, "average_energy", no_energy)
+    with pytest.raises(ValueError, match=r"^seed\b"):
+        wer_sweep(builtin_spec("pair2"), [3.0], trials=8, seed=seed)

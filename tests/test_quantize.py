@@ -538,6 +538,60 @@ def test_wrapped_quantizers_refuse_non_finite_input():
 
 
 # ---------------------------------------------------------------------------
+# squared distances to the nearest point
+
+_SQUARED_ERROR_QUANTIZERS = [
+    ZnQuantizer(standard_lattice("Zn(8)")),
+    DnQuantizer(standard_lattice("Dn(8)")),
+    E8FastQuantizer(standard_lattice("E8_int")),
+    LeechFastQuantizer(standard_lattice("Leech_int")),
+    ScaledQuantizer(standard_lattice("E8_int").scaled(3)),
+    DirectSumQuantizer(direct_sum(standard_lattice("E8_int"), 2)),
+    EnumerationQuantizer(Lattice(IntMatrix([[2, 0], [1, 3]]))),
+]
+
+
+def _squared_error_inputs(kind, lattice, rows, rng):
+    shape = (rows, lattice.dim)
+    if kind == "uniform":
+        return rng.uniform(-16.0, 16.0, shape)
+    if kind == "mc-draws":  # as second_moment_mc draws them
+        return rng.random(shape) @ lattice.float_triangular().T
+    ints = rng.integers(-32, 33, shape)
+    return {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0}[kind]
+
+
+@pytest.mark.parametrize("rows", [1, 511, 512, 513])
+@pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
+def test_squared_errors_equal_the_row_sums_of_the_folded_squares(quantizer, rows):
+    """Bit for bit, on every kind of input, ties included, across E8 block edges."""
+    rng = np.random.default_rng(rows)
+    for kind in ("uniform", "mc-draws", "quarter", "half", "integer"):
+        ys = _squared_error_inputs(kind, quantizer.lattice, rows, rng)
+        got = quantizer.squared_errors(ys)
+        assert got.dtype == np.float64 and got.shape == (rows,), kind
+        assert np.array_equal(got, ((ys - quantizer.quantize_batch(ys)) ** 2).sum(axis=1)), kind
+
+
+@pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
+def test_squared_errors_refuse_what_quantize_batch_refuses(quantizer):
+    n = quantizer.lattice.dim
+    bad = []
+    for value in (np.nan, np.inf, -np.inf):
+        ys = np.zeros((3, n))
+        ys[1, -1] = value
+        bad.append(ys)
+    bad += [np.zeros(shape) for shape in ((2, n - 1), (2, n + 1), (n,), (1, 2, n))]
+    for ys in bad:
+        with pytest.raises(ValueError) as want:
+            quantizer.quantize_batch(ys)
+        with pytest.raises(ValueError) as got:
+            quantizer.squared_errors(ys)
+        assert str(got.value) == str(want.value)
+    assert quantizer.squared_errors(np.zeros((0, n))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
 # folding into the Voronoi region and into the digit box
 
 
