@@ -40,7 +40,17 @@ def _first_weights(n: int) -> np.ndarray:
     return weight
 
 
-def _dn_columns(w: np.ndarray) -> np.ndarray:
+def _dn_work(w: np.ndarray) -> tuple:
+    """Arrays `_dn_columns` writes into for float (..., n, rows) input of w's
+    shape and memory order: the point and the errors (float64), then the
+    entry masks (bool), weights (`_first_weights` dtype) and steps (int8)."""
+    shape, order = w.shape, "F" if w.flags.f_contiguous else "C"
+    return (np.empty(shape, np.float64, order), np.empty(shape, np.float64, order),
+            np.empty(shape, bool, order), np.empty(shape, _first_weights(shape[-2]).dtype, order),
+            np.empty(shape, np.int8, order))
+
+
+def _dn_columns(w: np.ndarray, work: tuple) -> np.ndarray:
     """Nearest point of Dn (even coordinate sum) for each column of a float
     (..., n, rows) array; every reduction runs along the rows.
 
@@ -48,18 +58,25 @@ def _dn_columns(w: np.ndarray) -> np.ndarray:
     odd (it is exact below 2^53), its first coordinate of largest |error|
     steps the other way: that coordinate holds the largest weight n - i on
     the `== max` mask, and the weight is zeroed where the sum is even. No
-    step branches on the data. Returns integer-valued float64.
+    step branches on the data. Every array of w's shape is one of `work`
+    (`_dn_work(w)`); the point, integer-valued float64, is its first, and
+    the errors' magnitudes are left in its second. Here and in `_e8_cosets`
+    ufunc outputs are passed by position: the `out=` keyword costs about
+    80 ns a call, 2-3% of a one-row desk8-e8 encode.
     """
+    f, e, top, weighted, step = work
     weight = _first_weights(w.shape[-2])
-    f = round_half_up(w)
-    e = w - f  # in [-0.5, 0.5)
+    np.add(w, 0.5, f)
+    np.floor(f, f)  # round_half_up(w)
+    np.subtract(w, f, e)  # in [-0.5, 0.5)
     half = f.sum(axis=-2) * 0.5
-    mag = np.abs(e)
-    top = mag == mag.max(axis=-2, keepdims=True)
-    first = (top * weight).max(axis=-2)
+    np.greater(e, 0.0, step.view(bool))
+    mag = np.abs(e, e)
+    np.equal(mag, mag.max(axis=-2, keepdims=True), top)
+    first = np.multiply(top, weight, weighted).max(axis=-2)
     first *= half != np.floor(half)
-    at = weight == first[..., None, :]
-    step = (e > 0).view(np.int8) * np.int8(2)
+    at = np.equal(weight, first[..., None, :], top)
+    step *= np.int8(2)
     step -= at
     step *= at  # +1 at a marked positive error, -1 at a marked error <= 0
     f += step
@@ -79,7 +96,12 @@ def _finite(ys, n: int) -> np.ndarray:
 
 
 class Quantizer:
-    """Base class: nearest-lattice-point maps."""
+    """Base class: nearest-lattice-point maps.
+
+    `quantize_batch` returns a new, writeable int64 array that shares no
+    memory with its input, so callers may write into it: `fold_batch`
+    subtracts into it, and `ScaledQuantizer` scales its inner output in place.
+    """
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -106,28 +128,48 @@ class ZnQuantizer(Quantizer):
 
 class DnQuantizer(Quantizer):
     def quantize_batch(self, ys):
-        return _dn_columns(_finite(ys, self.lattice.dim).T).T.astype(np.int64)
+        w = _finite(ys, self.lattice.dim).T
+        return _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
 
-# Rows per block: each (2, 8, rows) float temporary is 64 KB, under the 128 KB
-# from which glibc maps (and page-faults) every allocation afresh by default.
+# Rows per block. A call's buffers are three (2, 8, rows) float64 arrays and
+# three one-byte ones, 216 KiB at 512 rows. 1024-row blocks took about 13%
+# less time on 4096-row batches (half the numpy calls), but a 16 384-sample
+# E8_int second_moment_mc then peaked at 1221 KiB under tracemalloc, against
+# 901 KiB at 512 rows and 1006 KiB with the per-block temporaries these
+# buffers replaced, and a 4096-row desk8-e8 encode at 1412 KiB against 1092 KiB
+# (tools/fault_probe.py). So 512 stays.
 _E8_ROWS = 512
 
 
-def _e8_cosets(y: np.ndarray) -> tuple:
+def _e8_work(rows: int) -> tuple:
+    """Arrays `_e8_cosets` writes into for blocks of up to `rows` rows: the
+    (2, 8, rows) coset inputs and their `_dn_work`."""
+    w = np.empty((2, 8, rows))
+    return w, _dn_work(w)
+
+
+def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
     """(f, pick, da, db) for the rows of y: the nearest points f of both
     cosets w = (y/2, y/2 - 1/2) at half scale, shape (2, 8, rows), rounded in
     one `_dn_columns` call; where the second coset's point is the nearer one;
     and both points' squared distances to y/2.
+
+    Every array of the block's shape is one of `work` (`_e8_work`), or a
+    view of its first rows for a shorter last block, so a call's blocks all
+    write into the same memory and the caller may overwrite f, da and db.
     """
-    w = np.empty((2, 8, len(y)))
+    w, dn = work
+    if len(y) < w.shape[-1]:
+        w, dn = w[..., : len(y)], tuple(a[..., : len(y)] for a in dn)
     z = w[0]
-    np.multiply(y.T, 0.5, out=z)
-    np.subtract(z, 0.5, out=w[1])
-    f = _dn_columns(w)
+    np.multiply(y.T, 0.5, z)
+    np.subtract(z, 0.5, w[1])
+    f = _dn_columns(w, dn)
     f[1] += 0.5
-    # squared distances summed in the pairwise order of a row-major .sum(axis=1)
-    d = z - f
+    # squared distances, in the round's error array, summed in the pairwise
+    # order of a row-major .sum(axis=1)
+    d = np.subtract(z, f, dn[1])
     d *= d
     s = d[:, 0::2] + d[:, 1::2]
     s = s[:, 0::2] + s[:, 1::2]
@@ -144,19 +186,22 @@ class E8FastQuantizer(Quantizer):
 
     At half scale E8_int is D8 union D8 + 1/2 (Conway & Sloane, 1982). Rows are
     taken in blocks of _E8_ROWS; each block rounds both cosets in one call of
-    `_dn_columns`, the module's one D_n round, and keeps the nearer point, so
-    memory stays bounded by the output plus a few 64 KB temporaries whatever
-    the batch size. Ties within a coset follow `_dn_columns` (lowest index);
-    ties within TIE_EPS between the cosets go to the lexicographically
-    smaller point. `squared_errors` returns the kept coset's distance, which
-    the decoder has already summed, without building the point.
+    `_dn_columns`, the module's one D_n round, and keeps the nearer point.
+    Every block works in the same buffers, made once per call (`_e8_work`),
+    so memory stays bounded by the output plus one block's buffers and a few
+    smaller distance sums whatever the batch size. Ties within a coset follow
+    `_dn_columns` (lowest index); ties within TIE_EPS between the cosets go
+    to the lexicographically smaller point. `squared_errors` returns the
+    kept coset's distance, which the decoder has already summed, without
+    building the point.
     """
 
     def quantize_batch(self, ys):
         y = _finite(ys, 8)
         out = np.empty(y.shape, dtype=np.int64)
+        work = _e8_work(min(len(y), _E8_ROWS))
         for lo in range(0, len(y), _E8_ROWS):
-            f, pick, _, _ = _e8_cosets(y[lo : lo + _E8_ROWS])
+            f, pick, _, _ = _e8_cosets(y[lo : lo + _E8_ROWS], work)
             np.multiply(np.where(pick, f[1], f[0]), 2.0, out=out[lo : lo + _E8_ROWS].T,
                         casting="unsafe")
         return out
@@ -165,8 +210,9 @@ class E8FastQuantizer(Quantizer):
         # 4 ||y/2 - f||^2 is ||y - 2f||^2 bit for bit: the same sums scaled by a power of two
         y = _finite(ys, 8)
         out = np.empty(len(y))
+        work = _e8_work(min(len(y), _E8_ROWS))
         for lo in range(0, len(y), _E8_ROWS):
-            _, pick, da, db = _e8_cosets(y[lo : lo + _E8_ROWS])
+            _, pick, da, db = _e8_cosets(y[lo : lo + _E8_ROWS], work)
             np.multiply(np.where(pick, db, da), 4.0, out=out[lo : lo + _E8_ROWS])
         return out
 
@@ -274,7 +320,8 @@ class LeechFastQuantizer(Quantizer):
         for lo in range(0, len(y), _LEECH_ROWS):
             best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[lo : lo + _LEECH_ROWS])
         t = self._table[best]
-        return t + 4 * _dn_columns(((y - t) * 0.25).T).T.astype(np.int64)
+        w = ((y - t) * 0.25).T
+        return t + 4 * _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
     def _nearest_cosets(self, yq):
         """Table index of the first nearest coset for each row of yq = y / 4."""
@@ -412,7 +459,13 @@ class EnumerationQuantizer(Quantizer):
 
 
 class ScaledQuantizer(Quantizer):
-    """Nearest point of a lattice alpha * L (`Lattice.scaled`) from L's quantizer."""
+    """Nearest point of a lattice alpha * L (`Lattice.scaled`) from L's quantizer.
+
+    The rows are converted into one new float64 array and divided by alpha
+    in place (the bits of `np.asarray(ys, float64) / alpha`), and the inner
+    quantizer's output, which is its own (see `Quantizer`), is multiplied by
+    alpha in place.
+    """
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
@@ -420,8 +473,11 @@ class ScaledQuantizer(Quantizer):
         self.inner = make_quantizer(base)
 
     def quantize_batch(self, ys):
-        y = np.asarray(ys, dtype=np.float64)
-        return self.alpha * self.inner.quantize_batch(y / self.alpha)
+        y = np.array(ys, dtype=np.float64)
+        y /= self.alpha
+        p = self.inner.quantize_batch(y)
+        p *= self.alpha
+        return p
 
 
 class DirectSumQuantizer(Quantizer):
@@ -465,11 +521,15 @@ def make_quantizer(lattice: Lattice) -> Quantizer:
 def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:
     """Rows of xs minus their nearest lattice points: Voronoi-region representatives.
 
-    Integer rows give int64 and any other rows float64.
+    Integer rows give int64 and any other rows float64. xs is left as it
+    is. Integer rows are subtracted into the quantizer's int64 output, a
+    new array of the caller's own (see `Quantizer`), so the fold makes no
+    array of its own; float rows need a new float64 result.
     """
     x = np.asarray(xs)
     x = x.astype(np.int64 if x.dtype.kind in "iu" else np.float64, copy=False)
-    return x - q.quantize_batch(x)
+    p = q.quantize_batch(x)
+    return np.subtract(x, p, out=p if p.dtype == x.dtype else None)
 
 
 def fold_mod_parallelotope_batch(tri: np.ndarray, rs: np.ndarray) -> np.ndarray:

@@ -591,6 +591,29 @@ def test_squared_errors_refuse_what_quantize_batch_refuses(quantizer):
     assert quantizer.squared_errors(np.zeros((0, n))).shape == (0,)
 
 
+@pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
+def test_quantize_batch_returns_a_new_writeable_array(quantizer):
+    """The `Quantizer` contract that fold_batch and ScaledQuantizer write into."""
+    rng = np.random.default_rng(9)
+    n = quantizer.lattice.dim
+    for ys in (rng.uniform(-16.0, 16.0, (5, n)), rng.integers(-32, 33, (5, n)),
+               np.zeros((1, n), dtype=np.int64)):
+        out = quantizer.quantize_batch(ys)
+        assert out.flags.writeable and not np.shares_memory(out, ys)
+
+
+@pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
+def test_fold_batch_leaves_its_input_unchanged(quantizer):
+    rng = np.random.default_rng(10)
+    n = quantizer.lattice.dim
+    for ys in (rng.integers(-32, 33, (5, n)), rng.uniform(-16.0, 16.0, (5, n))):
+        kept = ys.copy()
+        folded = fold_batch(quantizer, ys)
+        assert np.array_equal(ys, kept)
+        assert folded.dtype == ys.dtype and not np.shares_memory(folded, ys)
+        assert np.array_equal(folded, ys - quantizer.quantize_batch(ys))
+
+
 # ---------------------------------------------------------------------------
 # folding into the Voronoi region and into the digit box
 

@@ -3,6 +3,7 @@
 import functools
 import math
 import re
+import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -31,7 +32,7 @@ from vorlat.shaping import (
     get_spec,
     load_spec,
 )
-from vorlat.simulate import random_ordinals
+from vorlat.simulate import bench_spec_for_dim, random_ordinals
 
 from oracles import (
     box_coset_representatives,
@@ -597,6 +598,56 @@ def test_specs_past_the_int64_ordinal_limit_are_refused(alpha, log2_m):
     coding_row = spec.coding.triangular_generator.to_int64()[:, [3]].T
     assert spec.same_message(x + shaping_row, x).tolist() == [True]
     assert spec.same_message(x + coding_row, x).tolist() == [False]
+
+
+def test_specs_whose_representatives_reach_2_to_the_52_are_refused():
+    """The fold rounds float64 copies of the representatives: at offset
+    2^53 + 1 half of desk8-e8's index round trips failed silently."""
+    chain, e8 = builtin_chain("rep8-spc8"), standard_lattice("E8_int")
+    # desk8-e8 coordinates span [offset_j, offset_j + 15]
+    for offset in ([2**53 + 1] * 8, [2**52 - 15] * 8, [-(2**52)] * 8):
+        with pytest.raises(ValueError, match="float64 fold limit 2\\^52"):
+            VoronoiCodeSpec(chain, e8, offset=offset)
+    for offset in ([2**52 - 16] * 8, [1 - 2**52] * 8):
+        spec = VoronoiCodeSpec(chain, e8, offset=offset)
+        ords = random_ordinals(spec, 4096, seed=5)
+        assert np.array_equal(spec.index_batch(spec.encode_batch(ords)), ords)
+
+
+def test_stock_and_bench_specs_are_inside_the_float_fold_limit():
+    for name in BUILTIN_SPECS:
+        builtin_spec(name)
+    for n in (8, 16, 32, 64, 128, 256, 512):
+        bench_spec_for_dim(n)
+
+
+def _peak_bytes(call):
+    """tracemalloc peak of one call."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_desk8_e8_encode_memory_is_three_batch_arrays_plus_one_block():
+    """The representative, its float64 quotient by alpha and the output are
+    the only (rows, n) arrays: the quantizers and the fold write into the
+    array they return, and the E8 kernel works in one block's buffers."""
+    spec = builtin_spec("desk8-e8")
+    ords = random_ordinals(spec, 4096, seed=6)
+    spec.encode_batch(ords)  # builds the lookup tables
+    peak = _peak_bytes(lambda: spec.encode_batch(ords))
+    assert peak < 3 * ords.size * 8 * 8 + (384 << 10)
+
+
+def test_leech24_representative_memory_is_the_output_plus_one_temporary():
+    spec = builtin_spec("leech24")
+    ords = random_ordinals(spec, 4096, seed=6)
+    spec.representative_batch(ords)  # builds the lookup table
+    peak = _peak_bytes(lambda: spec.representative_batch(ords))
+    assert peak < 2 * ords.size * 24 * 8
 
 
 def test_message_from_ordinal_with_a_level_wider_than_int64():
