@@ -1,8 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 1 for usage errors and refused requests
-(oversized enumerations, malformed spec files), 2 when a roundtrip
-consistency check finds a mismatch.
+(oversized enumerations, malformed spec files, an --out that cannot be
+written), 2 when a roundtrip consistency check finds a mismatch.
 """
 
 from __future__ import annotations
@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 
 from .intmat import _integer
@@ -69,12 +70,22 @@ def _dim_list(text: str) -> list:
     return dims
 
 
+def _check_out(out_path) -> None:
+    """Refuse, before any work, an --out whose directory does not exist."""
+    folder = os.path.dirname(out_path) or "."
+    if not os.path.isdir(folder):
+        raise ValueError(f"cannot write {out_path}: no directory {folder}")
+
+
 def _emit(text: str, out_path) -> None:
-    if out_path:
+    if not out_path:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -243,6 +254,8 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
+        if getattr(args, "out", None):
+            _check_out(args.out)
         return _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"vorlat {args.command}: {exc}", file=sys.stderr)

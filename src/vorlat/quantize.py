@@ -112,10 +112,18 @@ class Quantizer:
     def squared_errors(self, ys: np.ndarray) -> np.ndarray:
         """Each row's squared distance to its nearest lattice point, summed in
         the pairwise order of a row-major `.sum(axis=1)`; input is refused as
-        by `quantize_batch`."""
+        by `quantize_batch`. `_squared_error_blocks` scores a stream of
+        blocks with the same bits."""
         y = np.asarray(ys, dtype=np.float64)
         e = y - self.quantize_batch(y)
         return (e * e).sum(axis=1)
+
+    def _squared_error_blocks(self, blocks):
+        """Yield `squared_errors` of each array of the iterable `blocks`, a
+        new array per block. A block is scored before the next is taken, so
+        a caller may draw every block into the same buffer."""
+        for y in blocks:
+            yield self.squared_errors(y)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.lattice!r})"
@@ -132,13 +140,15 @@ class DnQuantizer(Quantizer):
         return _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
 
-# Rows per block. A call's buffers are three (2, 8, rows) float64 arrays and
-# three one-byte ones, 216 KiB at 512 rows. 1024-row blocks took about 13%
-# less time on 4096-row batches (half the numpy calls), but a 16 384-sample
-# E8_int second_moment_mc then peaked at 1221 KiB under tracemalloc, against
-# 901 KiB at 512 rows and 1006 KiB with the per-block temporaries these
-# buffers replaced, and a 4096-row desk8-e8 encode at 1412 KiB against 1092 KiB
-# (tools/fault_probe.py). So 512 stays.
+# Rows per block of `quantize_batch` and of a direct `squared_errors` call,
+# whose buffers are three (2, 8, rows) float64 arrays and three one-byte ones,
+# 216 KiB at 512 rows. The bound is the encode path's memory: 1024-row blocks
+# took about 13% less time on 4096-row batches (half the numpy calls), but a
+# 4096-row desk8-e8 encode then peaked at 1412 KiB under tracemalloc, past the
+# 1152 KiB bound of its memory test (1092 KiB at 512 rows). A rewrite of the
+# kernel over three buffers still read 1268 KiB at 1024 rows, and at 512 and
+# 768 rows it encoded 5-10% slower than this one. Monte Carlo estimates do not
+# share this bound: `second_moment_mc` scores each sample block in one pass.
 _E8_ROWS = 512
 
 
@@ -184,16 +194,21 @@ def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
 class E8FastQuantizer(Quantizer):
     """Exact nearest point of E8_int via the doubled Gosset decoder.
 
-    At half scale E8_int is D8 union D8 + 1/2 (Conway & Sloane, 1982). Rows are
-    taken in blocks of _E8_ROWS; each block rounds both cosets in one call of
-    `_dn_columns`, the module's one D_n round, and keeps the nearer point.
-    Every block works in the same buffers, made once per call (`_e8_work`),
-    so memory stays bounded by the output plus one block's buffers and a few
-    smaller distance sums whatever the batch size. Ties within a coset follow
-    `_dn_columns` (lowest index); ties within TIE_EPS between the cosets go
-    to the lexicographically smaller point. `squared_errors` returns the
-    kept coset's distance, which the decoder has already summed, without
-    building the point.
+    At half scale E8_int is D8 union D8 + 1/2 (Conway & Sloane, 1982). Each
+    block of rows rounds both cosets in one call of `_dn_columns`, the
+    module's one D_n round, and keeps the nearer point. Ties within a coset
+    follow `_dn_columns` (lowest index); ties within TIE_EPS between the
+    cosets go to the lexicographically smaller point.
+
+    `quantize_batch` and `squared_errors` take rows in blocks of _E8_ROWS
+    that all work in the same buffers, made once per call (`_e8_work`), so
+    memory stays bounded by the output plus one block's buffers and a few
+    smaller distance sums whatever the batch size. `squared_errors` returns
+    the kept coset's distance, which the decoder has already summed, without
+    building the point. `_squared_error_blocks` is that one scoring loop: it
+    scores each block of a stream in one pass, every block in one work area
+    sized to the first (and remade only for a longer block), which is how
+    `second_moment_mc` scores whole sample blocks.
     """
 
     def quantize_batch(self, ys):
@@ -207,14 +222,25 @@ class E8FastQuantizer(Quantizer):
         return out
 
     def squared_errors(self, ys):
-        # 4 ||y/2 - f||^2 is ||y - 2f||^2 bit for bit: the same sums scaled by a power of two
         y = _finite(ys, 8)
         out = np.empty(len(y))
-        work = _e8_work(min(len(y), _E8_ROWS))
-        for lo in range(0, len(y), _E8_ROWS):
-            _, pick, da, db = _e8_cosets(y[lo : lo + _E8_ROWS], work)
-            np.multiply(np.where(pick, db, da), 4.0, out=out[lo : lo + _E8_ROWS])
+        starts = range(0, len(y), _E8_ROWS)
+        scored = self._squared_error_blocks(y[lo : lo + _E8_ROWS] for lo in starts)
+        for lo, s in zip(starts, scored):
+            out[lo : lo + len(s)] = s
         return out
+
+    def _squared_error_blocks(self, blocks):
+        work = None
+        for ys in blocks:
+            y = _finite(ys, 8)
+            if work is None or len(y) > work[0].shape[-1]:
+                work = _e8_work(len(y))
+            _, pick, da, db = _e8_cosets(y, work)
+            # 4 ||y/2 - f||^2 is ||y - 2f||^2 bit for bit: the same sums scaled by a power of two
+            s = np.where(pick, db, da)
+            s *= 4.0
+            yield s
 
 
 _LEECH_ROWS = 32  # rows per block: the pattern and class sums stay near 150 KB

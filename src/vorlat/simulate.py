@@ -143,31 +143,39 @@ def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0)
     return energy
 
 
-def _mc_mean(samples: int, values) -> tuple:
-    """(mean, standard error) over `samples` samples of `values(offset, count)`,
-    the values of samples offset .. offset + count - 1, called on consecutive
-    blocks of _TRIAL_BLOCK samples so that each block keys its own stream.
-    A non-integral or non-positive `samples` is refused."""
-    samples = _integer("samples", samples, 1)
+def _mc_mean(blocks) -> tuple:
+    """(mean, standard error) of the values in `blocks`, an iterable of
+    per-block arrays, one per block of `_sample_blocks`, summed block by
+    block in that order."""
+    count = 0
     total = 0.0
     total_sq = 0.0
-    for lo in range(0, samples, _TRIAL_BLOCK):
-        v = values(lo, min(_TRIAL_BLOCK, samples - lo))
+    for v in blocks:
+        count += len(v)
         total += float(v.sum())
         total_sq += float((v * v).sum())
-    mean = total / samples
-    var = max(total_sq / samples - mean * mean, 0.0)
-    return mean, math.sqrt(var / samples)
+    mean = total / count
+    var = max(total_sq / count - mean * mean, 0.0)
+    return mean, math.sqrt(var / count)
+
+
+def _sample_blocks(samples: int) -> range:
+    """Start of each block of _TRIAL_BLOCK samples of a Monte Carlo
+    estimate; block b draws from its own stream, keyed (seed, b). A
+    non-integral or non-positive `samples` is refused."""
+    return range(0, _integer("samples", samples, 1), _TRIAL_BLOCK)
 
 
 def sampled_energy(spec: VoronoiCodeSpec, samples: int, seed: int = 0) -> tuple:
     """(Monte Carlo energy per dimension, standard error)."""
+    starts = _sample_blocks(samples)
 
-    def energy(lo, take):
+    def energy(lo):
+        take = min(_TRIAL_BLOCK, starts.stop - lo)
         x = spec.encode_batch(random_ordinals(spec, take, seed, lo)).astype(np.float64)
         return (x * x).sum(axis=1) / spec.n
 
-    return _mc_mean(samples, energy)
+    return _mc_mean(map(energy, starts))
 
 
 @dataclass(frozen=True)
@@ -190,22 +198,27 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     the Voronoi region, and returns E||e||^2 / (n * vol^(2/n)) with its
     standard error. Block b of _TRIAL_BLOCK samples draws from the stream
     keyed (seed, b), so the estimate depends only on (seed, samples). Each
-    block is drawn into the same two buffers, made once per call, and scored
-    by `q.squared_errors`.
+    block is drawn into the same two buffers, made once per call, and the
+    stream of blocks is scored by `q._squared_error_blocks`, with the bits of
+    `q.squared_errors`: E8_int scores each block in one pass, in one work
+    area per call.
     """
     lat = q.lattice
     n = lat.dim
     t = lat.float_triangular()
     scale = n * 2.0 ** (2.0 * log2_volume(lat) / n)
-    samples = _integer("samples", samples, 1)
+    starts = _sample_blocks(samples)
+    samples = starts.stop
     u = np.empty((min(samples, _TRIAL_BLOCK), n))
     p = np.empty_like(u)
 
-    def squared_error(lo, take):
-        _stream(seed, lo // _TRIAL_BLOCK).random(out=u[:take])
-        return q.squared_errors(np.matmul(u[:take], t.T, out=p[:take]))
+    def draws():
+        for lo in starts:
+            take = min(_TRIAL_BLOCK, samples - lo)
+            _stream(seed, lo // _TRIAL_BLOCK).random(out=u[:take])
+            yield np.matmul(u[:take], t.T, out=p[:take])
 
-    mean, stderr = _mc_mean(samples, squared_error)
+    mean, stderr = _mc_mean(q._squared_error_blocks(draws()))
     return NsmEstimate(nsm=mean / scale, stderr=stderr / scale, samples=samples)
 
 

@@ -95,6 +95,33 @@ def test_wer_csv_to_file(tmp_path, capsys):
     assert out_file2.read_text() == text
 
 
+@pytest.mark.parametrize("argv, work", [
+    (["shaping-gain", "--lattice", "E8_int", "--samples", "10"], "second_moment_mc"),
+    (["wer", "--spec", "pair2", "--sweep", "2:2:1", "--trials", "10"], "wer_sweep"),
+])
+def test_out_in_a_missing_directory_is_refused_before_any_work(tmp_path, capsys,
+                                                              monkeypatch, argv, work):
+    def unreachable(*args, **kwargs):
+        raise AssertionError(f"{work} ran before --out was checked")
+
+    monkeypatch.setattr(cli, work, unreachable)
+    path = tmp_path / "missing" / "x.csv"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"vorlat {argv[0]}: cannot write {path}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_out_that_cannot_be_written_is_reported_in_one_line(tmp_path, capsys):
+    code, out, err = run(capsys, "shaping-gain", "--lattice", "E8_int", "--samples", "10",
+                         "--out", str(tmp_path))  # a directory, not a file
+    assert code == 1
+    assert out == ""
+    assert err.startswith(f"vorlat shaping-gain: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1
+
+
 def test_wer_exhaustive_mode(capsys):
     code, out, _ = run(capsys, "wer", "--spec", "pair2", "--sweep", "4:4:1",
                        "--trials", "500", "--mode", "exhaustive_ml")

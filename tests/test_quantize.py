@@ -13,6 +13,7 @@ from vorlat import golay
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import (
+    _E8_ROWS,
     _LEECH_ROWS,
     TIE_EPS,
     DirectSumQuantizer,
@@ -29,7 +30,7 @@ from vorlat.quantize import (
     round_half_up,
 )
 from vorlat.shaping import BUILTIN_SPECS, builtin_spec
-from vorlat.simulate import random_ordinals, second_moment_mc
+from vorlat.simulate import _TRIAL_BLOCK, random_ordinals, second_moment_mc
 
 from oracles import (
     contains_point,
@@ -255,7 +256,7 @@ def _e8_inputs(kind, rows, rng):
     return 2.0 * (k + err)
 
 
-@pytest.mark.parametrize("rows", [0, 1, 511, 512, 513, 4097])
+@pytest.mark.parametrize("rows", [0, 1, _E8_ROWS - 1, _E8_ROWS, _E8_ROWS + 1, 8 * _E8_ROWS + 1])
 def test_e8_fast_matches_the_two_coset_reference(rows):
     """Pointwise equality with the row-major reference across block edges."""
     fast = E8FastQuantizer(standard_lattice("E8_int"))
@@ -278,15 +279,61 @@ def test_e8_fast_steps_the_first_of_two_largest_errors():
     assert nearest(fast, [2.0, 0, 0, 0, 0, 0, 0, 0]).tolist() == [0] * 8
 
 
+class _E8Reference(Quantizer):
+    """E8_int through the row-major reference, scored by the base class."""
+
+    def quantize_batch(self, ys):
+        return e8_round_reference(ys)
+
+
 def test_second_moment_is_the_same_through_the_e8_reference():
     lat = standard_lattice("E8_int")
-
-    class Reference(Quantizer):
-        def quantize_batch(self, ys):
-            return e8_round_reference(ys)
-
     fast = second_moment_mc(E8FastQuantizer(lat), samples=20000, seed=3)
-    assert fast == second_moment_mc(Reference(lat), samples=20000, seed=3)
+    assert fast == second_moment_mc(_E8Reference(lat), samples=20000, seed=3)
+
+
+@pytest.mark.parametrize("samples", [1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1,
+                                     2 * _TRIAL_BLOCK + 1])
+def test_second_moment_matches_the_e8_reference_around_sample_blocks(samples):
+    """One-pass block scoring, a short last block and a one-sample estimate."""
+    lat = standard_lattice("E8_int")
+    fast = second_moment_mc(E8FastQuantizer(lat), samples=samples, seed=5)
+    assert fast == second_moment_mc(_E8Reference(lat), samples=samples, seed=5)
+
+
+def test_e8_squared_error_blocks_equal_squared_errors_of_each_block():
+    """A stream drawn into one buffer, as second_moment_mc draws it: full
+    blocks, a one-row block and a block longer than the first."""
+    fast = E8FastQuantizer(standard_lattice("E8_int"))
+    rng = np.random.default_rng(12)
+    blocks = [rng.uniform(-16.0, 16.0, (rows, 8)) for rows in (4096, 4096, 1, 5000)]
+    blocks[1][::7] = np.round(blocks[1][::7]) + 0.5  # ties between and within cosets
+    buffer = np.empty((5000, 8))
+
+    def drawn():
+        for b in blocks:
+            np.copyto(buffer[: len(b)], b)
+            yield buffer[: len(b)]
+
+    got = list(fast._squared_error_blocks(drawn()))
+    assert len(got) == len(blocks)
+    for b, s in zip(blocks, got):
+        assert s.dtype == np.float64
+        assert np.array_equal(s, fast.squared_errors(b))
+
+
+def test_e8_second_moment_memory_is_the_draw_buffers_plus_one_work_area():
+    """Two (4096, 8) sample buffers, one 4096-row work area (1728 KiB) and
+    one block's distance sums."""
+    q = E8FastQuantizer(standard_lattice("E8_int"))
+    second_moment_mc(q, 4 * _TRIAL_BLOCK, seed=1)  # builds cached lattice data
+    tracemalloc.start()
+    try:
+        second_moment_mc(q, 4 * _TRIAL_BLOCK, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def test_e8_fast_memory_is_the_output_plus_one_block():
@@ -561,7 +608,7 @@ def _squared_error_inputs(kind, lattice, rows, rng):
     return {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0}[kind]
 
 
-@pytest.mark.parametrize("rows", [1, 511, 512, 513])
+@pytest.mark.parametrize("rows", [1, _E8_ROWS - 1, _E8_ROWS, _E8_ROWS + 1])
 @pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
 def test_squared_errors_equal_the_row_sums_of_the_folded_squares(quantizer, rows):
     """Bit for bit, on every kind of input, ties included, across E8 block edges."""
