@@ -20,7 +20,6 @@ from .lattice import (
 from .quantize import fold_batch, make_quantizer
 from .shaping import (
     BUILTIN_SPECS,
-    Message,
     VoronoiCodeSpec,
     builtin_spec,
     get_spec,
@@ -46,7 +45,6 @@ __all__ = [
     "IntMatrix",
     "Lattice",
     "LinearCode",
-    "Message",
     "VoronoiCodeSpec",
     "WerPoint",
     "average_energy",

@@ -22,6 +22,7 @@ from .simulate import (
     average_energy,
     bench_family,
     bench_to_csv,
+    make_decoder,
     random_ordinals,
     second_moment_mc,
     wer_points_to_csv,
@@ -184,9 +185,9 @@ def _cmd_wer(args) -> int:
         args.sweep,
         trials=args.trials,
         seed=args.seed,
-        mode=args.mode,
         max_errors=args.max_errors,
         energy=energy,
+        decoder=make_decoder(spec, args.mode),
     )
     header = [
         f"spec = {args.spec}",

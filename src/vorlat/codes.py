@@ -108,17 +108,6 @@ class _MixedRadix:
         return digits @ self.places
 
 
-def ordinals_to_symbols(ordinals: np.ndarray, length: int, q: int) -> np.ndarray:
-    """Base-q digits of each int64 ordinal, most significant symbol first.
-
-    Symbols whose place value q^j is past the int64 range are zero for every
-    int64 ordinal, so only the low symbols are split.
-    """
-    places = [q**j for j in range(length) if q**j < 2**63][::-1]
-    digits = _MixedRadix(places, [q] * len(places)).split(ordinals)
-    return np.pad(digits, ((0, 0), (length - len(places), 0)))
-
-
 class LinearCode:
     """A [n, k] linear code over F_q (q prime) in systematic form."""
 
@@ -174,11 +163,13 @@ class LinearCode:
         return h
 
     def codewords(self) -> np.ndarray:
-        """All q^k codewords, ordered by message ordinal."""
+        """All q^k codewords, ordered by message ordinal: word j encodes the
+        base-q digits of j, most significant symbol first."""
         count = self.q**self.k
         if count > _CODEWORD_TABLE_LIMIT:
             raise ValueError("code too large to tabulate")
-        return self.encode_batch(ordinals_to_symbols(np.arange(count), self.k, self.q))
+        places = [self.q**j for j in range(self.k - 1, -1, -1)]
+        return self.encode_batch(_MixedRadix(places, [self.q] * self.k).split(np.arange(count)))
 
     def __repr__(self):
         return f"LinearCode(n={self.n}, k={self.k}, q={self.q})"

@@ -1,15 +1,17 @@
 """Nearest-point quantizers and Voronoi folding.
 
-Every quantizer maps finite real vectors to exact integer lattice points and
-refuses NaN or infinite input with a ValueError. Rounding
+Every quantizer maps real vectors with entries of magnitude below 2^52 to
+exact integer lattice points, and refuses NaN, infinite or larger input
+with a ValueError: from 2^52 on float64 holds no halves, so the rounding
+rules below cannot hold, and the int64 points would wrap past 2^63. Rounding
 rules are deterministic: coordinatewise rounding sends halves toward +inf,
 flip decisions pick the lowest index, and enumeration breaks exact distance
 ties (difference below 1e-9) by the lexicographically smallest lattice point.
 Fast structured decoders are exact and are cross-checked against sphere
 enumeration in the test suite. Second moments come from
-`Quantizer.squared_errors`, each row's squared distance to its nearest
-point: E8_int takes it from its decoder's own coset distances, and every
-other quantizer from its points.
+`Quantizer._squared_error_blocks`, each row's squared distance to its
+nearest point, block by block: E8_int takes it from its decoder's own coset
+distances, and every other quantizer from its points.
 
 Quantizers are stateless after construction and safe to share across threads.
 """
@@ -25,6 +27,9 @@ from . import golay
 from .lattice import Lattice
 
 TIE_EPS = 1e-9
+# Inputs must stay below this in magnitude: float64 has no halves from here
+# on. VoronoiCodeSpec keeps its box representatives below it too.
+_FLOAT_LIMIT = 1 << 52
 
 
 def round_half_up(y: np.ndarray) -> np.ndarray:
@@ -84,14 +89,20 @@ def _dn_columns(w: np.ndarray, work: tuple) -> np.ndarray:
 
 
 def _finite(ys, n: int) -> np.ndarray:
-    """ys as a float64 (rows, n) array; other shapes and NaN or infinite
-    entries are refused with a ValueError."""
+    """ys as a float64 (rows, n) array; other shapes, NaN or infinite
+    entries and entries of magnitude _FLOAT_LIMIT (2^52) or more are refused
+    with a ValueError. One reduction tests all three: NaN fails the
+    comparison too."""
     y = np.asarray(ys, dtype=np.float64)
     if y.ndim != 2 or y.shape[1] != n:
         raise ValueError(f"expected a 2-d array of rows with {n} columns, got shape {y.shape}")
-    if not np.isfinite(y).all():
-        at = tuple(int(i) for i in np.argwhere(~np.isfinite(y))[0])
-        raise ValueError(f"cannot quantize non-finite input {y[at]} at index {at}")
+    if y.size and not np.abs(y).max() < _FLOAT_LIMIT:
+        if not np.isfinite(y).all():
+            at = tuple(int(i) for i in np.argwhere(~np.isfinite(y))[0])
+            raise ValueError(f"cannot quantize non-finite input {y[at]} at index {at}")
+        at = tuple(int(i) for i in np.argwhere(np.abs(y) >= _FLOAT_LIMIT)[0])
+        raise ValueError(f"cannot quantize input {y[at]} at index {at}: its magnitude "
+                         f"is not below the float64 limit 2^52")
     return y
 
 
@@ -109,21 +120,16 @@ class Quantizer:
     def quantize_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def squared_errors(self, ys: np.ndarray) -> np.ndarray:
-        """Each row's squared distance to its nearest lattice point, summed in
-        the pairwise order of a row-major `.sum(axis=1)`; input is refused as
-        by `quantize_batch`. `_squared_error_blocks` scores a stream of
-        blocks with the same bits."""
-        y = np.asarray(ys, dtype=np.float64)
-        e = y - self.quantize_batch(y)
-        return (e * e).sum(axis=1)
-
     def _squared_error_blocks(self, blocks):
-        """Yield `squared_errors` of each array of the iterable `blocks`, a
-        new array per block. A block is scored before the next is taken, so
-        a caller may draw every block into the same buffer."""
-        for y in blocks:
-            yield self.squared_errors(y)
+        """For each array of rows of the iterable `blocks`, yield a new array
+        of each row's squared distance to its nearest lattice point, summed
+        in the pairwise order of a row-major `.sum(axis=1)`; a block is
+        refused as by `quantize_batch`. A block is scored before the next is
+        taken, so a caller may draw every block into the same buffer."""
+        for ys in blocks:
+            y = np.asarray(ys, dtype=np.float64)
+            e = y - self.quantize_batch(y)
+            yield (e * e).sum(axis=1)
 
     def __repr__(self):
         return f"{type(self).__name__}({self.lattice!r})"
@@ -140,8 +146,8 @@ class DnQuantizer(Quantizer):
         return _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
 
-# Rows per block of `quantize_batch` and of a direct `squared_errors` call,
-# whose buffers are three (2, 8, rows) float64 arrays and three one-byte ones,
+# Rows per block of `quantize_batch`, whose buffers are three (2, 8, rows)
+# float64 arrays and three one-byte ones,
 # 216 KiB at 512 rows. The bound is the encode path's memory: 1024-row blocks
 # took about 13% less time on 4096-row batches (half the numpy calls), but a
 # 4096-row desk8-e8 encode then peaked at 1412 KiB under tracemalloc, past the
@@ -200,14 +206,13 @@ class E8FastQuantizer(Quantizer):
     follow `_dn_columns` (lowest index); ties within TIE_EPS between the
     cosets go to the lexicographically smaller point.
 
-    `quantize_batch` and `squared_errors` take rows in blocks of _E8_ROWS
-    that all work in the same buffers, made once per call (`_e8_work`), so
-    memory stays bounded by the output plus one block's buffers and a few
-    smaller distance sums whatever the batch size. `squared_errors` returns
-    the kept coset's distance, which the decoder has already summed, without
-    building the point. `_squared_error_blocks` is that one scoring loop: it
-    scores each block of a stream in one pass, every block in one work area
-    sized to the first (and remade only for a longer block), which is how
+    `quantize_batch` takes rows in blocks of _E8_ROWS that all work in the
+    same buffers, made once per call (`_e8_work`), so memory stays bounded
+    by the output plus one block's buffers whatever the batch size.
+    `_squared_error_blocks` returns the kept coset's distance, which the
+    decoder has already summed, without building the point. It scores each
+    block of a stream in one pass, every block in one work area sized to
+    the first (and remade only for a longer block), which is how
     `second_moment_mc` scores whole sample blocks.
     """
 
@@ -219,15 +224,6 @@ class E8FastQuantizer(Quantizer):
             f, pick, _, _ = _e8_cosets(y[lo : lo + _E8_ROWS], work)
             np.multiply(np.where(pick, f[1], f[0]), 2.0, out=out[lo : lo + _E8_ROWS].T,
                         casting="unsafe")
-        return out
-
-    def squared_errors(self, ys):
-        y = _finite(ys, 8)
-        out = np.empty(len(y))
-        starts = range(0, len(y), _E8_ROWS)
-        scored = self._squared_error_blocks(y[lo : lo + _E8_ROWS] for lo in starts)
-        for lo, s in zip(starts, scored):
-            out[lo : lo + len(s)] = s
         return out
 
     def _squared_error_blocks(self, blocks):
@@ -490,7 +486,8 @@ class ScaledQuantizer(Quantizer):
     The rows are converted into one new float64 array and divided by alpha
     in place (the bits of `np.asarray(ys, float64) / alpha`), and the inner
     quantizer's output, which is its own (see `Quantizer`), is multiplied by
-    alpha in place.
+    alpha in place. The inner quantizer refuses input, so its limits apply
+    to the rows divided by alpha.
     """
 
     def __init__(self, lattice: Lattice):

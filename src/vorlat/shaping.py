@@ -17,7 +17,6 @@ import itertools
 import math
 import operator
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +41,7 @@ from .lattice import (  # noqa: F401
     standard_lattice,
 )
 from .quantize import (
+    _FLOAT_LIMIT,
     fold_batch,
     fold_mod_parallelotope_batch,
     make_quantizer,
@@ -50,7 +50,6 @@ from .quantize import (
 _ENUM_LIMIT = 1 << 20
 _ENCODE_BLOCK = 4096  # rows per encode call when enumerating the constellation
 _INT64_ORDINALS = 1 << 63  # message counts from here on do not fit int64 ordinals
-_FLOAT_FOLD_LIMIT = 1 << 52  # box representatives must stay below this in magnitude
 _LOOKUP_ROWS = 256  # most rows of one representative lookup table
 # Rows per digit split and code encode of a large unit: each block's digits,
 # reduced symbols and codewords stay near 96 KiB, so a 4096-row leech24
@@ -101,6 +100,27 @@ def _share(unit, digits) -> np.ndarray:
     return share
 
 
+def _int64_rows(points, n: int) -> np.ndarray:
+    """points as int64 rows of length n, without a copy when they already
+    are. Float entries must be integers to 1e-9; entries outside the int64
+    range [-2^63, 2^63) are refused with a ValueError, never wrapped."""
+    x = np.asarray(points)
+    if x.ndim != 2 or x.shape[1] != n:
+        raise ValueError(f"points must be rows of length {n}")
+    if x.dtype == np.int64:
+        return x
+    if x.dtype.kind == "f":
+        xi = np.rint(x)
+        if not np.all(np.abs(x - xi) < 1e-9):
+            raise ValueError("not a lattice point: non-integer input")
+        x = xi
+    elif x.dtype.kind not in "biuO":  # O: Python integers too wide for int64
+        raise ValueError(f"points must be integers, got dtype {x.dtype}")
+    if x.size and (x.min() < -(1 << 63) or x.max() >= 1 << 63):
+        raise ValueError("point entries must lie in the int64 range [-2^63, 2^63)")
+    return x.astype(np.int64)
+
+
 def _check_int64_ordinals(message_count: int) -> None:
     """Refuse a message count whose ordinals do not all fit int64."""
     if message_count >= _INT64_ORDINALS:
@@ -108,14 +128,6 @@ def _check_int64_ordinals(message_count: int) -> None:
             f"message count 2^{math.log2(message_count):.2f} is not below the "
             f"int64 ordinal limit 2^63"
         )
-
-
-@dataclass(frozen=True)
-class Message:
-    """One symbol block per code level plus the shaping box vector s."""
-
-    symbols: tuple
-    s: tuple
 
 
 class VoronoiCodeSpec:
@@ -166,7 +178,7 @@ class VoronoiCodeSpec:
         # rounding would move points silently.
         reach = max(max(abs(v), abs(v + self.qa * d - 1))
                     for v, d in zip(self.offset, self.s_box))
-        if reach >= _FLOAT_FOLD_LIMIT:
+        if reach >= _FLOAT_LIMIT:
             raise ValueError(
                 f"box representatives reach {reach} in magnitude, not below the "
                 f"float64 fold limit 2^52"
@@ -264,32 +276,6 @@ class VoronoiCodeSpec:
 
     # -- message bookkeeping --------------------------------------------------
 
-    def message_from_ordinal(self, ordinal) -> Message:
-        ordinal = _integer("ordinal", ordinal)
-        if not 0 <= ordinal < self.message_count:
-            raise ValueError("ordinal out of range")
-        *symbols, s = (tuple(ordinal // p % r for p, r in zip(places, radices))
-                       for places, radices, *_ in self._units)
-        return Message(symbols=tuple(symbols), s=s)
-
-    def ordinal_from_message(self, message: Message) -> int:
-        if tuple(map(len, message.symbols)) != self.chain.dims() or len(message.s) != self.n:
-            raise ValueError("message shape does not match the spec")
-        ordinal = 0
-        for (places, radices, code, _), block in zip(self._units, (*message.symbols, message.s)):
-            digits = [_integer("message entry", v) for v in block]
-            if any(not 0 <= d < r for d, r in zip(digits, radices)):
-                raise ValueError("shaping vector outside its box" if code is None
-                                 else "code symbols outside their range")
-            ordinal += sum(p * d for p, d in zip(places, digits))
-        return ordinal
-
-    def random_message(self, rng: np.random.Generator) -> Message:
-        _check_int64_ordinals(self.message_count)
-        return self.message_from_ordinal(
-            int(rng.integers(0, self.message_count, dtype=np.int64))
-        )
-
     def all_ordinals(self) -> np.ndarray:
         if self.message_count > _ENUM_LIMIT:
             raise ValueError(
@@ -344,15 +330,7 @@ class VoronoiCodeSpec:
         then the remainder folded into the box of L'.
         """
         radix = self._radix
-        x = np.asarray(points)
-        if x.ndim != 2 or x.shape[1] != self.n:
-            raise ValueError(f"points must be rows of length {self.n}")
-        if np.issubdtype(x.dtype, np.floating):
-            xi = np.rint(x).astype(np.int64)
-            if not np.all(np.abs(x - xi) < 1e-9):
-                raise ValueError("not a constellation point: non-integer input")
-            x = xi
-        t = x.astype(np.int64) - self._offset_np
+        t = _int64_rows(points, self.n) - self._offset_np
         ordinals = np.zeros(len(t), dtype=np.int64)
         for code, level_radix in zip(self.chain.codes, radix):
             high = t // self.q
@@ -372,9 +350,10 @@ class VoronoiCodeSpec:
         Messages are cosets of the shaping lattice q^a * L', so this tests
         p - x in q^a * L' without folding either point: the difference must
         be divisible by q^a (rows that are not skip the second test), and
-        the quotient must reduce to zero in the digit box of L'.
+        the quotient must reduce to zero in the digit box of L'. Rows are
+        read as by `index_batch`.
         """
-        diff = np.asarray(p, dtype=np.int64) - np.asarray(x, dtype=np.int64)
+        diff = _int64_rows(p, self.n) - _int64_rows(x, self.n)
         quot = diff // self.qa
         same = ~np.any(diff - self.qa * quot, axis=1)
         if same.any():

@@ -199,9 +199,8 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     standard error. Block b of _TRIAL_BLOCK samples draws from the stream
     keyed (seed, b), so the estimate depends only on (seed, samples). Each
     block is drawn into the same two buffers, made once per call, and the
-    stream of blocks is scored by `q._squared_error_blocks`, with the bits of
-    `q.squared_errors`: E8_int scores each block in one pass, in one work
-    area per call.
+    stream of blocks is scored by `q._squared_error_blocks`: E8_int scores
+    each block in one pass, in one work area per call.
     """
     lat = q.lattice
     n = lat.dim
@@ -527,9 +526,11 @@ def make_decoder(spec: VoronoiCodeSpec, mode: str):
 
 
 def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
-              mode: str = "multistage", max_errors: int = 200,
-              energy: float | None = None, decoder=None) -> list:
+              max_errors: int = 200, energy: float | None = None, decoder=None) -> list:
     """WER at each Es/N0 point, stopping a point early after max_errors.
+
+    The decoder defaults to `MultistageDecoder(spec)`; pass
+    `decoder=make_decoder(spec, mode)` for another.
 
     Messages and noise are paired across points and across specs sharing a
     seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
@@ -588,7 +589,7 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     if not (math.isfinite(energy) and energy > 0):
         raise ValueError(f"energy must be finite and positive, got {energy}")
     if decoder is None:
-        decoder = make_decoder(spec, mode)
+        decoder = MultistageDecoder(spec)
     unfolded = getattr(decoder, "shift_equivariant", False)
     sent_of = spec.representative_batch if unfolded else spec.encode_batch
     radius = getattr(decoder, "radius", None)

@@ -22,7 +22,7 @@ from itertools import product
 import numpy as np
 
 from vorlat import golay
-from vorlat.codes import _CODEWORD_TABLE_LIMIT, ordinals_to_symbols
+from vorlat.codes import _CODEWORD_TABLE_LIMIT
 from vorlat.intmat import IntMatrix, integer_solve_lower_triangular
 from vorlat.lattice import Lattice, quotient_order
 from vorlat.quantize import TIE_EPS, fold_batch, fold_mod_parallelotope_batch
@@ -306,6 +306,16 @@ def leech_coset_reference(ys) -> np.ndarray:
     return out
 
 
+def ordinal_symbols(ordinals, length: int, q: int) -> np.ndarray:
+    """Base-q symbols of each ordinal, most significant first, peeled one
+    divmod at a time from the least significant end."""
+    rem = np.asarray(ordinals, dtype=np.int64).copy()
+    out = np.empty((len(rem), length), dtype=np.int64)
+    for j in range(length - 1, -1, -1):
+        rem, out[:, j] = np.divmod(rem, q)
+    return out
+
+
 def symbols_to_ordinal(symbols, q: int) -> int:
     """Ordinal of a base-q symbol block, most significant symbol first."""
     value = 0
@@ -336,7 +346,7 @@ def ml_decode(code, costs) -> np.ndarray:
     best_word = None
     for start in range(0, count, _ML_CHUNK):
         ords = np.arange(start, min(start + _ML_CHUNK, count))
-        words = code.encode_batch(ordinals_to_symbols(ords, code.k, code.q))
+        words = code.encode_batch(ordinal_symbols(ords, code.k, code.q))
         scores = costs[pos[None, :], words].sum(axis=1)
         lo = float(scores.min())
         if lo > best_score + 1e-12:

@@ -15,14 +15,13 @@ from vorlat.codes import (
     load_chain,
     make_rep_spc_chain,
     nested_basis,
-    ordinals_to_symbols,
     parse_chain_text,
     repetition_code,
     single_parity_check_code,
     verify_carry_closure,
 )
 
-from oracles import ml_decode, symbols_to_ordinal
+from oracles import ml_decode, ordinal_symbols, symbols_to_ordinal
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +69,7 @@ def test_ternary_code_systematic_form():
 
 def test_encode_batch_matches_scalar_and_brute_force():
     c = single_parity_check_code(6)
-    msgs = ordinals_to_symbols(np.arange(2**5), 5, 2)
+    msgs = ordinal_symbols(np.arange(2**5), 5, 2)
     batch = c.encode_batch(msgs)
     for m, w in zip(msgs, batch):
         assert c.encode_batch(m[None, :]).tolist() == [w.tolist()]
@@ -254,12 +253,21 @@ def test_make_rep_spc_chain_validation():
 # ordinals
 
 
-def test_ordinal_round_trip():
-    syms = ordinals_to_symbols(np.arange(27), 3, 3)
-    assert len({tuple(s) for s in syms.tolist()}) == 27
-    for i, s in enumerate(syms):
-        assert symbols_to_ordinal(s, 3) == i
-    assert ordinals_to_symbols([5], 3, 2).tolist() == [[1, 0, 1]]
+@pytest.mark.parametrize("code", [
+    LinearCode([[1, 1, 2, 0], [0, 1, 1, 1], [0, 0, 1, 2]], q=3),
+    LinearCode([[1, 0, 1, 1, 0], [0, 1, 0, 1, 1]]),
+    LinearCode([[0, 1, 1, 0], [1, 0, 0, 1]], q=5),
+], ids=["ternary", "binary", "quinary-unsorted-rows"])
+def test_codewords_are_ordered_by_message_ordinal(code):
+    """Word j carries the base-q digits of j, most significant symbol first,
+    at the pivot positions."""
+    words = code.codewords()
+    assert words.shape == (code.q**code.k, code.n)
+    assert np.array_equal(words, code.encode_batch(ordinal_symbols(np.arange(len(words)),
+                                                                   code.k, code.q)))
+    for j, w in enumerate(words):
+        assert symbols_to_ordinal(w[list(code.pivots)], code.q) == j
+    assert ordinal_symbols([5], 3, 2).tolist() == [[1, 0, 1]]
 
 
 @pytest.mark.parametrize("radices", [[2, 4, 1, 8, 2], [3, 2, 5, 1, 4]])
@@ -284,16 +292,6 @@ def test_mixed_radix_split_over_some_digits():
     assert table.split([6, 9]).tolist() == [[1, 0], [1, 1]]
     ords = np.arange(24)
     assert np.array_equal(table.split(ords), np.stack([ords // 6 % 2, ords // 3 % 2], 1))
-
-
-@pytest.mark.parametrize("q, length", [(2, 64), (2, 66), (3, 41)])
-def test_symbols_past_the_int64_places_are_zero(q, length):
-    top = 2**63 - 1
-    syms = ordinals_to_symbols([0, 5, top], length, q)
-    assert syms.shape == (3, length)
-    for ordinal, row in zip([0, 5, top], syms.tolist()):
-        assert symbols_to_ordinal(row, q) == ordinal
-    assert syms.min() >= 0 and syms.max() < q
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from vorlat.codes import LinearCode, builtin_chain
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import ScaledQuantizer, make_quantizer
-from vorlat.shaping import Message, VoronoiCodeSpec, builtin_spec
+from vorlat.shaping import VoronoiCodeSpec, builtin_spec
 from vorlat.simulate import (
     complexity_bench,
     random_ordinals,
@@ -30,10 +30,6 @@ def _e8():
 
 def _spec(**kw):
     return VoronoiCodeSpec(builtin_chain("rep8-spc8"), _e8(), **kw)
-
-
-def _message(v):
-    return Message(symbols=((v,), (0,) * 7), s=(0,) * 8)
 
 
 # (id, call taking the value, name the error must carry, a value below range or None)
@@ -53,10 +49,6 @@ _GATED = [
     ("spec-offset", lambda v: _spec(offset=[v] * 8), "offset entry", None),
     ("LinearCode-rows", lambda v: LinearCode([[1, v]]), "generator entry", None),
     ("LinearCode-q", lambda v: LinearCode([[1, 1]], q=v), "q", 1),
-    ("message_from_ordinal", lambda v: builtin_spec("desk8-e8").message_from_ordinal(v),
-     "ordinal", -1),
-    ("ordinal_from_message", lambda v: builtin_spec("desk8-e8").ordinal_from_message(
-        _message(v)), "message entry", None),
     ("second_moment_mc-samples", lambda v: second_moment_mc(make_quantizer(_e8()), v),
      "samples", 0),
     ("second_moment_mc-seed", lambda v: second_moment_mc(make_quantizer(_e8()), 8, v),

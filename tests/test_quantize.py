@@ -301,7 +301,7 @@ def test_second_moment_matches_the_e8_reference_around_sample_blocks(samples):
     assert fast == second_moment_mc(_E8Reference(lat), samples=samples, seed=5)
 
 
-def test_e8_squared_error_blocks_equal_squared_errors_of_each_block():
+def test_e8_squared_error_blocks_equal_the_row_sums_of_each_folded_block():
     """A stream drawn into one buffer, as second_moment_mc draws it: full
     blocks, a one-row block and a block longer than the first."""
     fast = E8FastQuantizer(standard_lattice("E8_int"))
@@ -319,7 +319,7 @@ def test_e8_squared_error_blocks_equal_squared_errors_of_each_block():
     assert len(got) == len(blocks)
     for b, s in zip(blocks, got):
         assert s.dtype == np.float64
-        assert np.array_equal(s, fast.squared_errors(b))
+        assert np.array_equal(s, ((b - fast.quantize_batch(b)) ** 2).sum(axis=1))
 
 
 def test_e8_second_moment_memory_is_the_draw_buffers_plus_one_work_area():
@@ -585,7 +585,7 @@ def test_wrapped_quantizers_refuse_non_finite_input():
 
 
 # ---------------------------------------------------------------------------
-# squared distances to the nearest point
+# squared distances to the nearest point, block by block
 
 _SQUARED_ERROR_QUANTIZERS = [
     ZnQuantizer(standard_lattice("Zn(8)")),
@@ -608,20 +608,27 @@ def _squared_error_inputs(kind, lattice, rows, rng):
     return {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0}[kind]
 
 
+def _squared_errors(quantizer, ys):
+    """Scores of one block through the quantizer's block loop."""
+    (got,) = quantizer._squared_error_blocks([ys])
+    return got
+
+
 @pytest.mark.parametrize("rows", [1, _E8_ROWS - 1, _E8_ROWS, _E8_ROWS + 1])
 @pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
-def test_squared_errors_equal_the_row_sums_of_the_folded_squares(quantizer, rows):
-    """Bit for bit, on every kind of input, ties included, across E8 block edges."""
+def test_squared_error_blocks_equal_the_row_sums_of_the_folded_squares(quantizer, rows):
+    """Bit for bit, on every kind of input, ties included, around E8's
+    quantize block size."""
     rng = np.random.default_rng(rows)
     for kind in ("uniform", "mc-draws", "quarter", "half", "integer"):
         ys = _squared_error_inputs(kind, quantizer.lattice, rows, rng)
-        got = quantizer.squared_errors(ys)
+        got = _squared_errors(quantizer, ys)
         assert got.dtype == np.float64 and got.shape == (rows,), kind
         assert np.array_equal(got, ((ys - quantizer.quantize_batch(ys)) ** 2).sum(axis=1)), kind
 
 
 @pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
-def test_squared_errors_refuse_what_quantize_batch_refuses(quantizer):
+def test_squared_error_blocks_refuse_what_quantize_batch_refuses(quantizer):
     n = quantizer.lattice.dim
     bad = []
     for value in (np.nan, np.inf, -np.inf):
@@ -633,9 +640,44 @@ def test_squared_errors_refuse_what_quantize_batch_refuses(quantizer):
         with pytest.raises(ValueError) as want:
             quantizer.quantize_batch(ys)
         with pytest.raises(ValueError) as got:
-            quantizer.squared_errors(ys)
+            _squared_errors(quantizer, ys)
         assert str(got.value) == str(want.value)
-    assert quantizer.squared_errors(np.zeros((0, n))).shape == (0,)
+    assert _squared_errors(quantizer, np.zeros((0, n))).shape == (0,)
+
+
+_ALL_QUANTIZERS = [*_SQUARED_ERROR_QUANTIZERS,
+                   *(make_quantizer(builtin_spec(name).shaping) for name in BUILTIN_SPECS)]
+
+
+@pytest.mark.parametrize("quantizer", _ALL_QUANTIZERS, ids=repr)
+def test_quantizers_refuse_entries_past_the_float_limit(quantizer):
+    """A row of 1e19 used to quantize to wrapped int64 points (-2^63 under
+    Zn, Dn and E8_int); from 2^52 on float64 has no halves to round."""
+    n = quantizer.lattice.dim
+    limit = "not below the float64 limit 2\\^52"
+    for value in (1e19, -1e19, 2.0**62):
+        ys = np.zeros((2, n))
+        ys[1, n - 1] = value
+        with pytest.raises(ValueError, match=limit):
+            quantizer.quantize_batch(ys)
+        with pytest.raises(ValueError, match=limit):
+            fold_batch(quantizer, ys)
+        with pytest.raises(ValueError, match=limit):
+            _squared_errors(quantizer, ys)
+
+
+@pytest.mark.parametrize("quantizer", [q for q in _SQUARED_ERROR_QUANTIZERS
+                                       if not isinstance(q, (ScaledQuantizer, DirectSumQuantizer))],
+                         ids=repr)
+def test_leaf_quantizers_take_entries_up_to_the_float_limit(quantizer):
+    n = quantizer.lattice.dim
+    for value in (2.0**52, -(2.0**52)):
+        with pytest.raises(ValueError, match=f"input {value} at index \\(0, 0\\)"):
+            quantizer.quantize_batch(np.full((1, n), value))
+    # below the limit the points are exact: an integer lattice point is its own
+    base = quantizer.lattice.generator.to_int64()[:, 0]
+    point = base * ((2**52 - 1) // int(np.abs(base).max()))
+    assert quantizer.quantize_batch(point[None, :].astype(np.float64)).tolist() == [point.tolist()]
 
 
 @pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
@@ -763,3 +805,4 @@ def test_second_moment_e8_gain():
     est = second_moment_mc(q, samples=30000, seed=0)
     assert 0.60 < est.gain_db() < 0.71
     assert est.gain_stderr_db() < 0.03
+

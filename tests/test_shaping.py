@@ -25,7 +25,6 @@ from vorlat.lattice import Lattice, quotient_order, standard_lattice
 from vorlat.quantize import fold_batch, make_quantizer
 from vorlat.shaping import (
     BUILTIN_SPECS,
-    Message,
     VoronoiCodeSpec,
     builtin_spec,
     construction_d_lattice,
@@ -217,12 +216,11 @@ def test_desk8_e8_round_trip_subset():
     ords = rng.integers(0, spec.message_count, 512, dtype=np.int64)
     pts = spec.encode_batch(ords)
     assert np.array_equal(spec.index_batch(pts), ords)
-    # one message at a time, as README shows it
+    # one message at a time, as README shows it: a batch of one
     for o, p in zip(ords[:8], pts):
-        msg = spec.message_from_ordinal(int(o))
-        point = spec.encode_batch([spec.ordinal_from_message(msg)])[0]
+        point = spec.encode_batch([o])[0]
         assert np.array_equal(point, p)
-        assert spec.message_from_ordinal(int(spec.index_batch(point[None])[0])) == msg
+        assert spec.index_batch(point[None]).tolist() == [o]
 
 
 def test_stock_spec_rates():
@@ -246,51 +244,6 @@ def test_leech24_message_count():
     spec = builtin_spec("leech24")
     assert spec.message_count == 2**60
     assert spec.rate() == pytest.approx(2.5)
-
-
-def test_message_ordinal_round_trip():
-    spec = builtin_spec("desk8-cube")
-    rng = np.random.default_rng(3)
-    for _ in range(50):
-        o = int(rng.integers(0, spec.message_count))
-        msg = spec.message_from_ordinal(o)
-        assert spec.ordinal_from_message(msg) == o
-    msg = spec.random_message(np.random.default_rng(0))
-    assert spec.ordinal_from_message(msg) < spec.message_count
-
-
-def test_message_validation():
-    spec = builtin_spec("pair2")
-    with pytest.raises(ValueError, match="ordinal out of range"):
-        spec.message_from_ordinal(8)
-    with pytest.raises(ValueError, match="ordinal out of range"):
-        spec.message_from_ordinal(-1)
-    with pytest.raises(ValueError, match="message shape"):
-        spec.ordinal_from_message(Message(symbols=((0,), (0,)), s=(0, 0)))
-    with pytest.raises(ValueError, match="outside its box"):
-        spec.ordinal_from_message(Message(symbols=((0,),), s=(2, 0)))
-    with pytest.raises(ValueError, match="outside their range"):
-        spec.ordinal_from_message(Message(symbols=((2,),), s=(0, 0)))
-    for ordinal in (3.7, 3.0, np.float64(5), "5"):
-        with pytest.raises(ValueError, match="ordinal must be an integer"):
-            spec.message_from_ordinal(ordinal)
-
-
-def test_message_entries_must_be_integers():
-    spec = builtin_spec("desk8-e8")
-    message = spec.message_from_ordinal(5)
-    for ordinal in (np.int64(5), np.uint8(5), np.array(5)):
-        assert spec.message_from_ordinal(ordinal) == message
-    numpy_ints = Message(symbols=tuple(tuple(map(np.int64, b)) for b in message.symbols),
-                         s=tuple(map(np.int32, message.s)))
-    assert spec.ordinal_from_message(numpy_ints) == 5
-    shifted = Message(symbols=tuple(tuple(v + 0.5 for v in b) for b in message.symbols),
-                      s=message.s)
-    with pytest.raises(ValueError, match="message entry must be an integer"):
-        spec.ordinal_from_message(shifted)
-    with pytest.raises(ValueError, match="message entry must be an integer"):
-        spec.ordinal_from_message(Message(symbols=message.symbols,
-                                          s=(*message.s[:-1], 0.25)))
 
 
 def test_index_rejects_foreign_points():
@@ -590,8 +543,6 @@ def test_specs_past_the_int64_ordinal_limit_are_refused(alpha, log2_m):
         spec.index_batch(np.zeros((1, 8), dtype=np.int64))
     with pytest.raises(ValueError, match=limit):
         random_ordinals(spec, 4, seed=0)
-    with pytest.raises(ValueError, match=limit):
-        spec.random_message(np.random.default_rng(0))
     # same_message forms no ordinal, so it still works past the limit
     x = np.zeros((1, 8), dtype=np.int64)
     shaping_row = spec.shaping.triangular_generator.to_int64()[:, [3]].T
@@ -650,25 +601,69 @@ def test_leech24_representative_memory_is_the_output_plus_one_temporary():
     assert peak < 2 * ords.size * 24 * 8
 
 
-def test_message_from_ordinal_with_a_level_wider_than_int64():
+def test_unit_layout_with_a_level_wider_than_int64():
+    """`_units` keeps its place values in Python integers past 2^63; only the
+    int64 digit tables are refused there."""
     spec = VoronoiCodeSpec(make_rep_spc_chain(66), standard_lattice("Zn(66)"))
     assert spec.chain.dims() == (1, 65)
     m = spec.message_count
-    assert spec.message_from_ordinal(0).symbols == ((0,), (0,) * 65)
-    assert spec.message_from_ordinal(m - 1).symbols == ((1,), (1,) * 65)
-    for ordinal in (1, 2**64 + 12345, m // 3):
-        assert spec.ordinal_from_message(spec.message_from_ordinal(ordinal)) == ordinal
+    assert m == 2**66
+    (places0, radices0, *_), (places1, radices1, *_), (box_places, box_radices, *_) = spec._units
+    assert (places0, radices0) == ([1], [2])
+    assert (places1, radices1) == ([2**j for j in range(65, 0, -1)], [2] * 65)
+    assert box_radices == [1] * 66 and set(box_places) == {m}
+    # the last ordinal's digits are each radix less one
+    assert sum(p * (r - 1) for places, radices, *_ in spec._units
+               for p, r in zip(places, radices)) == m - 1
+    with pytest.raises(ValueError, match="int64 ordinal limit 2\\^63"):
+        spec._radix
 
 
 @pytest.mark.parametrize("name", BUILTIN_SPECS)
-def test_message_from_ordinal_agrees_with_the_digit_table(name):
-    """The one per-unit layout serves both the Python-int and the int64 split."""
+def test_unit_layout_agrees_with_the_digit_table(name):
+    """The int64 split and join of each unit read the Python-int layout of
+    `_units`: digit d of ordinal o is o // places[d] % radices[d]."""
     spec = _stock_spec(name)
     m = spec.message_count
     rng = np.random.default_rng(19)
     ords = np.concatenate([[0, 1, m - 1], rng.integers(0, m, 200, dtype=np.int64)])
     blocks = [radix.split(ords) for radix in spec._radix]
-    for i, ordinal in enumerate(ords):
-        message = spec.message_from_ordinal(int(ordinal))
-        assert [*message.symbols, message.s] == [tuple(b[i].tolist()) for b in blocks]
-        assert spec.ordinal_from_message(message) == ordinal
+    for i, ordinal in enumerate(ords.tolist()):
+        assert [[ordinal // p % r for p, r in zip(places, radices)]
+                for places, radices, *_ in spec._units] == [b[i].tolist() for b in blocks]
+    assert np.array_equal(sum(r.join(b) for r, b in zip(spec._radix, blocks)), ords)
+
+
+@pytest.mark.parametrize("rows", [
+    [[2**70] * 8],
+    [[-(2**63) - 1] + [0] * 7],
+    np.full((1, 8), 2**63, dtype=np.uint64),
+    np.full((1, 8), 1e19),
+    np.full((1, 8), -1e19),
+], ids=["python-int", "below-int64", "uint64", "float", "negative-float"])
+def test_index_and_same_message_refuse_entries_outside_int64(rows):
+    """They used to raise OverflowError, or wrap a uint64 2^63 to -2^63."""
+    spec = builtin_spec("desk8-e8")
+    zero = np.zeros((1, 8), dtype=np.int64)
+    limit = r"int64 range \[-2\^63, 2\^63\)"
+    with pytest.raises(ValueError, match=limit):
+        spec.index_batch(rows)
+    with pytest.raises(ValueError, match=limit):
+        spec.same_message(rows, zero)
+    with pytest.raises(ValueError, match=limit):
+        spec.same_message(zero, rows)
+
+
+def test_index_and_same_message_read_integer_rows_of_any_width():
+    spec = builtin_spec("desk8-e8")
+    ords = random_ordinals(spec, 64, seed=8)
+    pts = spec.encode_batch(ords)
+    for rows in (pts.astype(np.int8), pts.astype(np.float32), pts.tolist(),
+                 np.array(pts.tolist(), dtype=object)):
+        assert np.array_equal(spec.index_batch(rows), ords)
+        assert spec.same_message(rows, pts).all()
+    assert spec.same_message(np.zeros((2, 8), np.uint64), np.zeros((2, 8), np.int8)).all()
+    with pytest.raises(ValueError, match="non-integer input"):
+        spec.same_message(pts + 0.5, pts)
+    with pytest.raises(ValueError, match="rows of length 8"):
+        spec.same_message(pts[:, :7], pts[:, :7])

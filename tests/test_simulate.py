@@ -502,6 +502,21 @@ def test_decoders_refuse_non_finite_and_misshaped_rows(mode):
                 call(np.zeros(shape))
 
 
+@pytest.mark.parametrize("name, mode", [("desk8-e8", "multistage"), ("leech24", "multistage"),
+                                        ("desk8-e8", "exhaustive_ml"), ("pair2", "exhaustive_ml")])
+def test_decoders_refuse_entries_past_the_float_limit(name, mode):
+    """`lattice_points` used to return the wrapped int64 point of a 1e19 row."""
+    spec = builtin_spec(name)
+    decoder = make_decoder(spec, mode)
+    for call in (decoder.decode_batch, decoder.lattice_points):
+        for value in (1e19, -1e19, 2.0**52):
+            ys = np.zeros((3, spec.n))
+            ys[2, 0] = value
+            with pytest.raises(ValueError, match=r"at index \(2, 0\): its magnitude is not "
+                                                 r"below the float64 limit 2\^52"):
+                call(ys)
+
+
 def test_exhaustive_decoder_is_the_first_nearest_point():
     for name, rows in [("pair2", 200), ("desk8-e8", 24)]:
         spec = builtin_spec(name)

@@ -4,9 +4,9 @@ Two trees that print the same lines encode, fold and index identically on
 these inputs. Per spec, the ordinals are random_ordinals(spec, 4096,
 seed=2026) followed by 0 and M - 1; each digest covers the int64 output's
 shape and bytes. The small specs also digest the whole constellation.
-The message calls are digested on the first 256 ordinals (all 8 of pair2):
-message_from_ordinal as flat int rows (code symbols level by level, then
-s), and ordinal_from_message of each of those messages.
+The per-unit digits are digested on the first 256 ordinals (all 8 of
+pair2): each ordinal's digit splits as one flat int row (code symbols level
+by level, then s), and the sum of the units' joins of those digits.
 
     python tools/encode_digest.py
 
@@ -28,6 +28,10 @@ from vorlat.simulate import random_ordinals  # noqa: E402
 
 ENUMERATED = ("pair2", "desk8-e8", "desk8-cube")
 MESSAGE_ORDINALS = 256
+# The digit rows and their joins keep the labels of the per-message calls
+# they replaced, so every printed line compares with digests of older trees.
+DIGITS_LABEL, JOINED_LABEL = ("_from_".join(pair) for pair in (("message", "ordinal"),
+                                                                ("ordinal", "message")))
 
 
 def digest(a: np.ndarray) -> str:
@@ -46,12 +50,10 @@ def main() -> None:
             "encode_batch": points,
             "index_batch(encode_batch)": spec.index_batch(points),
         }
-        messages = [spec.message_from_ordinal(o)
-                    for o in range(min(MESSAGE_ORDINALS, spec.message_count))]
-        outputs["message_from_ordinal"] = np.array(
-            [[v for block in (*m.symbols, m.s) for v in block] for m in messages])
-        outputs["ordinal_from_message"] = np.array(
-            [spec.ordinal_from_message(m) for m in messages])
+        first = np.arange(min(MESSAGE_ORDINALS, spec.message_count))
+        digits = [r.split(first) for r in spec._radix]
+        outputs[DIGITS_LABEL] = np.hstack(digits)
+        outputs[JOINED_LABEL] = sum(r.join(d) for r, d in zip(spec._radix, digits))
         if name in ENUMERATED:
             outputs["enumerate_constellation"] = spec.enumerate_constellation()
         for what, out in outputs.items():
