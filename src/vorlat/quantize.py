@@ -112,7 +112,12 @@ class Quantizer:
     `quantize_batch` returns a new, writeable int64 array that shares no
     memory with its input, so callers may write into it: `fold_batch`
     subtracts into it, and `ScaledQuantizer` scales its inner output in place.
+    `_bound` is above the magnitude of every returned coordinate: inputs are
+    below 2^52 (`_finite`) and a nearest point lies within the covering
+    radius of its input.
     """
+
+    _bound = 2 * _FLOAT_LIMIT
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
@@ -487,18 +492,28 @@ class ScaledQuantizer(Quantizer):
     in place (the bits of `np.asarray(ys, float64) / alpha`), and the inner
     quantizer's output, which is its own (see `Quantizer`), is multiplied by
     alpha in place. The inner quantizer refuses input, so its limits apply
-    to the rows divided by alpha.
+    to the rows divided by alpha. Whether alpha times the inner `_bound`
+    fits int64 is decided once, here: it does for every stock scale, and
+    then no row is checked. Otherwise a row whose point would leave int64
+    is refused with a ValueError.
     """
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
         _, self.alpha, base = lattice.structure
         self.inner = make_quantizer(base)
+        self._bound = self.alpha * self.inner._bound
+        top = int(np.iinfo(np.int64).max)
+        self._top = None if self._bound <= top else top // self.alpha
 
     def quantize_batch(self, ys):
         y = np.array(ys, dtype=np.float64)
         y /= self.alpha
         p = self.inner.quantize_batch(y)
+        if self._top is not None and p.size and np.abs(p).max() > self._top:
+            at = tuple(int(i) for i in np.argwhere(np.abs(p) > self._top)[0])
+            raise ValueError(f"cannot quantize the row at index {at[0]}: its nearest point "
+                             f"has coordinate {self.alpha} * {p[at]}, past the int64 range")
         p *= self.alpha
         return p
 
@@ -510,6 +525,7 @@ class DirectSumQuantizer(Quantizer):
         super().__init__(lattice)
         _, self.copies, block = lattice.structure
         self.inner = make_quantizer(block)
+        self._bound = self.inner._bound
         self._block = block.dim
 
     def quantize_batch(self, ys):

@@ -1,10 +1,12 @@
 """AWGN experiments: energy and second moments, WER sweeps, encode benchmarks.
 
-Noise, message and Monte Carlo draws come from counter-based Philox streams
-keyed by (seed, trial block), so a run is reproducible from (seed, trial
+Noise, message and Monte Carlo draws come from PCG64 streams, one per
+(seed, trial block) spawn key, so a run is reproducible from (seed, trial
 index) no matter how trials are batched, and parallel or early-stopped runs
-agree with sequential ones. The Es/N0 convention is documented in
-SIGMA_FORMULA and echoed into CSV headers; only dB differences between
+agree with sequential ones. Noise is drawn as uniforms and turned into
+normals by Box-Muller (`_box_muller`), whose squared radii give each trial's
+noise norm before any normal is built. The Es/N0 convention is documented
+in SIGMA_FORMULA and echoed into CSV headers; only dB differences between
 paired runs are calibration-free.
 """
 
@@ -41,25 +43,26 @@ class WerPoint:
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
-    """The Philox stream of `seed` under a spawn key: (block,) for Monte Carlo
+    """The PCG64 stream of `seed` under a spawn key: (block,) for Monte Carlo
     estimates, (lane, block) for the noise and message lanes. Every draw of
     the module comes from here, so this is where a seed that is not a
     non-negative integer is refused."""
     seed = _integer("seed", seed, 0)
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed, spawn_key=key)))
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed, spawn_key=key)))
 
 
 def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, fill) -> np.ndarray:
     """Fill `out` with the draws of trials trial_offset .. trial_offset + len(out) - 1.
 
-    Trials are grouped into fixed blocks and each block has its own Philox
-    stream on `lane`, so a trial's draw is a fixed function of (seed, lane,
-    trial index). `fill(generator, buf)` fills `buf` with a block's first
+    Trials are grouped into fixed blocks and each block has its own stream
+    on `lane`, so a trial's draw is a fixed function of (seed, lane, trial
+    index). `fill(generator, buf)` fills `buf` with a block's first
     len(buf) draws. A call draws a block's stream only up to its last trial
-    there; Philox fills rows in order, so that draw is a prefix of the full
-    block. A part that starts a block is filled in place; a part that starts
-    inside one fills a temporary from the block's start and keeps its tail.
-    A trial_offset that is not a non-negative integer is refused.
+    there; the generator fills rows in order, so that draw is a prefix of
+    the full block. A part that starts a block is filled in place; a part
+    that starts inside one fills a temporary from the block's start and
+    keeps its tail. A trial_offset that is not a non-negative integer is
+    refused.
     """
     trial_offset = _integer("trial_offset", trial_offset, 0)
     done = 0
@@ -77,15 +80,56 @@ def _block_draws(seed: int, lane: int, trial_offset: int, out: np.ndarray, fill)
     return out
 
 
-def _standard_normals(seed: int, trial_offset: int, rows: int, n: int,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """Standard normals of trials trial_offset .. trial_offset + rows - 1,
-    written into `out` (C-ordered, shape (rows, n)) when it is given."""
-    if out is None:
-        out = np.empty((rows, n))
-    elif out.shape != (rows, n):
-        raise ValueError(f"out has shape {out.shape}, not {(rows, n)}")
-    return _block_draws(seed, 0, trial_offset, out, lambda gen, buf: gen.standard_normal(out=buf))
+def _noise_uniforms(seed: int, trial_offset: int, out: np.ndarray) -> np.ndarray:
+    """Fill `out`, shaped (rows, ceil(n/2), 2), with the noise lane's uniform
+    pairs (U, V) in [0, 1) of trials trial_offset .. trial_offset + rows - 1."""
+    return _block_draws(seed, 0, trial_offset, out, lambda gen, buf: gen.random(out=buf))
+
+
+def _squared_radii(uv: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """rho_k = -2 log1p(-U_k) of every pair of a (rows, pairs, 2) uniform
+    block, written into `out` when it is given: the squared radius of
+    Box-Muller pair k, finite because U < 1."""
+    rho = np.negative(uv[..., 0], out=out)
+    np.log1p(rho, out=rho)
+    rho *= -2.0
+    return rho
+
+
+def _box_muller(uv: np.ndarray, n: int) -> np.ndarray:
+    """The (rows, n) standard normals of a (rows, ceil(n/2), 2) uniform block.
+
+    Pair k gives z_2k = sqrt(rho_k) cos(2 pi V_k) and z_2k+1 =
+    sqrt(rho_k) sin(2 pi V_k) (Box and Muller, Ann. Math. Statist. 29(2),
+    1958); for odd n the last sine is dropped. Every step is elementwise,
+    so a row's normals do not depend on the other rows of the block: the
+    normals of `uv[rows]` are those rows of the whole block's, bit for bit.
+    """
+    rows, pairs = uv.shape[:2]
+    r = np.sqrt(_squared_radii(uv))
+    theta = uv[..., 1] * (2.0 * math.pi)
+    z = np.empty((rows, pairs, 2))
+    np.cos(theta, out=z[..., 0])
+    np.sin(theta, out=z[..., 1])
+    z *= r[..., None]
+    return z.reshape(rows, 2 * pairs)[:, :n]
+
+
+def _squared_norms(uv: np.ndarray, n: int, rho: np.ndarray) -> np.ndarray:
+    """||z||^2 of each row of `_box_muller(uv, n)` from the squared radii
+    alone: sum_k rho_k, with the last rho weighted by cos^2(2 pi V) for odd
+    n. `rho`, shaped (rows, pairs), is the work buffer of the radii; the
+    rows are summed by one matrix-vector product, several times faster than
+    a `.sum(axis=1)` over so few columns."""
+    rho = _squared_radii(uv, out=rho)
+    if n % 2:
+        rho[:, -1] *= np.cos(uv[:, -1, 1] * (2.0 * math.pi)) ** 2
+    return rho @ np.ones(rho.shape[1])
+
+
+def _standard_normals(seed: int, trial_offset: int, rows: int, n: int) -> np.ndarray:
+    """Standard normals (rows, n) of trials trial_offset .. trial_offset + rows - 1."""
+    return _box_muller(_noise_uniforms(seed, trial_offset, np.empty((rows, (n + 1) // 2, 2))), n)
 
 
 def transmit(x, sigma: float, seed: int = 0, trial_offset: int = 0) -> np.ndarray:
@@ -535,20 +579,22 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     Messages and noise are paired across points and across specs sharing a
     seed, so dB gaps between paired sweeps are low-variance. Trial blocks run
     in the outer loop, each one pass of four steps over the points that have
-    not yet reached max_errors. The noise and norm buffers are made once per
-    call; nothing outlives the call.
+    not yet reached max_errors. The uniform and radius buffers are made once
+    per call; nothing outlives the call.
 
-    - draw: the block's message ordinals (`random_ordinals`), and its
-      standard-normal noise z and squared norms ||z||^2 written into the
-      buffers, once for every point;
+    - draw: the block's message ordinals (`random_ordinals`), and its noise
+      uniforms (`_noise_uniforms`) written into the buffer, once for every
+      point; the squared norms ||z||^2 of the noise come from the Box-Muller
+      squared radii alone (`_squared_norms`), and no normal is built yet;
     - screen: one comparison sigma_i^2 ||z||^2 >= radius^2 (1 - 1e-9) of
       every active point i on the rows that the noisiest one keeps (every
       row when the decoder has no `radius`), and one `np.nonzero`, which
       lists the kept (point, row) pairs in point order, then row order;
-    - decode: sent vectors are built once per kept row and gathered per
-      pair; sent vector plus sigma_i z, in pair order, goes to one
-      `decoder.lattice_points` call of at most (active points) x
-      _TRIAL_BLOCK rows; a block that keeps no pair makes no call;
+    - decode: the standard normals z (`_box_muller`) and the sent vectors
+      are built once per kept row and gathered per pair; sent vector plus
+      sigma_i z, in pair order, goes to one `decoder.lattice_points` call of
+      at most (active points) x _TRIAL_BLOCK rows; a block that keeps no
+      pair makes no call;
     - count: a pair is an error when its lattice point carries another
       message than its sent vector (`spec.same_message`, run once on the
       pairs whose point differs); one `np.bincount` adds the errors to the
@@ -569,8 +615,10 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     A decoder with a `radius` (`MultistageDecoder`, `ExhaustiveDecoder`)
     returns the sent point for any noise of smaller norm
     (`_guaranteed_radius`), so every row the screen drops is a correct
-    trial. The 1e-9 margin covers the float rounding of the decoder's sums,
-    so the counts are those of decoding every row.
+    trial. The 1e-9 margin covers the float rounding of the decoder's sums
+    and the few ulps between sum_k rho_k and the squared norm of the built
+    normals, so the counts are those of decoding every row. A kept row's
+    normals are those `transmit` adds for its trial, bit for bit.
 
     Non-integral or non-positive `trials` and `max_errors`, a `seed` that is
     not a non-negative integer, non-finite Es/N0 values and an energy that is
@@ -599,8 +647,8 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
     sig2 = np.array([s**2 for s in sigma_list])
     errors = np.zeros(len(db_values), dtype=np.int64)
     done = np.zeros(len(db_values), dtype=np.int64)
-    z_buf = np.empty((min(_TRIAL_BLOCK, trials), spec.n))
-    norm_buf = np.empty(len(z_buf))
+    uv_buf = np.empty((min(_TRIAL_BLOCK, trials), (spec.n + 1) // 2, 2))
+    rho_buf = np.empty(uv_buf.shape[:2])
     start = 0
     while start < trials:
         active = np.flatnonzero(errors < max_errors)
@@ -608,14 +656,14 @@ def wer_sweep(spec: VoronoiCodeSpec, es_n0_list, *, trials: int, seed: int = 0,
             break
         take = min(_TRIAL_BLOCK, trials - start)
         ords = random_ordinals(spec, take, seed, trial_offset=start)
-        z = _standard_normals(seed, start, take, spec.n, out=z_buf[:take])
-        norms = np.einsum("ij,ij->i", z, z, out=norm_buf[:take])
+        uv = _noise_uniforms(seed, start, uv_buf[:take])
+        norms = _squared_norms(uv, spec.n, rho_buf[:take])
         s2 = sig2[active]
         rows = np.flatnonzero(s2.max() * norms >= screen)
         point, row = np.nonzero(s2[:, None] * norms[rows] >= screen)
         if len(point):
             sent = sent_of(ords[rows])[row]
-            y = z[rows[row]]
+            y = _box_muller(uv[rows], spec.n)[row]
             y *= sigmas[active[point], None]
             y += sent
             p = decoder.lattice_points(y)

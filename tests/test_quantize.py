@@ -96,6 +96,25 @@ def test_scaled_quantizer_example():
     assert nearest(q, [3.0, 3.0]).tolist() == [4, 4]
 
 
+def test_scaled_quantizer_refuses_points_past_int64():
+    # alpha * 2^53 fits int64 for alpha < 2^10, so those scales check no
+    # row; past that a row whose point would leave int64 is refused, not
+    # wrapped, also under nested scales and direct sums
+    e8 = standard_lattice("E8_int")
+    for alpha in (2, 16, (1 << 10) - 1):
+        assert make_quantizer(e8.scaled(alpha))._top is None
+    assert make_quantizer(e8.scaled(1 << 10))._top is not None
+    q = make_quantizer(e8.scaled(1 << 20))
+    ys = np.full((2, 8), 1e12)
+    assert np.array_equal(q.quantize_batch(ys),
+                          make_quantizer(e8).quantize_batch(ys / (1 << 20)) << 20)
+    for lat in (e8.scaled(1 << 20), e8.scaled(64).scaled(64),
+                direct_sum(e8, copies=2).scaled(1 << 20)):
+        rows = np.vstack([np.full((3, lat.dim), 1e12), np.full((1, lat.dim), 1e19)])
+        with pytest.raises(ValueError, match="row at index 3.*past the int64 range"):
+            make_quantizer(lat).quantize_batch(rows)
+
+
 def test_direct_sum_quantizer_example():
     q = DirectSumQuantizer(direct_sum(standard_lattice("Zn(2)"), 2))
     assert type(q.inner) is ZnQuantizer

@@ -27,7 +27,10 @@ from vorlat.simulate import (
     _TRIAL_BLOCK,
     _TableML,
     _WagnerML,
+    _box_muller,
     _code_ml,
+    _noise_uniforms,
+    _squared_norms,
     _standard_normals,
     _stream,
     average_energy,
@@ -107,40 +110,76 @@ def test_random_ordinals_split_invariance():
 def test_short_draws_are_prefixes_of_the_full_block():
     # transmit and random_ordinals draw a block's stream only up to the last
     # trial they use; every shorter draw must equal the full block's prefix.
-    full = _stream(12, 0, 3).normal(0.0, 1.0, (_TRIAL_BLOCK, 24))
+    full = _stream(12, 0, 3).random((_TRIAL_BLOCK, 12, 2))
     for rows in (1, 64, 1000):
-        assert np.array_equal(_stream(12, 0, 3).normal(0.0, 1.0, (rows, 24)), full[:rows])
+        assert np.array_equal(_stream(12, 0, 3).random((rows, 12, 2)), full[:rows])
     for count in (65536, (1 << 40) + 7):
-        full = _stream(12, 1, 3).integers(0, count, _TRIAL_BLOCK, dtype=np.int64)
+        draws = _stream(12, 1, 3).integers(0, count, _TRIAL_BLOCK, dtype=np.int64)
         for rows in (1, 64, 1000):
             short = _stream(12, 1, 3).integers(0, count, rows, dtype=np.int64)
-            assert np.array_equal(short, full[:rows])
+            assert np.array_equal(short, draws[:rows])
     # and the public draws equal slices of the full blocks
     offset = 3 * _TRIAL_BLOCK + 100
-    noise = _stream(12, 0, 3).normal(0.0, 0.5, (_TRIAL_BLOCK, 24))
+    noise = 0.5 * _box_muller(full, 24)
     assert np.array_equal(transmit(np.zeros((64, 24)), 0.5, 12, offset), noise[100:164])
     spec = SimpleNamespace(message_count=(1 << 40) + 7)
-    draws = _stream(12, 1, 3).integers(0, spec.message_count, _TRIAL_BLOCK, dtype=np.int64)
     assert np.array_equal(random_ordinals(spec, 64, 12, offset), draws[100:164])
 
 
-def test_normals_drawn_into_a_buffer_equal_the_allocated_ones():
-    # wer_sweep draws each block into a prefix of one per-call buffer; that
-    # must equal the allocating draw at block-aligned and unaligned offsets,
-    # across block edges, and on a short last block
-    buf = np.full((_TRIAL_BLOCK + 300, 8), np.nan)
+def test_uniforms_drawn_into_a_buffer_equal_the_allocated_ones():
+    # wer_sweep draws each block's uniforms into a prefix of one per-call
+    # buffer; that must equal the allocating draw at block-aligned and
+    # unaligned offsets, across block edges, and on a short last block
+    buf = np.full((_TRIAL_BLOCK + 300, 4, 2), np.nan)
     cases = [(0, _TRIAL_BLOCK), (2 * _TRIAL_BLOCK, 700), (100, 64),
              (_TRIAL_BLOCK - 120, 300), (3 * _TRIAL_BLOCK - 5, _TRIAL_BLOCK + 300), (0, 1)]
     for offset, rows in cases:
         out = buf[:rows]
-        got = _standard_normals(5, offset, rows, 8, out=out)
+        got = _noise_uniforms(5, offset, out)
         assert got is out
-        assert np.array_equal(got, _standard_normals(5, offset, rows, 8))
-    full = _standard_normals(5, 2 * _TRIAL_BLOCK, _TRIAL_BLOCK, 8)
-    assert np.array_equal(_standard_normals(5, 2 * _TRIAL_BLOCK, 700, 8, out=buf[:700]),
-                          full[:700])
-    with pytest.raises(ValueError, match="out has shape"):
-        _standard_normals(5, 0, 10, 8, out=buf[:9])
+        assert np.array_equal(got, _noise_uniforms(5, offset, np.empty((rows, 4, 2))))
+        assert np.array_equal(_box_muller(got, 8), _standard_normals(5, offset, rows, 8))
+    full = _noise_uniforms(5, 2 * _TRIAL_BLOCK, np.empty((_TRIAL_BLOCK, 4, 2)))
+    assert np.array_equal(_noise_uniforms(5, 2 * _TRIAL_BLOCK, buf[:700]), full[:700])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 24])
+def test_squared_radii_give_the_squared_norms_of_the_normals(n):
+    # the sweep screens on sum_k rho_k before any normal is built; it must
+    # be the squared norm of the normals that a kept row gets
+    uv = _noise_uniforms(7, 50, np.empty((3000, (n + 1) // 2, 2)))
+    z = _box_muller(uv, n)
+    assert z.shape == (3000, n)
+    norms = _squared_norms(uv, n, np.empty(uv.shape[:2]))
+    exact = np.einsum("ij,ij->i", z, z)
+    assert np.all(np.abs(norms - exact) <= 1e-12 * exact)
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_normals_of_a_row_subset_are_the_full_block_rows(n):
+    # the sweep builds normals only for the rows its screen keeps; they must
+    # equal the rows transmit uses, bit for bit, whatever rows are kept
+    uv = _noise_uniforms(3, 0, np.empty((_TRIAL_BLOCK, (n + 1) // 2, 2)))
+    full = _box_muller(uv, n)
+    norms = _squared_norms(uv, n, np.empty(uv.shape[:2]))
+    for rows in (np.flatnonzero(norms >= 2.5 * n), np.array([0]), np.array([_TRIAL_BLOCK - 1]),
+                 np.arange(1, _TRIAL_BLOCK, 7), np.array([], dtype=np.int64)):
+        assert np.array_equal(_box_muller(uv[rows], n), full[rows])
+    assert np.array_equal(full, _standard_normals(3, 0, _TRIAL_BLOCK, n))
+
+
+def test_standard_normals_pass_ks_and_chi_square_tests():
+    # fixed seed, 2e5 rows: every coordinate is N(0, 1) and every squared
+    # norm chi^2(n); the thresholds fail a wrong scale or angle by far
+    stats = pytest.importorskip("scipy.stats")
+    rows, n = 200_000, 5
+    z = _standard_normals(2026, 0, rows, n)
+    for j in range(n):
+        assert stats.kstest(z[:, j], "norm").pvalue > 1e-3, j
+    norms = _squared_norms(_noise_uniforms(2026, 0, np.empty((rows, 3, 2))), n,
+                           np.empty((rows, 3)))
+    assert stats.kstest(norms, stats.chi2(n).cdf).pvalue > 1e-3
+    assert abs(np.corrcoef(z[:, 0], z[:, 1])[0, 1]) < 0.01
 
 
 def test_average_energy_small_systems_exact():

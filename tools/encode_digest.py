@@ -1,9 +1,11 @@
 """Print sha256 digests of the encoder's outputs on every stock constellation.
 
 Two trees that print the same lines encode, fold and index identically on
-these inputs. Per spec, the ordinals are random_ordinals(spec, 4096,
-seed=2026) followed by 0 and M - 1; each digest covers the int64 output's
-shape and bytes. The small specs also digest the whole constellation.
+these inputs. Per spec, the ordinals are 4096 draws of the tool's own
+np.random.default_rng(2026), not of the package's streams (so a change of
+those streams cannot move a digest), followed by 0 and M - 1; each digest
+covers the int64 output's shape and bytes. The small specs also digest the
+whole constellation.
 The per-unit digits are digested on the first 256 ordinals (all 8 of
 pair2): each ordinal's digit splits as one flat int row (code symbols level
 by level, then s), and the sum of the units' joins of those digits.
@@ -24,7 +26,6 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from vorlat.shaping import BUILTIN_SPECS, builtin_spec  # noqa: E402
-from vorlat.simulate import random_ordinals  # noqa: E402
 
 ENUMERATED = ("pair2", "desk8-e8", "desk8-cube")
 MESSAGE_ORDINALS = 256
@@ -42,8 +43,9 @@ def digest(a: np.ndarray) -> str:
 def main() -> None:
     for name in BUILTIN_SPECS:
         spec = builtin_spec(name)
-        ords = np.concatenate([random_ordinals(spec, 4096, seed=2026),
-                               [0, spec.message_count - 1]])
+        draws = np.random.default_rng(2026).integers(0, spec.message_count, 4096,
+                                                     dtype=np.int64)
+        ords = np.concatenate([draws, [0, spec.message_count - 1]])
         points = spec.encode_batch(ords)
         outputs = {
             "representative_batch": spec.representative_batch(ords),
