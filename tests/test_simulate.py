@@ -155,6 +155,18 @@ def test_squared_radii_give_the_squared_norms_of_the_normals(n):
     assert np.all(np.abs(norms - exact) <= 1e-12 * exact)
 
 
+@pytest.mark.parametrize("n", [1, 8, 24])
+def test_box_muller_is_the_cosine_and_sine_of_each_pair(n):
+    # the half-angle tangent must give sqrt(rho) cos(2 pi V) and
+    # sqrt(rho) sin(2 pi V) of the same pair, in that order, to a few ulps
+    uv = _noise_uniforms(9, 0, np.empty((3000, (n + 1) // 2, 2)))
+    u, v = uv[..., 0], uv[..., 1]
+    r = np.sqrt(-2.0 * np.log1p(-u))
+    ref = np.stack([r * np.cos(2 * np.pi * v), r * np.sin(2 * np.pi * v)], axis=-1)
+    ref = ref.reshape(len(uv), -1)[:, :n]
+    assert np.abs(_box_muller(uv, n) - ref).max() <= 1e-14
+
+
 @pytest.mark.parametrize("n", [3, 8])
 def test_normals_of_a_row_subset_are_the_full_block_rows(n):
     # the sweep builds normals only for the rows its screen keeps; they must
