@@ -13,6 +13,13 @@ enumeration in the test suite. Second moments come from
 nearest point, block by block: E8_int takes it from its decoder's own coset
 distances, and every other quantizer from its points.
 
+Rows are checked and converted once, at the top of a chain of scaled and
+direct-sum wrappers (`Quantizer._rows`). Float rows of any float dtype are
+quantized in float64. Integer rows, which is what encode and decode fold,
+are quantized in float32 when that is exact: the chain's scale is a power of
+two 2^j, its leaf is Zn or E8_int, and every entry is below B(j)
+(`_F32_BOUNDS`). Their points are then those of the same rows in float64.
+
 Quantizers are stateless after construction and safe to share across threads.
 """
 
@@ -30,6 +37,21 @@ TIE_EPS = 1e-9
 # Inputs must stay below this in magnitude: float64 has no halves from here
 # on. VoronoiCodeSpec keeps its box representatives below it too.
 _FLOAT_LIMIT = 1 << 52
+# B(j) = _F32_BOUNDS[j]: integer rows r under a chain of scale 2^j, j < 10,
+# with Zn or E8_int at its leaf, are quantized in float32 when every |r| is
+# below B(j). The E8 kernel rounds the cosets r / 2^(j+1) and r / 2^(j+1) - 1/2;
+# every value it makes is a multiple of 2^-(2j+2), the grid of its squared
+# errors, and float32's 24-bit significand holds such a multiple exactly up to
+# 2^(22-2j) in magnitude. The largest values are 8-term sums: of squared
+# errors, at most 8, and of rounded coordinates, at most 8 (|r| / 2^(j+1) + 1),
+# which is within 2^(22-2j) below B(j) = 2^(20-j) - 2^(j+1). Zn makes a subset
+# of these values (r / 2^j + 1/2 and its floor). Distances on that grid differ
+# by 2^-20 or more, so the TIE_EPS tests decide as in float64.
+_F32_BOUNDS = tuple((1 << 20 - j) - (2 << j) for j in range(10))
+# 0, 1/2 and TIE_EPS as scalars of each float dtype the kernels run in: a
+# Python float costs every float32 call a cast, and making the scalar once a
+# call costs about as much (about 1 us over a one-row E8 call either way)
+_SCALARS = {np.dtype(t): (t(0), t(0.5), t(TIE_EPS)) for t in (np.float32, np.float64)}
 
 
 def round_half_up(y: np.ndarray) -> np.ndarray:
@@ -39,19 +61,20 @@ def round_half_up(y: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _first_weights(n: int) -> np.ndarray:
-    """Read-only (n, 1) weights n - i of coordinate i, in the narrowest unsigned dtype."""
-    weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(n))[:, None]
+    """Read-only (n, 1) weights n - i of coordinate i, in the narrowest signed dtype."""
+    weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(-n))[:, None]
     weight.setflags(write=False)
     return weight
 
 
 def _dn_work(w: np.ndarray) -> tuple:
     """Arrays `_dn_columns` writes into for float (..., n, rows) input of w's
-    shape and memory order: the point and the errors (float64), then the
-    entry masks (bool), weights (`_first_weights` dtype) and steps (int8)."""
+    shape, float dtype and memory order: the point and the errors (w's
+    dtype), one mask for the entry tests and weights (`_first_weights`
+    dtype), and the steps (int8)."""
     shape, order = w.shape, "F" if w.flags.f_contiguous else "C"
-    return (np.empty(shape, np.float64, order), np.empty(shape, np.float64, order),
-            np.empty(shape, bool, order), np.empty(shape, _first_weights(shape[-2]).dtype, order),
+    return (np.empty(shape, w.dtype, order), np.empty(shape, w.dtype, order),
+            np.empty(shape, _first_weights(shape[-2]).dtype, order),
             np.empty(shape, np.int8, order))
 
 
@@ -64,66 +87,108 @@ def _dn_columns(w: np.ndarray, work: tuple) -> np.ndarray:
     steps the other way: that coordinate holds the largest weight n - i on
     the `== max` mask, and the weight is zeroed where the sum is even. No
     step branches on the data. Every array of w's shape is one of `work`
-    (`_dn_work(w)`); the point, integer-valued float64, is its first, and
-    the errors' magnitudes are left in its second. Here and in `_e8_cosets`
-    ufunc outputs are passed by position: the `out=` keyword costs about
-    80 ns a call, 2-3% of a one-row desk8-e8 encode.
+    (`_dn_work(w)`), and one mask holds in turn the `== max` test, its
+    weights and the marked coordinate; tests write into it and the steps
+    through bool views, which take no cast. The point, integer-valued in
+    w's dtype, is the first, and the errors' magnitudes are left in the
+    second.
+    Here and in `_e8_cosets` ufunc outputs are passed by position: the
+    `out=` keyword costs about 80 ns a call, 2-3% of a one-row desk8-e8
+    encode. Constants are scalars of w's dtype (`_SCALARS`).
     """
-    f, e, top, weighted, step = work
+    f, e, mask, step = work
     weight = _first_weights(w.shape[-2])
-    np.add(w, 0.5, f)
+    zero, h, _ = _SCALARS[w.dtype]
+    top = mask.view(bool) if mask.itemsize == 1 else mask
+    np.add(w, h, f)
     np.floor(f, f)  # round_half_up(w)
     np.subtract(w, f, e)  # in [-0.5, 0.5)
-    half = f.sum(axis=-2) * 0.5
-    np.greater(e, 0.0, step.view(bool))
+    half = f.sum(axis=-2) * h
+    np.greater(e, zero, step.view(bool))
     mag = np.abs(e, e)
     np.equal(mag, mag.max(axis=-2, keepdims=True), top)
-    first = np.multiply(top, weight, weighted).max(axis=-2)
+    first = np.multiply(mask, weight, mask).max(axis=-2)
     first *= half != np.floor(half)
-    at = np.equal(weight, first[..., None, :], top)
+    np.equal(weight, first[..., None, :], top)
     step *= np.int8(2)
-    step -= at
-    step *= at  # +1 at a marked positive error, -1 at a marked error <= 0
+    step -= mask
+    step *= mask  # +1 at a marked positive error, -1 at a marked error <= 0
     f += step
     return f
 
 
-def _finite(ys, n: int) -> np.ndarray:
-    """ys as a float64 (rows, n) array; other shapes, NaN or infinite
-    entries and entries of magnitude _FLOAT_LIMIT (2^52) or more are refused
-    with a ValueError. One reduction tests all three: NaN fails the
-    comparison too."""
-    y = np.asarray(ys, dtype=np.float64)
+def _finite(ys, n: int, scale: int = 1, copy: bool = False) -> np.ndarray:
+    """ys as a float64 (rows, n) array, a new one if `copy`; other shapes,
+    NaN or infinite entries and entries of magnitude scale * _FLOAT_LIMIT
+    (scale * 2^52) or more are refused with a ValueError. One reduction
+    tests all three: NaN fails the comparison too."""
+    y = np.array(ys, dtype=np.float64, copy=copy or None)
     if y.ndim != 2 or y.shape[1] != n:
         raise ValueError(f"expected a 2-d array of rows with {n} columns, got shape {y.shape}")
-    if y.size and not np.abs(y).max() < _FLOAT_LIMIT:
+    limit = scale * float(_FLOAT_LIMIT)
+    if y.size and not np.abs(y).max() < limit:
         if not np.isfinite(y).all():
             at = tuple(int(i) for i in np.argwhere(~np.isfinite(y))[0])
             raise ValueError(f"cannot quantize non-finite input {y[at]} at index {at}")
-        at = tuple(int(i) for i in np.argwhere(np.abs(y) >= _FLOAT_LIMIT)[0])
+        at = tuple(int(i) for i in np.argwhere(np.abs(y) >= limit)[0])
+        scaled = "" if scale == 1 else f" times the scale {scale}"
         raise ValueError(f"cannot quantize input {y[at]} at index {at}: its magnitude "
-                         f"is not below the float64 limit 2^52")
+                         f"is not below the float64 limit 2^52{scaled}")
     return y
+
+
+class _Checked(np.ndarray):
+    """Rows that the top of a quantizer chain has checked and converted
+    (`Quantizer._rows`), as a wrapper hands them to its inner quantizer."""
 
 
 class Quantizer:
     """Base class: nearest-lattice-point maps.
 
-    `quantize_batch` returns a new, writeable int64 array that shares no
-    memory with its input, so callers may write into it: `fold_batch`
-    subtracts into it, and `ScaledQuantizer` scales its inner output in place.
+    `quantize_batch` takes its rows through `_rows`, and a wrapper hands its
+    inner quantizer the rows as `_Checked`, so a chain checks and converts
+    its rows once, at its top. It returns a new, writeable int64 array that
+    shares no memory with its input, so callers may write into it:
+    `fold_batch` subtracts into it, and `ScaledQuantizer` scales its inner
+    output in place.
     `_bound` is above the magnitude of every returned coordinate: inputs are
-    below 2^52 (`_finite`) and a nearest point lies within the covering
-    radius of its input.
+    below 2^52 at the leaf (`_finite`) and a nearest point lies within the
+    covering radius of its input.
+
+    A chain divides its rows by `_scale` before its leaf quantizes them,
+    writes into the rows `_rows` gives it if `_writes`, and quantizes
+    integer rows with every entry below `_f32_bound` (0 for none) in
+    float32.
     """
 
     _bound = 2 * _FLOAT_LIMIT
+    _scale = 1
+    _writes = False
+    _f32_bound = 0
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
 
     def quantize_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
+
+    def _rows(self, ys) -> np.ndarray:
+        """ys as the float (rows, n) array the chain quantizes, new if it
+        writes into it: `_Checked` rows as they are, float32 for integer
+        rows whose entries are all below `_f32_bound`, and otherwise float64,
+        refused as by `_finite` at the chain's scale."""
+        if type(ys) is _Checked:
+            return ys.view(np.ndarray)
+        x = np.asarray(ys)
+        n = self.lattice.dim
+        if (x.dtype.kind in "iu" and self._f32_bound and x.ndim == 2 and x.shape[1] == n
+                and x.size):
+            y = x.astype(np.float32)
+            # float32 rounds monotonically and holds the bound, so this is
+            # the range test of the integers themselves
+            if np.abs(y).max() < self._f32_bound:
+                return y
+        return _finite(x, n, self._scale, self._writes)
 
     def _squared_error_blocks(self, blocks):
         """For each array of rows of the iterable `blocks`, yield a new array
@@ -141,32 +206,34 @@ class Quantizer:
 
 
 class ZnQuantizer(Quantizer):
+    _f32_bound = _F32_BOUNDS[0]
+
     def quantize_batch(self, ys):
-        return round_half_up(_finite(ys, self.lattice.dim)).astype(np.int64)
+        return round_half_up(self._rows(ys)).astype(np.int64)
 
 
 class DnQuantizer(Quantizer):
     def quantize_batch(self, ys):
-        w = _finite(ys, self.lattice.dim).T
+        w = self._rows(ys).T
         return _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
 
-# Rows per block of `quantize_batch`, whose buffers are three (2, 8, rows)
-# float64 arrays and three one-byte ones,
-# 216 KiB at 512 rows. The bound is the encode path's memory: 1024-row blocks
-# took about 13% less time on 4096-row batches (half the numpy calls), but a
-# 4096-row desk8-e8 encode then peaked at 1412 KiB under tracemalloc, past the
-# 1152 KiB bound of its memory test (1092 KiB at 512 rows). A rewrite of the
-# kernel over three buffers still read 1268 KiB at 1024 rows, and at 512 and
-# 768 rows it encoded 5-10% slower than this one. Monte Carlo estimates do not
-# share this bound: `second_moment_mc` scores each sample block in one pass.
-_E8_ROWS = 512
+# Bytes of one coordinate of one coset in a block of `quantize_batch`: 512
+# float64 rows or 1024 float32 ones. A block's buffers are three (2, 8, rows)
+# float arrays and two one-byte ones, 208 KiB at 512 float64 rows and 224 KiB
+# at 1024 float32 ones. The bound is the encode path's memory: 1024-row
+# float64 blocks took about 13% less time on 4096-row batches (half the numpy
+# calls), but a 4096-row desk8-e8 encode, then folded in float64, peaked at
+# 1412 KiB under tracemalloc, past the 1152 KiB bound of its memory test
+# (1092 KiB at 512 rows). Monte Carlo estimates do not share this bound:
+# `second_moment_mc` scores each sample block in one pass.
+_E8_BLOCK_BYTES = 4096
 
 
-def _e8_work(rows: int) -> tuple:
-    """Arrays `_e8_cosets` writes into for blocks of up to `rows` rows: the
-    (2, 8, rows) coset inputs and their `_dn_work`."""
-    w = np.empty((2, 8, rows))
+def _e8_work(rows: int, dtype) -> tuple:
+    """Arrays `_e8_cosets` writes into for blocks of up to `rows` rows of a
+    float dtype: the (2, 8, rows) coset inputs and their `_dn_work`."""
+    w = np.empty((2, 8, rows), dtype)
     return w, _dn_work(w)
 
 
@@ -184,10 +251,11 @@ def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
     if len(y) < w.shape[-1]:
         w, dn = w[..., : len(y)], tuple(a[..., : len(y)] for a in dn)
     z = w[0]
-    np.multiply(y.T, 0.5, z)
-    np.subtract(z, 0.5, w[1])
+    _, h, eps = _SCALARS[w.dtype]
+    np.multiply(y.T, h, z)
+    np.subtract(z, h, w[1])
     f = _dn_columns(w, dn)
-    f[1] += 0.5
+    f[1] += h
     # squared distances, in the round's error array, summed in the pairwise
     # order of a row-major .sum(axis=1)
     d = np.subtract(z, f, dn[1])
@@ -197,8 +265,8 @@ def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
     da, db = s[:, 0] + s[:, 1]
     # the D8 point is integral and the other is not, so they differ in their
     # first coordinate: on a tie the smaller first one is the smaller point
-    tie = np.abs(da - db) <= TIE_EPS
-    pick = (db < da - TIE_EPS) | (tie & (f[1, 0] < f[0, 0]))
+    tie = np.abs(da - db) <= eps
+    pick = (db < da - eps) | (tie & (f[1, 0] < f[0, 0]))
     return f, pick, da, db
 
 
@@ -211,9 +279,10 @@ class E8FastQuantizer(Quantizer):
     follow `_dn_columns` (lowest index); ties within TIE_EPS between the
     cosets go to the lexicographically smaller point.
 
-    `quantize_batch` takes rows in blocks of _E8_ROWS that all work in the
-    same buffers, made once per call (`_e8_work`), so memory stays bounded
-    by the output plus one block's buffers whatever the batch size.
+    `quantize_batch` takes rows in blocks of _E8_BLOCK_BYTES per coordinate
+    that all work in the same buffers, made once per call in the rows' float
+    dtype (`_e8_work`), so memory stays bounded by the output plus one
+    block's buffers whatever the batch size.
     `_squared_error_blocks` returns the kept coset's distance, which the
     decoder has already summed, without building the point. It scores each
     block of a stream in one pass, every block in one work area sized to
@@ -221,14 +290,17 @@ class E8FastQuantizer(Quantizer):
     `second_moment_mc` scores whole sample blocks.
     """
 
+    _f32_bound = _F32_BOUNDS[0]
+
     def quantize_batch(self, ys):
-        y = _finite(ys, 8)
+        y = self._rows(ys)
         out = np.empty(y.shape, dtype=np.int64)
-        work = _e8_work(min(len(y), _E8_ROWS))
-        for lo in range(0, len(y), _E8_ROWS):
-            f, pick, _, _ = _e8_cosets(y[lo : lo + _E8_ROWS], work)
-            np.multiply(np.where(pick, f[1], f[0]), 2.0, out=out[lo : lo + _E8_ROWS].T,
-                        casting="unsafe")
+        rows = _E8_BLOCK_BYTES // y.itemsize
+        work = _e8_work(min(len(y), rows), y.dtype)
+        for lo in range(0, len(y), rows):
+            f, pick, _, _ = _e8_cosets(y[lo : lo + rows], work)
+            half = np.where(pick, f[1], f[0])
+            np.add(half, half, out=out[lo : lo + rows].T, casting="unsafe")
         return out
 
     def _squared_error_blocks(self, blocks):
@@ -236,7 +308,7 @@ class E8FastQuantizer(Quantizer):
         for ys in blocks:
             y = _finite(ys, 8)
             if work is None or len(y) > work[0].shape[-1]:
-                work = _e8_work(len(y))
+                work = _e8_work(len(y), y.dtype)
             _, pick, da, db = _e8_cosets(y, work)
             # 4 ||y/2 - f||^2 is ||y - 2f||^2 bit for bit: the same sums scaled by a power of two
             s = np.where(pick, db, da)
@@ -341,7 +413,7 @@ class LeechFastQuantizer(Quantizer):
         return out
 
     def quantize_batch(self, ys):
-        y = _finite(ys, 24)
+        y = self._rows(ys)
         yq = y * 0.25
         best = np.empty(len(y), dtype=np.int64)
         for lo in range(0, len(y), _LEECH_ROWS):
@@ -481,22 +553,29 @@ class EnumerationQuantizer(Quantizer):
                         dtype=np.int64)
 
     def quantize_batch(self, ys):
-        y = _finite(ys, self.lattice.dim)
+        y = self._rows(ys)
         return np.array([self._nearest(row) for row in y], dtype=np.int64).reshape(y.shape)
 
 
 class ScaledQuantizer(Quantizer):
     """Nearest point of a lattice alpha * L (`Lattice.scaled`) from L's quantizer.
 
-    The rows are converted into one new float64 array and divided by alpha
-    in place (the bits of `np.asarray(ys, float64) / alpha`), and the inner
-    quantizer's output, which is its own (see `Quantizer`), is multiplied by
-    alpha in place. The inner quantizer refuses input, so its limits apply
-    to the rows divided by alpha. Whether alpha times the inner `_bound`
-    fits int64 is decided once, here: it does for every stock scale, and
-    then no row is checked. Otherwise a row whose point would leave int64
-    is refused with a ValueError.
+    The rows, in the new array `_rows` made at the top of the chain, are
+    divided by alpha in place (in float64, the bits of
+    `np.asarray(ys, float64) / alpha`), and the inner quantizer's output,
+    which is its own (see `Quantizer`), is multiplied by alpha in place.
+    The chain's scale is alpha times the inner one, so float rows are
+    refused from that scale times 2^52 on. Integer rows take float32 when
+    that scale is a power of two 2^j, the leaf is Zn or E8_int and every
+    entry is below B(j) (`_F32_BOUNDS`): dividing them by 2^j is exact, and
+    so is every value the leaf makes, so their points are those of the
+    float64 rows. Whether alpha times the inner `_bound` fits int64 is
+    decided once, here: it does for every stock scale, and then no row is
+    checked. Otherwise a row whose point would leave int64 is refused with
+    a ValueError.
     """
+
+    _writes = True
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
@@ -505,11 +584,15 @@ class ScaledQuantizer(Quantizer):
         self._bound = self.alpha * self.inner._bound
         top = int(np.iinfo(np.int64).max)
         self._top = None if self._bound <= top else top // self.alpha
+        self._scale = self.alpha * self.inner._scale
+        j = self._scale.bit_length() - 1
+        if self.inner._f32_bound and self._scale == 1 << j and j < len(_F32_BOUNDS):
+            self._f32_bound = _F32_BOUNDS[j]
 
     def quantize_batch(self, ys):
-        y = np.array(ys, dtype=np.float64)
+        y = self._rows(ys)
         y /= self.alpha
-        p = self.inner.quantize_batch(y)
+        p = self.inner.quantize_batch(y.view(_Checked))
         if self._top is not None and p.size and np.abs(p).max() > self._top:
             at = tuple(int(i) for i in np.argwhere(np.abs(p) > self._top)[0])
             raise ValueError(f"cannot quantize the row at index {at[0]}: its nearest point "
@@ -526,12 +609,15 @@ class DirectSumQuantizer(Quantizer):
         _, self.copies, block = lattice.structure
         self.inner = make_quantizer(block)
         self._bound = self.inner._bound
+        self._scale = self.inner._scale
+        self._writes = self.inner._writes
+        self._f32_bound = self.inner._f32_bound
         self._block = block.dim
 
     def quantize_batch(self, ys):
-        y = _finite(ys, self.lattice.dim)
+        y = self._rows(ys)
         rows = y.shape[0]
-        flat = y.reshape(rows * self.copies, self._block)
+        flat = y.reshape(rows * self.copies, self._block).view(_Checked)
         return self.inner.quantize_batch(flat).reshape(rows, self.copies * self._block)
 
 
@@ -563,7 +649,9 @@ def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:
     Integer rows give int64 and any other rows float64. xs is left as it
     is. Integer rows are subtracted into the quantizer's int64 output, a
     new array of the caller's own (see `Quantizer`), so the fold makes no
-    array of its own; float rows need a new float64 result.
+    array of its own; float rows need a new float64 result. Integer rows
+    are quantized in float32 where that gives the float64 points exactly
+    (see `ScaledQuantizer`), which is how encode and decode fold.
     """
     x = np.asarray(xs)
     x = x.astype(np.int64 if x.dtype.kind in "iu" else np.float64, copy=False)

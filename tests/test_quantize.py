@@ -13,7 +13,8 @@ from vorlat import golay
 from vorlat.intmat import IntMatrix
 from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import (
-    _E8_ROWS,
+    _E8_BLOCK_BYTES,
+    _F32_BOUNDS,
     _LEECH_ROWS,
     TIE_EPS,
     DirectSumQuantizer,
@@ -29,7 +30,8 @@ from vorlat.quantize import (
     make_quantizer,
     round_half_up,
 )
-from vorlat.shaping import BUILTIN_SPECS, builtin_spec
+from vorlat.codes import builtin_chain
+from vorlat.shaping import BUILTIN_SPECS, VoronoiCodeSpec, builtin_spec
 from vorlat.simulate import _TRIAL_BLOCK, random_ordinals, second_moment_mc
 
 from oracles import (
@@ -41,6 +43,11 @@ from oracles import (
     in_span,
     leech_coset_reference,
 )
+
+
+# rows per E8 block of float64 rows, and of the float32 rows integer input takes
+_F64_ROWS = _E8_BLOCK_BYTES // 8
+_F32_ROWS = _E8_BLOCK_BYTES // 4
 
 
 def nearest(q, y):
@@ -275,7 +282,8 @@ def _e8_inputs(kind, rows, rng):
     return 2.0 * (k + err)
 
 
-@pytest.mark.parametrize("rows", [0, 1, _E8_ROWS - 1, _E8_ROWS, _E8_ROWS + 1, 8 * _E8_ROWS + 1])
+@pytest.mark.parametrize("rows", [0, 1, _F64_ROWS - 1, _F64_ROWS, _F64_ROWS + 1,
+                                  8 * _F64_ROWS + 1])
 def test_e8_fast_matches_the_two_coset_reference(rows):
     """Pointwise equality with the row-major reference across block edges."""
     fast = E8FastQuantizer(standard_lattice("E8_int"))
@@ -342,7 +350,7 @@ def test_e8_squared_error_blocks_equal_the_row_sums_of_each_folded_block():
 
 
 def test_e8_second_moment_memory_is_the_draw_buffers_plus_one_work_area():
-    """Two (4096, 8) sample buffers, one 4096-row work area (1728 KiB) and
+    """Two (4096, 8) sample buffers, one 4096-row work area (1664 KiB) and
     one block's distance sums."""
     q = E8FastQuantizer(standard_lattice("E8_int"))
     second_moment_mc(q, 4 * _TRIAL_BLOCK, seed=1)  # builds cached lattice data
@@ -365,6 +373,136 @@ def test_e8_fast_memory_is_the_output_plus_one_block():
     finally:
         tracemalloc.stop()
     assert peak < 6 << 20  # the int64 output alone is 4 MiB
+
+
+# ---------------------------------------------------------------------------
+# integer rows in float32
+
+
+def _width(q, xs):
+    """The float dtype a quantizer chain quantizes these rows in."""
+    return q._rows(xs).dtype
+
+
+def _fold_reference(q, r):
+    """The fold of integer rows r through their float64 copy."""
+    return r - q.quantize_batch(r.astype(np.float64))
+
+
+def _all_or_sampled_ordinals(spec):
+    if spec.message_count <= 1 << 20:
+        return np.arange(spec.message_count, dtype=np.int64)
+    return random_ordinals(spec, 4096, seed=28)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_stock_encode_equals_the_float64_fold(name):
+    """4096 random ordinals, and every ordinal of the stock specs that have at
+    most 2^20 (all but leech24), encode as their representatives folded in
+    float64; every stock spec but leech24 folds them in float32."""
+    spec = builtin_spec(name)
+    q = spec._quantizer
+    ords = np.concatenate([random_ordinals(spec, 4096, seed=28), _all_or_sampled_ordinals(spec)])
+    for lo in range(0, len(ords), 1 << 16):
+        o = ords[lo : lo + (1 << 16)]
+        r = spec.representative_batch(o)
+        assert _width(q, r) == (np.float64 if name == "leech24" else np.float32)
+        assert np.array_equal(spec.encode_batch(o), _fold_reference(q, r)), lo
+
+
+def _bound_chains():
+    """(lattice, j) for Zn(8) and E8_int under every scale 2^j with a float32 bound,
+    some of them nested or in a direct sum."""
+    e8, zn = standard_lattice("E8_int"), standard_lattice("Zn(8)")
+    chains = [(e8.scaled(1 << j), j) for j in range(len(_F32_BOUNDS))]
+    chains += [(zn.scaled(1 << j), j) for j in (0, 3, 9)]
+    chains += [(e8.scaled(2).scaled(4), 3), (direct_sum(e8, 2, 4).scaled(8), 5)]
+    return chains
+
+
+@pytest.mark.parametrize("lattice, j", _bound_chains(), ids=lambda v: getattr(v, "name", v))
+def test_integer_rows_at_the_float32_bound_equal_the_float64_fold(lattice, j):
+    """Rows whose largest |entry| is B(j) - 1 fold in float32 and rows that
+    reach B(j) in float64, both as the float64 reference: full-size entries
+    of both signs in every coordinate (the largest coordinate sums), random
+    entries, and odd integers next to the bound."""
+    q = make_quantizer(lattice)
+    bound = _F32_BOUNDS[j]
+    assert q._f32_bound == bound
+    rng = np.random.default_rng(j)
+    for top, width in ((bound - 1, np.float32), (bound, np.float64)):
+        r = rng.integers(-top, top + 1, size=(600, lattice.dim))
+        r[:200] = rng.choice([-top, top], size=(200, lattice.dim))
+        r[200:300] = rng.choice([-top, top, top - 1, 1 - top, top - 3], size=(100, lattice.dim))
+        r[300, 0] = top
+        assert _width(q, r) == width
+        assert np.array_equal(fold_batch(q, r), _fold_reference(q, r)), top
+
+
+def test_integer_rows_past_the_float32_chains_take_float64():
+    """Scales that are not powers of two, or past 2^9, and leaves other than
+    Zn and E8_int, never take float32; what they fold equals the float64
+    reference, as does a spec at alpha 3."""
+    e8 = standard_lattice("E8_int")
+    for lattice in (e8.scaled(3), e8.scaled(1 << 10), e8.scaled(4).scaled(3),
+                    standard_lattice("Dn(8)").scaled(2), standard_lattice("Leech_int")):
+        q = make_quantizer(lattice)
+        assert q._f32_bound == 0
+        r = np.random.default_rng(3).integers(-40, 41, size=(50, lattice.dim))
+        assert _width(q, r) == np.float64
+        assert np.array_equal(fold_batch(q, r), _fold_reference(q, r))
+    spec = VoronoiCodeSpec(builtin_chain("rep8-spc8"), e8, alpha=3)
+    q = spec._quantizer
+    assert q._scale == 12 and q._f32_bound == 0
+    ords = np.concatenate([np.arange(4096), random_ordinals(spec, 4096, seed=3)])
+    r = spec.representative_batch(ords)
+    assert _width(q, r) == np.float64
+    assert np.array_equal(spec.encode_batch(ords), _fold_reference(q, r))
+
+
+@pytest.mark.parametrize("rows", [_F32_ROWS - 1, _F32_ROWS, _F32_ROWS + 1, 8 * _F32_ROWS + 1])
+def test_e8_fast_integer_rows_match_the_two_coset_reference(rows):
+    """Integer rows across the float32 block edges, unscaled and at the
+    scale of desk8-e8: points equal the row-major float64 reference."""
+    rng = np.random.default_rng(rows)
+    for scale in (1, 4):
+        q = make_quantizer(standard_lattice("E8_int").scaled(scale))
+        for kind in ("integer", "odd_integral"):
+            r = (scale * _e8_inputs(kind, rows, rng)).astype(np.int64)
+            r[rows // 2] = 100 * scale + np.arange(8)
+            assert _width(q, r) == np.float32
+            got = q.quantize_batch(r)
+            assert np.array_equal(got, scale * e8_round_reference(r / scale)), (scale, kind)
+
+
+def test_float32_input_is_quantized_in_float64():
+    """A caller's float32 rows are quantized as their float64 copy. The
+    first row ties the two E8 cosets at half scale except for 2^-24 in one
+    coordinate: float64 sees the D8 + 1/2 point nearer by 2^-24, while
+    float32 squared errors would round the two distances to a tie."""
+    rng = np.random.default_rng(32)
+    y = rng.uniform(-16, 16, size=(2000, 8)).astype(np.float32)
+    y[0] = 0.5
+    y[0, 0] += np.float32(2.0**-24)
+    e8 = standard_lattice("E8_int")
+    assert make_quantizer(e8).quantize_batch(y[:1]).tolist() == [[1] * 8]
+    for lattice, scale in ((e8, 1), (e8.scaled(4), 4), (standard_lattice("Zn(8)").scaled(4), 4)):
+        q = make_quantizer(lattice)
+        ys = y * np.float32(scale)
+        assert _width(q, ys) == np.float64
+        assert np.array_equal(q.quantize_batch(ys), q.quantize_batch(ys.astype(np.float64)))
+
+
+def test_integer_rows_out_of_range_are_refused_in_float64():
+    """The range test of the float32 path takes -2^63, whose magnitude
+    wraps in int64, and uint64 entries past 2^63: they go to float64 and
+    are refused there."""
+    q = make_quantizer(builtin_spec("desk8-e8").shaping)
+    for r in (np.array([[-(2**63)] + [0] * 7]), np.array([[0] * 7 + [2**63]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="float64 limit 2\\^52 times the scale 4"):
+            q.quantize_batch(r)
+    small = np.arange(8, dtype=np.uint64)[None]
+    assert np.array_equal(q.quantize_batch(small), q.quantize_batch(small.astype(np.float64)))
 
 
 def test_leech_fast_matches_enumeration_distances():
@@ -633,7 +771,7 @@ def _squared_errors(quantizer, ys):
     return got
 
 
-@pytest.mark.parametrize("rows", [1, _E8_ROWS - 1, _E8_ROWS, _E8_ROWS + 1])
+@pytest.mark.parametrize("rows", [1, _F64_ROWS - 1, _F64_ROWS, _F64_ROWS + 1])
 @pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
 def test_squared_error_blocks_equal_the_row_sums_of_the_folded_squares(quantizer, rows):
     """Bit for bit, on every kind of input, ties included, around E8's

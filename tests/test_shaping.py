@@ -583,7 +583,7 @@ def _peak_bytes(call):
 
 
 def test_desk8_e8_encode_memory_is_three_batch_arrays_plus_one_block():
-    """The representative, its float64 quotient by alpha and the output are
+    """The representative, its float32 quotient by alpha and the output are
     the only (rows, n) arrays: the quantizers and the fold write into the
     array they return, and the E8 kernel works in one block's buffers."""
     spec = builtin_spec("desk8-e8")
