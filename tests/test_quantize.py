@@ -1,5 +1,6 @@
 """Tests for nearest-point search, folding, and second-moment estimation."""
 
+import re
 import tracemalloc
 from itertools import combinations
 
@@ -821,6 +822,24 @@ def test_quantizers_refuse_entries_past_the_float_limit(quantizer):
             fold_batch(quantizer, ys)
         with pytest.raises(ValueError, match=limit):
             _squared_errors(quantizer, ys)
+
+
+def test_chains_refuse_entries_from_their_scale_times_the_float_limit():
+    """A chain checks its rows once, at its top, against its scale times
+    2^52, also when a direct sum of scaled blocks is at the top; below that
+    its points are the blocks' own."""
+    e8 = standard_lattice("E8_int")
+    for lattice, scale in ((e8.scaled(4), 4), (direct_sum(e8, 2, 4), 4),
+                           (direct_sum(e8, 2, 4).scaled(2), 8)):
+        q = make_quantizer(lattice)
+        ys = np.zeros((2, lattice.dim))
+        ys[1, -1] = (2.0**52 - 4) * scale
+        blocks = make_quantizer(e8).quantize_batch((ys / scale).reshape(-1, 8))
+        assert np.array_equal(q.quantize_batch(ys), scale * blocks.reshape(ys.shape))
+        ys[1, -1] = 2.0**52 * scale
+        at = f"input {ys[1, -1]} at index (1, {lattice.dim - 1})"
+        with pytest.raises(ValueError, match=re.escape(at) + ".*2\\^52 times the scale " + str(scale)):
+            q.quantize_batch(ys)
 
 
 @pytest.mark.parametrize("quantizer", [q for q in _SQUARED_ERROR_QUANTIZERS
