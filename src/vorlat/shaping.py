@@ -174,8 +174,9 @@ class VoronoiCodeSpec:
         if len(self.offset) != n:
             raise ValueError("offset length does not match dimension")
         # Coordinate j of a box representative lies in [offset_j, offset_j +
-        # q^a d_j - 1]. The fold quantizes float64 copies of it, so past 2^52
-        # rounding would move points silently.
+        # q^a d_j - 1]. The fold quantizes float64 copies of it (float32 only
+        # far below this, where that is exact), so past 2^52 rounding would
+        # move points silently.
         reach = max(max(abs(v), abs(v + self.qa * d - 1))
                     for v, d in zip(self.offset, self.s_box))
         if reach >= _FLOAT_LIMIT:
