@@ -13,8 +13,9 @@ enumeration in the test suite. Second moments come from
 nearest point, block by block: E8_int takes it from its decoder's own coset
 distances, and every other quantizer from its points.
 
-Rows are checked and converted once, at the top of a chain of scaled and
-direct-sum wrappers (`Quantizer._rows`). Float rows of any float dtype are
+A chain of scalings and direct sums is collapsed into one wrapper over its
+leaf quantizer when it is built (`ScaledQuantizer`), which checks and
+converts its rows once (`Quantizer._rows`). Float rows of any float dtype are
 quantized in float64. Integer rows, which is what encode and decode fold,
 are quantized in float32 when that is exact: the chain's scale is a power of
 two 2^j, its leaf is Zn or E8_int, and every entry is below B(j)
@@ -55,14 +56,17 @@ _SCALARS = {np.dtype(t): (t(0), t(0.5), t(TIE_EPS)) for t in (np.float32, np.flo
 
 
 def round_half_up(y: np.ndarray) -> np.ndarray:
-    """Coordinatewise nearest integer, halves toward +inf."""
-    return np.floor(y + 0.5)
+    """Coordinatewise nearest integer of a float32 or float64 array, halves
+    toward +inf, with the half a scalar of y's dtype (`_SCALARS`)."""
+    return np.floor(y + _SCALARS[y.dtype][1])
 
 
 @functools.cache
 def _first_weights(n: int) -> np.ndarray:
-    """Read-only (n, 1) weights n - i of coordinate i, in the narrowest signed dtype."""
-    weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(-n))[:, None]
+    """Read-only (n, 1) weights n - i of coordinate i, in the narrowest signed
+    dtype that holds n: the type of -n - 1, since the type of -n may not (int8
+    for n = 128)."""
+    weight = np.arange(n, 0, -1, dtype=np.min_scalar_type(-n - 1))[:, None]
     weight.setflags(write=False)
     return weight
 
@@ -155,15 +159,13 @@ class Quantizer:
     below 2^52 at the leaf (`_finite`) and a nearest point lies within the
     covering radius of its input.
 
-    A chain divides its rows by `_scale` before its leaf quantizes them,
-    writes into the rows `_rows` gives it if `_writes`, and quantizes
-    integer rows with every entry below `_f32_bound` (0 for none) in
-    float32.
+    `alpha` is the scale a quantizer divides its rows by before its leaf
+    quantizes them (1 but for `ScaledQuantizer`), and integer rows with
+    every entry below `_f32_bound` (0 for none) are quantized in float32.
     """
 
     _bound = 2 * _FLOAT_LIMIT
-    _scale = 1
-    _writes = False
+    alpha = 1
     _f32_bound = 0
 
     def __init__(self, lattice: Lattice):
@@ -174,9 +176,9 @@ class Quantizer:
 
     def _rows(self, ys) -> np.ndarray:
         """ys as the float (rows, n) array the chain quantizes, new if it
-        writes into it: `_Checked` rows as they are, float32 for integer
+        divides it by alpha: `_Checked` rows as they are, float32 for integer
         rows whose entries are all below `_f32_bound`, and otherwise float64,
-        refused as by `_finite` at the chain's scale."""
+        refused as by `_finite` at the scale alpha."""
         if type(ys) is _Checked:
             return ys.view(np.ndarray)
         x = np.asarray(ys)
@@ -188,7 +190,7 @@ class Quantizer:
             # the range test of the integers themselves
             if np.abs(y).max() < self._f32_bound:
                 return y
-        return _finite(x, n, self._scale, self._writes)
+        return _finite(x, n, self.alpha, self.alpha != 1)
 
     def _squared_error_blocks(self, blocks):
         """For each array of rows of the iterable `blocks`, yield a new array
@@ -560,39 +562,48 @@ class EnumerationQuantizer(Quantizer):
 class ScaledQuantizer(Quantizer):
     """Nearest point of a lattice alpha * L (`Lattice.scaled`) from L's quantizer.
 
-    The rows, in the new array `_rows` made at the top of the chain, are
-    divided by alpha in place (in float64, the bits of
-    `np.asarray(ys, float64) / alpha`), and the inner quantizer's output,
-    which is its own (see `Quantizer`), is multiplied by alpha in place.
-    The chain's scale is alpha times the inner one, so float rows are
-    refused from that scale times 2^52 on. Integer rows take float32 when
-    that scale is a power of two 2^j, the leaf is Zn or E8_int and every
-    entry is below B(j) (`_F32_BOUNDS`): dividing them by 2^j is exact, and
-    so is every value the leaf makes, so their points are those of the
-    float64 rows. Whether alpha times the inner `_bound` fits int64 is
-    decided once, here: it does for every stock scale, and then no row is
-    checked. Otherwise a row whose point would leave int64 is refused with
-    a ValueError.
+    A chain of scalings and direct sums (`direct_sum`) over one leaf lattice
+    is collapsed when it is built, so it has one wrapper level however deep
+    it is: `alpha` is the product of its scales, `copies` that of its
+    copies, and `inner` the leaf's quantizer. The rows, in the new array
+    `_rows` makes of them, are divided by alpha in place (in float64, the
+    bits of `np.asarray(ys, float64) / alpha`; alpha 1 divides nothing and
+    copies nothing), handed to `inner` as `_Checked` rows of the leaf's
+    dimension, and its output, which is its own (see `Quantizer`), is
+    multiplied by alpha in place. Float rows are refused from alpha times
+    2^52 on. Integer rows take float32 when alpha is a power of two 2^j,
+    the leaf is Zn or E8_int and every entry is below B(j) (`_F32_BOUNDS`):
+    dividing them by 2^j is exact, and so is every value the leaf makes, so
+    their points are those of the float64 rows. Whether alpha times the
+    inner `_bound` fits int64 is decided once, here: it does for every
+    stock scale, and then no row is checked. Otherwise a row whose point
+    would leave int64 is refused with a ValueError.
     """
-
-    _writes = True
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
-        _, self.alpha, base = lattice.structure
-        self.inner = make_quantizer(base)
+        self.alpha, self.copies, leaf = 1, 1, lattice
+        while leaf.structure and leaf.structure[0] in ("scaled", "blocks"):
+            tag, k, leaf = leaf.structure
+            if tag == "scaled":
+                self.alpha *= k
+            else:
+                self.copies *= k
+        self.inner = make_quantizer(leaf)
+        self._block = leaf.dim
         self._bound = self.alpha * self.inner._bound
         top = int(np.iinfo(np.int64).max)
         self._top = None if self._bound <= top else top // self.alpha
-        self._scale = self.alpha * self.inner._scale
-        j = self._scale.bit_length() - 1
-        if self.inner._f32_bound and self._scale == 1 << j and j < len(_F32_BOUNDS):
+        j = self.alpha.bit_length() - 1
+        if self.inner._f32_bound and self.alpha == 1 << j and j < len(_F32_BOUNDS):
             self._f32_bound = _F32_BOUNDS[j]
 
     def quantize_batch(self, ys):
         y = self._rows(ys)
-        y /= self.alpha
-        p = self.inner.quantize_batch(y.view(_Checked))
+        if self.alpha != 1:
+            y /= self.alpha
+        flat = y.reshape(len(y) * self.copies, self._block).view(_Checked)
+        p = self.inner.quantize_batch(flat).reshape(y.shape)
         if self._top is not None and p.size and np.abs(p).max() > self._top:
             at = tuple(int(i) for i in np.argwhere(np.abs(p) > self._top)[0])
             raise ValueError(f"cannot quantize the row at index {at[0]}: its nearest point "
@@ -601,24 +612,14 @@ class ScaledQuantizer(Quantizer):
         return p
 
 
-class DirectSumQuantizer(Quantizer):
-    """Blockwise quantizer for a direct sum of identical blocks (`direct_sum`)."""
+class DirectSumQuantizer(ScaledQuantizer):
+    """Blockwise quantizer for a direct sum of identical blocks (`direct_sum`):
+    the collapsed chain of `ScaledQuantizer`, for a lattice whose outer tag
+    is a direct sum."""
 
-    def __init__(self, lattice: Lattice):
-        super().__init__(lattice)
-        _, self.copies, block = lattice.structure
-        self.inner = make_quantizer(block)
-        self._bound = self.inner._bound
-        self._scale = self.inner._scale
-        self._writes = self.inner._writes
-        self._f32_bound = self.inner._f32_bound
-        self._block = block.dim
-
-    def quantize_batch(self, ys):
-        y = self._rows(ys)
-        rows = y.shape[0]
-        flat = y.reshape(rows * self.copies, self._block).view(_Checked)
-        return self.inner.quantize_batch(flat).reshape(rows, self.copies * self._block)
+    # an entry of the class's own, so a wrapper of each class's
+    # `quantize_batch` (the perfbench tracer's) names direct sums apart
+    quantize_batch = ScaledQuantizer.quantize_batch
 
 
 # Structure tag -> quantizer factory; untagged lattices fall back to enumeration.

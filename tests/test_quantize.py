@@ -84,9 +84,9 @@ def test_dn_quantizer_parity_repair():
     assert nearest(q, [1.0, 0.0, 0.0, 0.0]).tolist() == [0, 0, 0, 0]
 
 
-@pytest.mark.parametrize("n", [2, 3, 24, 300])
+@pytest.mark.parametrize("n", [2, 3, 24, 127, 128, 300])
 def test_dn_quantizer_matches_the_row_major_reference(n):
-    # Dn(300) needs first-coordinate weights past uint8; half-integer rows
+    # Dn(128) needs weights past int8 and Dn(300) past uint8; half-integer rows
     # tie many coordinates at the largest |error|, and the first must step
     q = DnQuantizer(standard_lattice(f"Dn({n})"))
     rng = np.random.default_rng(n)
@@ -121,6 +121,21 @@ def test_scaled_quantizer_refuses_points_past_int64():
         rows = np.vstack([np.full((3, lat.dim), 1e12), np.full((1, lat.dim), 1e19)])
         with pytest.raises(ValueError, match="row at index 3.*past the int64 range"):
             make_quantizer(lat).quantize_batch(rows)
+
+
+def test_nested_chains_collapse_to_one_wrapper():
+    """Scalings and direct sums at any depth build one wrapper over the leaf
+    quantizer, its scale the product of theirs."""
+    e8 = standard_lattice("E8_int")
+    for lattice, cls, alpha, copies in (
+            (e8.scaled(2).scaled(4), ScaledQuantizer, 8, 1),
+            (direct_sum(e8, 2, 4).scaled(8), ScaledQuantizer, 32, 2),
+            (direct_sum(direct_sum(e8, 3).scaled(2), 2), DirectSumQuantizer, 2, 6)):
+        q = make_quantizer(lattice)
+        assert (type(q), type(q.inner), q.alpha, q.copies) == (cls, E8FastQuantizer, alpha, copies)
+    spec = builtin_spec("desk8-cube")
+    q = spec._quantizer
+    assert (type(q.inner), q.alpha) == (ZnQuantizer, spec.alpha * spec.qa)
 
 
 def test_direct_sum_quantizer_example():
@@ -454,7 +469,7 @@ def test_integer_rows_past_the_float32_chains_take_float64():
         assert np.array_equal(fold_batch(q, r), _fold_reference(q, r))
     spec = VoronoiCodeSpec(builtin_chain("rep8-spc8"), e8, alpha=3)
     q = spec._quantizer
-    assert q._scale == 12 and q._f32_bound == 0
+    assert q.alpha == 12 and q._f32_bound == 0
     ords = np.concatenate([np.arange(4096), random_ordinals(spec, 4096, seed=3)])
     r = spec.representative_batch(ords)
     assert _width(q, r) == np.float64
