@@ -18,6 +18,7 @@ from .lattice import standard_lattice
 from .quantize import make_quantizer
 from .shaping import _ENCODE_BLOCK, _ENUM_LIMIT, BUILTIN_SPECS, get_spec
 from .simulate import (
+    DECODE_MODES,
     SIGMA_FORMULA,
     average_energy,
     bench_family,
@@ -113,8 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
                        metavar="START:STOP:STEP", help="Es/N0 grid in dB")
     p_wer.add_argument("--trials", type=int, default=100000)
     p_wer.add_argument("--seed", type=int, default=0)
-    p_wer.add_argument("--mode", choices=("multistage", "exhaustive_ml"),
-                       default="multistage")
+    p_wer.add_argument("--mode", choices=tuple(DECODE_MODES), default="multistage")
     p_wer.add_argument("--max-errors", type=int, default=200,
                        help="stop a grid point early after this many errors")
     p_wer.add_argument("--out", default=None)

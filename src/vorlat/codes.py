@@ -305,21 +305,21 @@ def make_rep_spc_chain(n: int) -> CodeChain:
     return CodeChain([repetition_code(n), single_parity_check_code(n)])
 
 
+# stock chain name -> factory; a new stock chain is one entry here
+_STOCK_CHAINS = {
+    "rep2": lambda: CodeChain([repetition_code(2)]),
+    "rep8-spc8": lambda: make_rep_spc_chain(8),
+    "rep8-ham8-spc8": lambda: CodeChain(
+        [repetition_code(8), extended_hamming8(), single_parity_check_code(8)]),
+    "rep24-spc24": lambda: make_rep_spc_chain(24),
+}
+BUILTIN_CHAINS = tuple(_STOCK_CHAINS)
+
+
 def builtin_chain(name: str) -> CodeChain:
-    if name == "rep2":
-        return CodeChain([repetition_code(2)])
-    if name == "rep8-spc8":
-        return make_rep_spc_chain(8)
-    if name == "rep8-ham8-spc8":
-        return CodeChain(
-            [repetition_code(8), extended_hamming8(), single_parity_check_code(8)]
-        )
-    if name == "rep24-spc24":
-        return make_rep_spc_chain(24)
-    raise ValueError(f"unknown chain {name!r}")
-
-
-BUILTIN_CHAINS = ("rep2", "rep8-spc8", "rep8-ham8-spc8", "rep24-spc24")
+    if name not in _STOCK_CHAINS:
+        raise ValueError(f"unknown chain {name!r}")
+    return _STOCK_CHAINS[name]()
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ classes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 
@@ -31,7 +33,10 @@ def _golay23_generator_poly() -> int:
     raise AssertionError("no degree-11 factor of x^23+1 found")
 
 
-def _build_generator() -> np.ndarray:
+@functools.cache
+def generator_matrix() -> np.ndarray:
+    """12x24 generator of the extended Golay code (uint8, not systematic),
+    built on the first call; every call returns the same read-only array."""
     g = _golay23_generator_poly()
     coeffs = [(g >> i) & 1 for i in range(12)]
     rows = []
@@ -42,37 +47,25 @@ def _build_generator() -> np.ndarray:
         rows.append(row)
     gen = np.array(rows, dtype=np.uint8)
     parity = (gen.sum(axis=1) % 2).astype(np.uint8)
-    return np.concatenate([gen, parity[:, None]], axis=1)
+    gen = np.concatenate([gen, parity[:, None]], axis=1)
+    gen.setflags(write=False)
+    return gen
 
 
-_GEN = None
-_WORDS = None
-
-
-def generator_matrix() -> np.ndarray:
-    """12x24 generator of the extended Golay code (uint8, not systematic)."""
-    global _GEN
-    if _GEN is None:
-        _GEN = _build_generator()
-        _GEN.setflags(write=False)
-    return _GEN
-
-
+@functools.cache
 def codewords() -> np.ndarray:
-    """All 4096 codewords as a (4096, 24) uint8 array, row 0 the zero word.
+    """All 4096 codewords as a (4096, 24) uint8 array, row 0 the zero word,
+    built on the first call; every call returns the same read-only array.
 
     Row j is the xor of the generator rows picked by the set bits of j, so
     row j equals row (j & 63) xor row (j & ~63). The Leech quantizer's tie
     rule follows this row order.
     """
-    global _WORDS
-    if _WORDS is None:
-        table = np.zeros((1, 24), dtype=np.uint8)
-        for row in generator_matrix():
-            table = np.concatenate([table, table ^ row], axis=0)
-        w = table.sum(axis=1)
-        if table.shape != (4096, 24) or w[w > 0].min() != 8:
-            raise AssertionError("Golay construction failed self-check")
-        _WORDS = table
-        _WORDS.setflags(write=False)
-    return _WORDS
+    table = np.zeros((1, 24), dtype=np.uint8)
+    for row in generator_matrix():
+        table = np.concatenate([table, table ^ row], axis=0)
+    w = table.sum(axis=1)
+    if table.shape != (4096, 24) or w[w > 0].min() != 8:
+        raise AssertionError("Golay construction failed self-check")
+    table.setflags(write=False)
+    return table

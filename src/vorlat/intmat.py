@@ -132,14 +132,45 @@ def _xgcd(a: int, b: int):
     return a, x0, y0
 
 
-def _hnf_columns(cols: list[list[int]], n: int) -> list[list[int]]:
-    """Column-operation HNF core. Mutates and returns the column list.
+def _is_reduced_lower_triangular(m: IntMatrix) -> bool:
+    if not m.is_square or not m.is_lower_triangular():
+        return False
+    d = m._data
+    for i in range(m.rows):
+        if d[i][i] <= 0:
+            return False
+        for j in range(i):
+            if not (0 <= d[i][j] < d[i][i]):
+                return False
+    return True
 
-    After the sweep, column i has its first nonzero entry at row i, the
-    diagonal is positive, and entries left of the diagonal lie in [0, diag).
-    Raises if the columns do not span an n-dimensional lattice.
+
+def hnf_lower_triangular(g: IntMatrix) -> IntMatrix:
+    """Lower-triangular Hermite normal form of a nonsingular square matrix.
+
+    Returns L with positive diagonal and off-diagonal entries reduced into
+    [0, L[i][i]), such that L = G @ U for some unimodular integer U (column
+    operations only; the lattice spanned by the columns is unchanged).
     """
-    m = len(cols)
+    if not g.is_square:
+        raise ValueError("square matrix required")
+    if _is_reduced_lower_triangular(g):
+        return g
+    return hnf_from_spanning(g.column(j) for j in range(g.cols))
+
+
+def hnf_from_spanning(columns) -> IntMatrix:
+    """HNF of the lattice spanned by an arbitrary set of integer columns.
+
+    Accepts m >= n columns of length n; raises if they do not span full rank.
+    Unimodular column operations sweep row by row: afterwards column i has
+    its first nonzero entry at row i, the diagonal is positive, and entries
+    left of the diagonal lie in [0, diag).
+    """
+    cols = [list(c) for c in columns]
+    if not cols:
+        raise ValueError("no columns")
+    n, m = len(cols[0]), len(cols)
     if m < n:
         raise ValueError("degenerate lattice")
     for i in range(n):
@@ -170,48 +201,6 @@ def _hnf_columns(cols: list[list[int]], n: int) -> list[list[int]]:
                 cj, ci = cols[j], cols[i]
                 for r in range(i, n):
                     cj[r] -= q * ci[r]
-    return cols
-
-
-def _is_reduced_lower_triangular(m: IntMatrix) -> bool:
-    if not m.is_square or not m.is_lower_triangular():
-        return False
-    d = m._data
-    for i in range(m.rows):
-        if d[i][i] <= 0:
-            return False
-        for j in range(i):
-            if not (0 <= d[i][j] < d[i][i]):
-                return False
-    return True
-
-
-def hnf_lower_triangular(g: IntMatrix) -> IntMatrix:
-    """Lower-triangular Hermite normal form of a nonsingular square matrix.
-
-    Returns L with positive diagonal and off-diagonal entries reduced into
-    [0, L[i][i]), such that L = G @ U for some unimodular integer U (column
-    operations only; the lattice spanned by the columns is unchanged).
-    """
-    if not g.is_square:
-        raise ValueError("square matrix required")
-    if _is_reduced_lower_triangular(g):
-        return g
-    cols = [list(g.column(j)) for j in range(g.cols)]
-    cols = _hnf_columns(cols, g.rows)
-    return IntMatrix(list(zip(*cols[: g.rows])))
-
-
-def hnf_from_spanning(columns) -> IntMatrix:
-    """HNF of the lattice spanned by an arbitrary set of integer columns.
-
-    Accepts m >= n columns of length n; raises if they do not span full rank.
-    """
-    cols = [list(c) for c in columns]
-    if not cols:
-        raise ValueError("no columns")
-    n = len(cols[0])
-    cols = _hnf_columns(cols, n)
     return IntMatrix(list(zip(*cols[:n])))
 
 

@@ -17,6 +17,7 @@ Lattice objects are immutable and safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 
@@ -177,28 +178,26 @@ def _leech_int() -> Lattice:
     return lat
 
 
-_ZOO_CACHE: dict[str, Lattice] = {}
-
-
 def standard_lattice(name: str) -> Lattice:
-    """Named lattice zoo: Zn(n), Dn(n), E8_int, Leech_int."""
-    key = name.strip()
-    if key in _ZOO_CACHE:
-        return _ZOO_CACHE[key]
+    """Named lattice zoo: Zn(n), Dn(n), E8_int, Leech_int. Surrounding
+    whitespace is ignored, and each name is built once: every call with it
+    returns the same object."""
+    return _zoo(name.strip())
+
+
+@functools.cache
+def _zoo(key: str) -> Lattice:
     m = re.fullmatch(r"(Zn|Dn)\((\d+)\)", key)
     if m:
         n = int(m.group(2))
         if n < 1:
-            raise ValueError(f"bad dimension in {name!r}")
-        lat = _zn(n) if m.group(1) == "Zn" else _dn(n)
-    elif key == "E8_int":
-        lat = _e8_int()
-    elif key == "Leech_int":
-        lat = _leech_int()
-    else:
-        raise ValueError(f"unknown lattice name {name!r}")
-    _ZOO_CACHE[key] = lat
-    return lat
+            raise ValueError(f"bad dimension in {key!r}")
+        return _zn(n) if m.group(1) == "Zn" else _dn(n)
+    if key == "E8_int":
+        return _e8_int()
+    if key == "Leech_int":
+        return _leech_int()
+    raise ValueError(f"unknown lattice name {key!r}")
 
 
 def direct_sum(base: Lattice, copies: int, alpha: int = 1) -> Lattice:

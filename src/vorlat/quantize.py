@@ -26,6 +26,7 @@ Quantizers are stateless after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 
@@ -155,16 +156,12 @@ class Quantizer:
     shares no memory with its input, so callers may write into it:
     `fold_batch` subtracts into it, and `ScaledQuantizer` scales its inner
     output in place.
-    `_bound` is above the magnitude of every returned coordinate: inputs are
-    below 2^52 at the leaf (`_finite`) and a nearest point lies within the
-    covering radius of its input.
 
     `alpha` is the scale a quantizer divides its rows by before its leaf
     quantizes them (1 but for `ScaledQuantizer`), and integer rows with
     every entry below `_f32_bound` (0 for none) are quantized in float32.
     """
 
-    _bound = 2 * _FLOAT_LIMIT
     alpha = 1
     _f32_bound = 0
 
@@ -324,6 +321,60 @@ _CLASS_STARTS = np.arange(0, 256 * _LEECH_ROWS, 128)
 _CLASS_STARTS.setflags(write=False)
 
 
+# The read-only tables of `LeechFastQuantizer`, as `_leech_tables` builds them
+_LeechTables = collections.namedtuple("_LeechTables", (
+    "table offsets tetrads pattern_bits pattern_coords class_sum owed residual tetrad_at"
+    " class_words word_rows class_index"))
+
+
+@functools.cache
+def _leech_tables() -> _LeechTables:
+    """The Leech quantizer's tables, built on the first call from the Golay
+    codewords; every call returns the same read-only arrays."""
+    words = golay.codewords()
+    u = np.array([-3] + [1] * 23, dtype=np.int8)
+    # entries lie in -3..3; y - t and t + 4 * ... promote them to the same values
+    table = np.empty((2, 4096, 24), dtype=np.int8)
+    np.multiply(words, 2, out=table[0], casting="unsafe")
+    np.add(table[0], u, out=table[1])
+    table = table.reshape(8192, 24)
+    # quarter-scale coset offsets (m*u_i + 2b)/4, indexed [m, b, i]
+    offsets = (np.stack([np.zeros(24), u])[:, None] + 2.0 * np.arange(2)[:, None]) * 0.25
+    # The sextet: tetrad {0, 1, 2, 3} and the five octads through it, less it.
+    octads = words[(words.sum(axis=1) == 8) & words[:, :4].all(axis=1)]
+    tetrads = np.vstack([np.arange(4)] + [np.flatnonzero(o)[4:] for o in octads])
+    pattern = words[:, tetrads] @ (1 << np.arange(4))  # bit j: the tetrad's j-th coordinate
+    flip = pattern >> 3  # complement every pattern that has bit 3 set
+    canon = pattern ^ (15 * flip)
+    _, cls = np.unique(canon @ (8 ** np.arange(6)), return_inverse=True)
+    class_words = np.argsort(cls, kind="stable").reshape(128, 32)
+    first = class_words[:, 0]
+    # Pattern rows (flip, tetrad, canonical pattern): row r reads bit b of
+    # coordinate i from entry b*24 + i of a half-row's rounding errors.
+    r = np.arange(96)[:, None]
+    bits = ((r % 8) ^ (15 * (r >= 48))) >> np.arange(4) & 1
+    coords = bits * 24 + tetrads[r % 48 // 8, np.arange(4)]  # (96, 4)
+    pattern_bits = np.zeros((48, 96))
+    pattern_bits[coords, r] = 1.0
+    class_rows = 8 * np.arange(6) + canon[first]  # (128, 6), unflipped rows
+    class_sum = np.zeros((48, 128))
+    class_sum[class_rows, np.arange(128)[:, None]] = 1.0
+    owed = 8 * (flip[first].sum(axis=1) & 1)  # 8 * complement parity
+    z = np.arange(64)
+    residual = (z >> 2 & 2) | (z & 1)  # 8*flips + parities -> 2*(flip parity) + D24 parity
+    # flat index 48*j + row of the rows of class c in half-row j, at [:, 128*j + c]
+    tetrad_at = (np.ascontiguousarray(class_rows.T)[:, None]
+                 + 48 * np.arange(2 * _LEECH_ROWS)[:, None]).reshape(6, -1)
+    rows = 48 * flip + 8 * np.arange(6) + canon  # (4096, 6)
+    word_rows = rows[class_words].transpose(0, 2, 1).reshape(128, 192)
+    class_index = (class_words + 4096 * np.arange(2)[:, None, None]).reshape(256, 32)
+    tables = _LeechTables(table, offsets, tetrads, pattern_bits, coords.T.copy(), class_sum,
+                          owed, residual, tetrad_at, class_words, word_rows, class_index)
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
 class LeechFastQuantizer(Quantizer):
     """Exact nearest point of Leech_int by a sextet-class search of its 8192 cosets.
 
@@ -359,60 +410,9 @@ class LeechFastQuantizer(Quantizer):
     round of (y - t)/4 by `_dn_columns`, the module's one D_n round.
     """
 
-    _TABLES = None
-
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
-        if LeechFastQuantizer._TABLES is None:
-            LeechFastQuantizer._TABLES = self._build_tables()
-        (self._table, self._offsets, self._tetrads, self._pattern_bits, self._pattern_coords,
-         self._class_sum, self._owed, self._residual, self._tetrad_at, self._class_words,
-         self._word_rows, self._class_index) = LeechFastQuantizer._TABLES
-
-    @staticmethod
-    def _build_tables():
-        words = golay.codewords()
-        u = np.array([-3] + [1] * 23, dtype=np.int8)
-        # entries lie in -3..3; y - t and t + 4 * ... promote them to the same values
-        table = np.empty((2, 4096, 24), dtype=np.int8)
-        np.multiply(words, 2, out=table[0], casting="unsafe")
-        np.add(table[0], u, out=table[1])
-        table = table.reshape(8192, 24)
-        # quarter-scale coset offsets (m*u_i + 2b)/4, indexed [m, b, i]
-        offsets = (np.stack([np.zeros(24), u])[:, None] + 2.0 * np.arange(2)[:, None]) * 0.25
-        # The sextet: tetrad {0, 1, 2, 3} and the five octads through it, less it.
-        octads = words[(words.sum(axis=1) == 8) & words[:, :4].all(axis=1)]
-        tetrads = np.vstack([np.arange(4)] + [np.flatnonzero(o)[4:] for o in octads])
-        pattern = words[:, tetrads] @ (1 << np.arange(4))  # bit j: the tetrad's j-th coordinate
-        flip = pattern >> 3  # complement every pattern that has bit 3 set
-        canon = pattern ^ (15 * flip)
-        _, cls = np.unique(canon @ (8 ** np.arange(6)), return_inverse=True)
-        class_words = np.argsort(cls, kind="stable").reshape(128, 32)
-        first = class_words[:, 0]
-        # Pattern rows (flip, tetrad, canonical pattern): row r reads bit b of
-        # coordinate i from entry b*24 + i of a half-row's rounding errors.
-        r = np.arange(96)[:, None]
-        bits = ((r % 8) ^ (15 * (r >= 48))) >> np.arange(4) & 1
-        coords = bits * 24 + tetrads[r % 48 // 8, np.arange(4)]  # (96, 4)
-        pattern_bits = np.zeros((48, 96))
-        pattern_bits[coords, r] = 1.0
-        class_rows = 8 * np.arange(6) + canon[first]  # (128, 6), unflipped rows
-        class_sum = np.zeros((48, 128))
-        class_sum[class_rows, np.arange(128)[:, None]] = 1.0
-        owed = 8 * (flip[first].sum(axis=1) & 1)  # 8 * complement parity
-        z = np.arange(64)
-        residual = (z >> 2 & 2) | (z & 1)  # 8*flips + parities -> 2*(flip parity) + D24 parity
-        # flat index 48*j + row of the rows of class c in half-row j, at [:, 128*j + c]
-        tetrad_at = (np.ascontiguousarray(class_rows.T)[:, None]
-                     + 48 * np.arange(2 * _LEECH_ROWS)[:, None]).reshape(6, -1)
-        rows = 48 * flip + 8 * np.arange(6) + canon  # (4096, 6)
-        word_rows = rows[class_words].transpose(0, 2, 1).reshape(128, 192)
-        class_index = (class_words + 4096 * np.arange(2)[:, None, None]).reshape(256, 32)
-        out = (table, offsets, tetrads, pattern_bits, coords.T.copy(), class_sum, owed,
-               residual, tetrad_at, class_words, word_rows, class_index)
-        for arr in out:
-            arr.setflags(write=False)
-        return out
+        self._tables = _leech_tables()
 
     def quantize_batch(self, ys):
         y = self._rows(ys)
@@ -420,15 +420,16 @@ class LeechFastQuantizer(Quantizer):
         best = np.empty(len(y), dtype=np.int64)
         for lo in range(0, len(y), _LEECH_ROWS):
             best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[lo : lo + _LEECH_ROWS])
-        t = self._table[best]
+        t = self._tables.table[best]
         w = ((y - t) * 0.25).T
         return t + 4 * _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
     def _nearest_cosets(self, yq):
         """Table index of the first nearest coset for each row of yq = y / 4."""
+        tb = self._tables
         rows = len(yq)
         h = 2 * rows  # half-row 2*r + m holds half m of row r
-        w = (yq[:, None, None, :] - self._offsets).reshape(h, 48)
+        w = (yq[:, None, None, :] - tb.offsets).reshape(h, 48)
         x = np.empty((2, h, 48))
         f = np.floor(w + 0.5, out=x[1])
         e = w - f  # rounding errors, in [-0.5, 0.5)
@@ -436,9 +437,9 @@ class LeechFastQuantizer(Quantizer):
         # per half-row and pattern row: sum(e^2), sum(f), flip penalty 1 - 2*max|e|
         s = np.empty((3, h, 96))
         cost, fsum, pen = s[0], s[1], s[2]
-        np.matmul(x, self._pattern_bits, out=s[:2])
+        np.matmul(x, tb.pattern_bits, out=s[:2])
         # max|e| per pattern row, gathered coordinate-major: one contiguous copy per row
-        top = np.abs(e.T, order="C").take(self._pattern_coords, axis=0).max(axis=0)
+        top = np.abs(e.T, order="C").take(tb.pattern_coords, axis=0).max(axis=0)
         np.subtract(1.0, 2.0 * top.T, out=pen)
         par = fsum.astype(np.int64) & 1
         # Each tetrad takes its cheaper pattern; class sums of those costs and
@@ -447,9 +448,9 @@ class LeechFastQuantizer(Quantizer):
         pick = np.empty((2 * h, 48))
         np.minimum(cost[:, :48], cost[:, 48:], out=pick[:h])
         pick[h:] = np.where(flip, par[:, 48:] + 8, par[:, :48])
-        sums = pick @ self._class_sum  # flat index 128*half-row + class
+        sums = pick @ tb.class_sum  # flat index 128*half-row + class
         b = sums[:h].reshape(-1)
-        res = self._residual.take(sums[h:].astype(np.int64) + self._owed).reshape(-1)
+        res = tb.residual.take(sums[h:].astype(np.int64) + tb.owed).reshape(-1)
         # one-tetrad corrections by kind: none, flip the D24 parity, complement
         # keeping it, complement flipping it (via the other pattern's penalty if needed)
         corr = np.zeros((4, h, 48))
@@ -463,7 +464,7 @@ class LeechFastQuantizer(Quantizer):
 
         def bounds(at):
             """B, each kind's cheapest correction and the one owed, at flat class indices."""
-            md = corr.take(self._tetrad_at.take(at, axis=1), axis=1).min(axis=1)
+            md = corr.take(tb.tetrad_at.take(at, axis=1), axis=1).min(axis=1)
             return b.take(at), md, res.take(at).choose(md)
 
         # pass 1: the least-B class of each half, with its correction, bounds the row
@@ -479,7 +480,7 @@ class LeechFastQuantizer(Quantizer):
         lb = bc + np.minimum(one, md.sum(axis=0) - one)
         at = at[lb <= bound.take(at >> 8)]
         # score every word of the surviving classes exactly
-        words = self._word_rows.take(at & 127, axis=0) + (96 * (at >> 7))[:, None]
+        words = tb.word_rows.take(at & 127, axis=0) + (96 * (at >> 7))[:, None]
         rec = s.reshape(3, -1).take(words, axis=1).reshape(3, -1, 6, 32)
         tot = rec[:2].sum(axis=2)
         score = tot[0] + (tot[1].astype(np.int64) & 1) * rec[2].min(axis=1)
@@ -487,7 +488,7 @@ class LeechFastQuantizer(Quantizer):
         start = 32 * at.searchsorted(starts[::2])
         low = np.minimum.reduceat(score.reshape(-1), start)
         tied = score <= low.take(at >> 8)[:, None] + TIE_EPS
-        index = np.where(tied, self._class_index.take(at & 255, axis=0), 8192)
+        index = np.where(tied, tb.class_index.take(at & 255, axis=0), 8192)
         return np.minimum.reduceat(index.reshape(-1), start)
 
 
@@ -574,10 +575,12 @@ class ScaledQuantizer(Quantizer):
     2^52 on. Integer rows take float32 when alpha is a power of two 2^j,
     the leaf is Zn or E8_int and every entry is below B(j) (`_F32_BOUNDS`):
     dividing them by 2^j is exact, and so is every value the leaf makes, so
-    their points are those of the float64 rows. Whether alpha times the
-    inner `_bound` fits int64 is decided once, here: it does for every
-    stock scale, and then no row is checked. Otherwise a row whose point
-    would leave int64 is refused with a ValueError.
+    their points are those of the float64 rows. The leaf's rows are below
+    2^52 and a nearest point lies within the covering radius of its row, so
+    the leaf's coordinates are below 2^53. Whether alpha times that fits
+    int64 is decided once, here: it does for every stock scale, and then no
+    row is checked. Otherwise a row whose point would leave int64 is refused
+    with a ValueError.
     """
 
     def __init__(self, lattice: Lattice):
@@ -591,9 +594,8 @@ class ScaledQuantizer(Quantizer):
                 self.copies *= k
         self.inner = make_quantizer(leaf)
         self._block = leaf.dim
-        self._bound = self.alpha * self.inner._bound
         top = int(np.iinfo(np.int64).max)
-        self._top = None if self._bound <= top else top // self.alpha
+        self._top = None if self.alpha * 2 * _FLOAT_LIMIT <= top else top // self.alpha
         j = self.alpha.bit_length() - 1
         if self.inner._f32_bound and self.alpha == 1 << j and j < len(_F32_BOUNDS):
             self._f32_bound = _F32_BOUNDS[j]

@@ -385,32 +385,24 @@ class VoronoiCodeSpec:
 # stock constellations and spec files
 
 
-BUILTIN_SPECS = ("pair2", "desk8-e8", "desk8-cube", "desk8-ham", "leech24")
+# stock constellation name -> the key = value pairs of its spec file (see
+# `load_spec`); a new stock spec is one entry here
+_STOCK_SPECS = {
+    "pair2": {"chain": "rep2", "base": "Zn(2)", "alpha": "2"},
+    "desk8-e8": {"chain": "rep8-spc8", "base": "E8_int"},
+    "desk8-cube": {"chain": "rep8-spc8", "base": "Zn(8)", "alpha": "2"},
+    "desk8-ham": {"chain": "rep8-ham8-spc8", "base": "Zn(8)", "alpha": "2"},
+    "leech24": {"chain": "rep24-spc24", "base": "Leech_int"},
+}
+BUILTIN_SPECS = tuple(_STOCK_SPECS)
 
 
 def builtin_spec(name: str) -> VoronoiCodeSpec:
-    if name == "pair2":
-        return VoronoiCodeSpec(
-            builtin_chain("rep2"), standard_lattice("Zn(2)"), alpha=2, name=name
-        )
-    if name == "desk8-e8":
-        return VoronoiCodeSpec(
-            builtin_chain("rep8-spc8"), standard_lattice("E8_int"), name=name
-        )
-    if name == "desk8-cube":
-        return VoronoiCodeSpec(
-            builtin_chain("rep8-spc8"), standard_lattice("Zn(8)"), alpha=2, name=name
-        )
-    if name == "desk8-ham":
-        return VoronoiCodeSpec(
-            builtin_chain("rep8-ham8-spc8"), standard_lattice("Zn(8)"), alpha=2,
-            name=name,
-        )
-    if name == "leech24":
-        return VoronoiCodeSpec(
-            builtin_chain("rep24-spc24"), standard_lattice("Leech_int"), name=name
-        )
-    raise ValueError(f"unknown constellation {name!r}")
+    """Stock constellation by name: its `_STOCK_SPECS` spec file values,
+    built as `load_spec` builds a file's, with the name as its label."""
+    if name not in _STOCK_SPECS:
+        raise ValueError(f"unknown constellation {name!r}")
+    return _spec_from_values({**_STOCK_SPECS[name], "name": name}, "")
 
 
 def load_spec(path) -> VoronoiCodeSpec:
@@ -420,7 +412,6 @@ def load_spec(path) -> VoronoiCodeSpec:
     name or matrix file path), alpha, copies (positive integers, default 1).
     Relative paths resolve against the spec file's directory.
     """
-    base_dir = os.path.dirname(os.path.abspath(path))
     values: dict[str, str] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -434,6 +425,12 @@ def load_spec(path) -> VoronoiCodeSpec:
             if key in values:
                 raise ValueError(f"spec file line {line_no}: duplicate key {key!r}")
             values[key] = value
+    return _spec_from_values(values, os.path.dirname(os.path.abspath(path)))
+
+
+def _spec_from_values(values: dict, base_dir: str) -> VoronoiCodeSpec:
+    """The constellation of a spec file's key = value pairs, its relative
+    paths resolved against base_dir."""
     unknown = set(values) - {"chain", "base", "alpha", "copies", "name"}
     if unknown:
         raise ValueError(f"spec file: unknown keys {sorted(unknown)}")

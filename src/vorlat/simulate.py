@@ -28,6 +28,8 @@ _TRIAL_BLOCK = 4096
 _TABLE_ML_LIMIT = 1 << 14
 _ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
 _BENCH_SAMPLE_NS = 5_000_000  # one complexity_bench timing sample lasts at least this
+_ENERGY_SAMPLES = 100_000  # messages of average_energy's Monte Carlo average
+_WILSON_Z = 1.96  # normal quantile of a two-sided 95% interval
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
 
@@ -178,13 +180,14 @@ def random_ordinals(spec: VoronoiCodeSpec, count: int, seed: int,
 # energy, second moments and the Es/N0 mapping
 
 
-def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0) -> float:
+def average_energy(spec: VoronoiCodeSpec) -> float:
     """Mean squared norm per dimension over the constellation.
 
     Exact when the constellation is small enough: every point is encoded,
     _TRIAL_BLOCK ordinals at a time, and the int64 squares are summed, so
     memory stays bounded by one block. Otherwise a Monte Carlo average over
-    `samples` random messages.
+    _ENERGY_SAMPLES random messages at seed 0 (`sampled_energy` takes any
+    count and seed).
     """
     count = spec.message_count
     if count <= _ENUM_LIMIT:
@@ -193,7 +196,7 @@ def average_energy(spec: VoronoiCodeSpec, samples: int = 100_000, seed: int = 0)
             x = spec.encode_batch(np.arange(lo, min(lo + _TRIAL_BLOCK, count)))
             total += int((x * x).sum())
         return total / (count * spec.n)
-    energy, _ = sampled_energy(spec, samples, seed)
+    energy, _ = sampled_energy(spec, _ENERGY_SAMPLES)
     return energy
 
 
@@ -297,8 +300,9 @@ def sigma_for(energy_per_dim: float, es_n0_db: float) -> float:
     return sigma
 
 
-def wilson_interval(errors: int, trials: int, z: float = 1.96) -> tuple:
+def wilson_interval(errors: int, trials: int) -> tuple:
     """95% score interval for a binomial proportion."""
+    z = _WILSON_Z
     if trials <= 0:
         raise ValueError("trials must be positive")
     p = errors / trials
@@ -567,12 +571,14 @@ class ExhaustiveDecoder:
     lattice_points = decode_batch  # decisions are already constellation points
 
 
+# decode mode name -> decoder class; `make_decoder` and the CLI's --mode read it
+DECODE_MODES = {"multistage": MultistageDecoder, "exhaustive_ml": ExhaustiveDecoder}
+
+
 def make_decoder(spec: VoronoiCodeSpec, mode: str):
-    if mode == "multistage":
-        return MultistageDecoder(spec)
-    if mode == "exhaustive_ml":
-        return ExhaustiveDecoder(spec)
-    raise ValueError(f"unknown decode mode {mode!r}")
+    if mode not in DECODE_MODES:
+        raise ValueError(f"unknown decode mode {mode!r}")
+    return DECODE_MODES[mode](spec)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """End-to-end checks of the command line interface."""
 
+import re
 import tracemalloc
 
 import pytest
 
 from vorlat import cli
-from vorlat.shaping import VoronoiCodeSpec
+from vorlat.shaping import VoronoiCodeSpec, builtin_spec
+from vorlat.simulate import DECODE_MODES, make_decoder
 
 
 def run(capsys, *argv):
@@ -240,6 +242,18 @@ def test_enumerate_to_file(tmp_path, capsys):
     assert out == ""
     body = out_file.read_text().strip().split("\n")
     assert len([ln for ln in body if not ln.startswith("#")]) == 8
+
+
+def test_wer_help_lists_exactly_the_decode_modes(capsys):
+    code, out, _ = _outcome(capsys, ["wer", "--help"])
+    assert code == 0
+    listed = re.search(r"--mode \{([^}]*)\}", out).group(1).split(",")
+    assert listed == list(DECODE_MODES)
+    spec = builtin_spec("pair2")
+    for mode in listed:
+        assert isinstance(make_decoder(spec, mode), DECODE_MODES[mode])
+    with pytest.raises(ValueError, match="unknown decode mode"):
+        make_decoder(spec, "soft")
 
 
 def _outcome(capsys, argv):

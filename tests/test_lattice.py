@@ -103,6 +103,12 @@ def test_leech_int_gram_parities():
         assert inner % 8 == 0
 
 
+def test_standard_lattice_builds_each_stripped_name_once():
+    assert standard_lattice(" E8_int ") is standard_lattice("E8_int")
+    assert standard_lattice("Zn(3)\n") is standard_lattice("\tZn(3)")
+    assert standard_lattice("Zn(3)") is not standard_lattice("Zn(4)")
+
+
 def test_standard_lattice_rejects_unknown_names():
     with pytest.raises(ValueError):
         standard_lattice("A2")

@@ -26,6 +26,7 @@ from vorlat.quantize import (
     Quantizer,
     ScaledQuantizer,
     ZnQuantizer,
+    _leech_tables,
     fold_batch,
     fold_mod_parallelotope_batch,
     make_quantizer,
@@ -593,7 +594,7 @@ def test_leech_fast_and_coset_reference_take_the_first_of_float_rounded_ties():
     y = np.array([[0.0, 0.0, 0.0] + [6.44116979] * 21])
     got = fast.quantize_batch(y)
     assert np.array_equal(got, leech_coset_reference(y))
-    diff = got - fast._table  # the point's coset is the row with diff in 4*D24
+    diff = got - _leech_tables().table  # the point's coset is the row with diff in 4*D24
     coset = np.flatnonzero(np.all(diff % 4 == 0, axis=1) & (diff.sum(axis=1) % 8 == 0))
     assert coset.tolist() == [936]
 
@@ -611,15 +612,28 @@ def test_leech_fast_and_coset_reference_ignore_memory_layout():
         assert np.array_equal(fast.quantize_batch(ys), want)
 
 
+def test_golay_and_leech_tables_are_built_once_and_read_only():
+    for build in (golay.generator_matrix, golay.codewords):
+        assert build() is build()
+        assert not build().flags.writeable
+    first = _leech_tables()
+    assert all(a is b for a, b in zip(_leech_tables(), first))
+    assert not any(a.flags.writeable for a in first)
+    LeechFastQuantizer(standard_lattice("Leech_int"))
+    misses = (_leech_tables.cache_info().misses, golay.codewords.cache_info().misses)
+    second = LeechFastQuantizer(standard_lattice("Leech_int"))
+    assert (_leech_tables.cache_info().misses, golay.codewords.cache_info().misses) == misses
+    assert second._tables is first
+
+
 def test_leech_sextet_classes_partition_the_golay_code():
-    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
     words = golay.codewords()
-    classes = fast._class_words
+    classes = _leech_tables().class_words
     assert classes.shape == (128, 32)
     assert np.array_equal(np.sort(classes, axis=None), np.arange(4096))
     assert np.all(np.diff(classes, axis=1) > 0)  # table order within a class
     # six disjoint tetrads, any two of which form an octad of the code
-    tetrads = fast._tetrads
+    tetrads = _leech_tables().tetrads
     assert np.array_equal(np.sort(tetrads, axis=None), np.arange(24))
     codebook = {w.tobytes() for w in words}
     for a, b in combinations(tetrads, 2):

@@ -24,6 +24,7 @@ from vorlat.intmat import hnf_from_spanning
 from vorlat.lattice import Lattice, quotient_order, standard_lattice
 from vorlat.quantize import fold_batch, make_quantizer
 from vorlat.shaping import (
+    _STOCK_SPECS,
     BUILTIN_SPECS,
     VoronoiCodeSpec,
     builtin_spec,
@@ -359,6 +360,16 @@ def test_spec_file_errors(tmp_path):
         path.write_text(text.replace("\\(", "(").replace("\\)", ")"))
         with pytest.raises(ValueError, match=message):
             load_spec(path)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_stock_spec_is_its_table_entry_as_a_spec_file(tmp_path, name):
+    path = tmp_path / f"{name}.vspec"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in _STOCK_SPECS[name].items()))
+    loaded, stock = load_spec(path), builtin_spec(name)
+    assert loaded.message_count == stock.message_count
+    ordinals = np.random.default_rng(29).integers(0, stock.message_count, 256)
+    assert np.array_equal(loaded.encode_batch(ordinals), stock.encode_batch(ordinals))
 
 
 def test_get_spec_stock_and_path(tmp_path):
