@@ -5,7 +5,8 @@ Conventions used package-wide:
   * the cached triangular form is the lower-triangular Hermite normal form
     with positive diagonal and off-diagonals reduced into [0, diag),
   * all lattice algebra (normal forms, sublattice tests, quotients) is exact
-    on Python integers; the float_* views exist only for the quantizers.
+    on Python integers; the float64 view `float_triangular`, made with each
+    lattice, exists only for Monte Carlo draws and the complexity bench.
 
 Containment is tested between lattices (`is_sublattice`), not per point:
 a constellation tests its points in batches, by indexing them
@@ -45,7 +46,6 @@ class Lattice:
         "structure",
         "cov_sq",
         "name",
-        "_float_gen",
         "_float_tri",
     )
 
@@ -70,20 +70,16 @@ class Lattice:
         object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "cov_sq", cov_sq)
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_float_gen", None)
-        object.__setattr__(self, "_float_tri", None)
+        float_tri = tri.to_float()
+        float_tri.setflags(write=False)
+        object.__setattr__(self, "_float_tri", float_tri)
 
     def __setattr__(self, attr, value):
         raise AttributeError("Lattice is immutable")
 
-    def float_generator(self) -> np.ndarray:
-        if self._float_gen is None:
-            object.__setattr__(self, "_float_gen", self.generator.to_float())
-        return self._float_gen
-
     def float_triangular(self) -> np.ndarray:
-        if self._float_tri is None:
-            object.__setattr__(self, "_float_tri", self.triangular_generator.to_float())
+        """The triangular generator as a read-only float64 array, made with
+        the lattice."""
         return self._float_tri
 
     def diag(self) -> tuple:

@@ -18,8 +18,9 @@ leaf quantizer when it is built (`ScaledQuantizer`), which checks and
 converts its rows once (`Quantizer._rows`). Float rows of any float dtype are
 quantized in float64. Integer rows, which is what encode and decode fold,
 are quantized in float32 when that is exact: the chain's scale is a power of
-two 2^j, its leaf is Zn or E8_int, and every entry is below B(j)
-(`_F32_BOUNDS`). Their points are then those of the same rows in float64.
+two 2^j, its leaf is Zn or E8_int (j <= 9) or Leech_int (j <= 8), and every
+entry is below B(j) (`_F32_BOUNDS`). Their points are then those of the same
+rows in float64.
 
 Quantizers are stateless after construction and safe to share across threads.
 """
@@ -39,21 +40,34 @@ TIE_EPS = 1e-9
 # Inputs must stay below this in magnitude: float64 has no halves from here
 # on. VoronoiCodeSpec keeps its box representatives below it too.
 _FLOAT_LIMIT = 1 << 52
-# B(j) = _F32_BOUNDS[j]: integer rows r under a chain of scale 2^j, j < 10,
-# with Zn or E8_int at its leaf, are quantized in float32 when every |r| is
-# below B(j). The E8 kernel rounds the cosets r / 2^(j+1) and r / 2^(j+1) - 1/2;
-# every value it makes is a multiple of 2^-(2j+2), the grid of its squared
-# errors, and float32's 24-bit significand holds such a multiple exactly up to
-# 2^(22-2j) in magnitude. The largest values are 8-term sums: of squared
-# errors, at most 8, and of rounded coordinates, at most 8 (|r| / 2^(j+1) + 1),
-# which is within 2^(22-2j) below B(j) = 2^(20-j) - 2^(j+1). Zn makes a subset
-# of these values (r / 2^j + 1/2 and its floor). Distances on that grid differ
-# by 2^-20 or more, so the TIE_EPS tests decide as in float64.
+# B(j) = _F32_BOUNDS[j]: integer rows r under a chain of scale 2^j are
+# quantized in float32 when every |r| is below B(j) and the chain's leaf
+# takes that scale (`Quantizer._f32_bounds`): Zn and E8_int for j <= 9,
+# Leech_int for j <= 8. Float32's 24-bit significand holds every multiple of
+# 2^-k up to 2^(24-k) in magnitude, so a leaf's kernel makes the values of
+# float64 bit for bit when its largest value on each grid is within that.
+# - E8_int rounds the cosets r / 2^(j+1) and r / 2^(j+1) - 1/2; every value it
+#   makes is a multiple of 2^-(2j+2), the grid of its squared errors, held up
+#   to 2^(22-2j). The largest values are 8-term sums: of squared errors, at
+#   most 8, and of rounded coordinates, at most 8 (|r| / 2^(j+1) + 1), which
+#   is within 2^(22-2j) below B(j) = 2^(20-j) - 2^(j+1). Zn makes a subset of
+#   these values (r / 2^j + 1/2 and its floor).
+# - Leech_int works at quarter scale, on r / 2^(j+2) less offsets in quarters:
+#   its rounding errors lie on a grid of 2^-(j+2), their squares on one of
+#   2^-(2j+4), held up to 2^(20-2j). The largest sums on that grid are a class
+#   sum (six tetrads of four squared errors, at most 6) plus a correction (at
+#   most 2): at most 8, which is within 2^(20-2j) for j <= 8 only. The largest
+#   integer sums are the parity sums of 24 rounded coordinates, below
+#   24 (|r| / 2^(j+2) + 2) < 2^24 when |r| < B(j). The final D24 round of
+#   (r / 2^j - t) / 4, t in -3..3, makes values on the same grids, no larger.
+# Distances on these grids differ by 2^-20 or more, so the TIE_EPS tests
+# decide as in float64.
 _F32_BOUNDS = tuple((1 << 20 - j) - (2 << j) for j in range(10))
-# 0, 1/2 and TIE_EPS as scalars of each float dtype the kernels run in: a
+# 0, 1/2, TIE_EPS and 1/4 as scalars of each float dtype the kernels run in: a
 # Python float costs every float32 call a cast, and making the scalar once a
 # call costs about as much (about 1 us over a one-row E8 call either way)
-_SCALARS = {np.dtype(t): (t(0), t(0.5), t(TIE_EPS)) for t in (np.float32, np.float64)}
+_SCALARS = {np.dtype(t): (t(0), t(0.5), t(TIE_EPS), t(0.25))
+            for t in (np.float32, np.float64)}
 
 
 def round_half_up(y: np.ndarray) -> np.ndarray:
@@ -103,7 +117,7 @@ def _dn_columns(w: np.ndarray, work: tuple) -> np.ndarray:
     """
     f, e, mask, step = work
     weight = _first_weights(w.shape[-2])
-    zero, h, _ = _SCALARS[w.dtype]
+    zero, h, _, _ = _SCALARS[w.dtype]
     top = mask.view(bool) if mask.itemsize == 1 else mask
     np.add(w, h, f)
     np.floor(f, f)  # round_half_up(w)
@@ -160,13 +174,16 @@ class Quantizer:
     `alpha` is the scale a quantizer divides its rows by before its leaf
     quantizes them (1 but for `ScaledQuantizer`), and integer rows with
     every entry below `_f32_bound` (0 for none) are quantized in float32.
+    A leaf that runs exactly in float32 lists B(j) for each scale 2^j it
+    takes in `_f32_bounds`.
     """
 
     alpha = 1
-    _f32_bound = 0
+    _f32_bounds = ()
 
     def __init__(self, lattice: Lattice):
         self.lattice = lattice
+        self._f32_bound = self._f32_bounds[0] if self._f32_bounds else 0
 
     def quantize_batch(self, ys: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -205,7 +222,7 @@ class Quantizer:
 
 
 class ZnQuantizer(Quantizer):
-    _f32_bound = _F32_BOUNDS[0]
+    _f32_bounds = _F32_BOUNDS
 
     def quantize_batch(self, ys):
         return round_half_up(self._rows(ys)).astype(np.int64)
@@ -250,7 +267,7 @@ def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
     if len(y) < w.shape[-1]:
         w, dn = w[..., : len(y)], tuple(a[..., : len(y)] for a in dn)
     z = w[0]
-    _, h, eps = _SCALARS[w.dtype]
+    _, h, eps, _ = _SCALARS[w.dtype]
     np.multiply(y.T, h, z)
     np.subtract(z, h, w[1])
     f = _dn_columns(w, dn)
@@ -289,7 +306,7 @@ class E8FastQuantizer(Quantizer):
     `second_moment_mc` scores whole sample blocks.
     """
 
-    _f32_bound = _F32_BOUNDS[0]
+    _f32_bounds = _F32_BOUNDS
 
     def quantize_batch(self, ys):
         y = self._rows(ys)
@@ -315,9 +332,13 @@ class E8FastQuantizer(Quantizer):
             yield s
 
 
-_LEECH_ROWS = 32  # rows per block: the pattern and class sums stay near 150 KB
-# flat index 128*j of the first class sum of half-row j, for the 2*_LEECH_ROWS half-rows of a block
-_CLASS_STARTS = np.arange(0, 256 * _LEECH_ROWS, 128)
+# Bytes of one coordinate of a block of `LeechFastQuantizer.quantize_batch`: 32
+# float64 rows or 64 float32 ones, so the pattern and class sums of a block
+# stay near 150 KB in either dtype.
+_LEECH_BLOCK_BYTES = 256
+_LEECH_HALF_ROWS = 2 * _LEECH_BLOCK_BYTES // 4  # half-rows of the largest block
+# flat index 128*j of the first class sum of half-row j, for the half-rows of a block
+_CLASS_STARTS = np.arange(0, 128 * _LEECH_HALF_ROWS, 128)
 _CLASS_STARTS.setflags(write=False)
 
 
@@ -330,7 +351,8 @@ _LeechTables = collections.namedtuple("_LeechTables", (
 @functools.cache
 def _leech_tables() -> _LeechTables:
     """The Leech quantizer's tables, built on the first call from the Golay
-    codewords; every call returns the same read-only arrays."""
+    codewords; every call returns the same read-only arrays. The float ones
+    are float64; `_leech_floats` gives them in another float dtype."""
     words = golay.codewords()
     u = np.array([-3] + [1] * 23, dtype=np.int8)
     # entries lie in -3..3; y - t and t + 4 * ... promote them to the same values
@@ -362,17 +384,33 @@ def _leech_tables() -> _LeechTables:
     owed = 8 * (flip[first].sum(axis=1) & 1)  # 8 * complement parity
     z = np.arange(64)
     residual = (z >> 2 & 2) | (z & 1)  # 8*flips + parities -> 2*(flip parity) + D24 parity
-    # flat index 48*j + row of the rows of class c in half-row j, at [:, 128*j + c]
-    tetrad_at = (np.ascontiguousarray(class_rows.T)[:, None]
-                 + 48 * np.arange(2 * _LEECH_ROWS)[:, None]).reshape(6, -1)
+    # flat index 48*j + row of the rows of class c in half-row j, at [:, 128*j + c],
+    # below 48 * _LEECH_HALF_ROWS: int16, written in place
+    tetrad_at = np.empty((6, _LEECH_HALF_ROWS, 128), dtype=np.int16)
+    np.add(class_rows.T.astype(np.int16)[:, None],
+           48 * np.arange(_LEECH_HALF_ROWS, dtype=np.int16)[:, None], out=tetrad_at)
+    # word_rows stays int64: a narrower one costs its every take a promoting add
     rows = 48 * flip + 8 * np.arange(6) + canon  # (4096, 6)
     word_rows = rows[class_words].transpose(0, 2, 1).reshape(128, 192)
     class_index = (class_words + 4096 * np.arange(2)[:, None, None]).reshape(256, 32)
     tables = _LeechTables(table, offsets, tetrads, pattern_bits, coords.T.copy(), class_sum,
-                          owed, residual, tetrad_at, class_words, word_rows, class_index)
+                          owed, residual, tetrad_at.reshape(6, -1), class_words, word_rows,
+                          class_index.astype(np.int16))
     for arr in tables:
         arr.setflags(write=False)
     return tables
+
+
+@functools.cache
+def _leech_floats(dtype) -> tuple:
+    """offsets, pattern_bits and class_sum of `_leech_tables` in a float
+    dtype, read-only: the float64 tables themselves, and copies made on the
+    first call for float32."""
+    tb = _leech_tables()
+    floats = tuple(a.astype(dtype, copy=False) for a in (tb.offsets, tb.pattern_bits, tb.class_sum))
+    for arr in floats:
+        arr.setflags(write=False)
+    return floats
 
 
 class LeechFastQuantizer(Quantizer):
@@ -408,7 +446,16 @@ class LeechFastQuantizer(Quantizer):
     Ties within TIE_EPS go to the first coset in table order (m = 0 first, then
     codeword index). Within that coset t the point is t + 4 times the D24
     round of (y - t)/4 by `_dn_columns`, the module's one D_n round.
+
+    One search serves both float dtypes: the rows' own (`Quantizer._rows`),
+    float32 for integer rows under a scale 2^j with j <= 8 and every entry
+    below B(j) (`_F32_BOUNDS`, which derives why every value is then exact),
+    float64 otherwise. Blocks hold _LEECH_BLOCK_BYTES per coordinate, 32
+    float64 or 64 float32 rows, and the float tables are taken in the rows'
+    dtype (`_leech_floats`).
     """
+
+    _f32_bounds = _F32_BOUNDS[:9]
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
@@ -416,44 +463,56 @@ class LeechFastQuantizer(Quantizer):
 
     def quantize_batch(self, ys):
         y = self._rows(ys)
-        yq = y * 0.25
+        quarter = _SCALARS[y.dtype][3]
+        yq = y * quarter
+        floats = _leech_floats(y.dtype)
+        rows = _LEECH_BLOCK_BYTES // y.itemsize
         best = np.empty(len(y), dtype=np.int64)
-        for lo in range(0, len(y), _LEECH_ROWS):
-            best[lo : lo + _LEECH_ROWS] = self._nearest_cosets(yq[lo : lo + _LEECH_ROWS])
+        for lo in range(0, len(y), rows):
+            best[lo : lo + rows] = self._nearest_cosets(yq[lo : lo + rows], floats)
         t = self._tables.table[best]
-        w = ((y - t) * 0.25).T
+        w = ((y - t) * quarter).T
         return t + 4 * _dn_columns(w, _dn_work(w)).T.astype(np.int64)
 
-    def _nearest_cosets(self, yq):
-        """Table index of the first nearest coset for each row of yq = y / 4."""
+    def _nearest_cosets(self, yq, floats):
+        """Table index of the first nearest coset for each row of yq = y / 4,
+        with the float tables `floats` in yq's dtype."""
         tb = self._tables
+        offsets, pattern_bits, class_sum = floats
+        _, half, eps, _ = _SCALARS[yq.dtype]
         rows = len(yq)
         h = 2 * rows  # half-row 2*r + m holds half m of row r
-        w = (yq[:, None, None, :] - tb.offsets).reshape(h, 48)
-        x = np.empty((2, h, 48))
-        f = np.floor(w + 0.5, out=x[1])
-        e = w - f  # rounding errors, in [-0.5, 0.5)
-        np.multiply(e, e, out=x[0])
+        w = (yq[:, None, None, :] - offsets).reshape(h, 48)
+        x = np.empty((2, h, 48), yq.dtype)
+        f = np.add(w, half, x[1])
+        np.floor(f, f)
+        e = np.subtract(w, f, w)  # rounding errors, in [-0.5, 0.5)
+        np.multiply(e, e, x[0])
         # per half-row and pattern row: sum(e^2), sum(f), flip penalty 1 - 2*max|e|
-        s = np.empty((3, h, 96))
+        s = np.empty((3, h, 96), yq.dtype)
         cost, fsum, pen = s[0], s[1], s[2]
-        np.matmul(x, tb.pattern_bits, out=s[:2])
+        np.matmul(x, pattern_bits, out=s[:2])
         # max|e| per pattern row, gathered coordinate-major: one contiguous copy per row
         top = np.abs(e.T, order="C").take(tb.pattern_coords, axis=0).max(axis=0)
-        np.subtract(1.0, 2.0 * top.T, out=pen)
+        np.subtract(half, top.T, pen)
+        pen += pen  # 2 * (1/2 - max|e|) rounds as 1 - 2*max|e| does
         par = fsum.astype(np.int64) & 1
         # Each tetrad takes its cheaper pattern; class sums of those costs and
         # of the codes 8*flip + parity give each class its B and its residual.
+        # One product per half of `pick`, (h, 48) by (48, 128): as one (2h, 48)
+        # product, 64 float32 rows cross OpenBLAS's threading threshold, and a
+        # threaded product this small took up to 20 ms (mean 2.5 ms, median
+        # 30 us) on a shared 2-vCPU host unless BLAS was pinned to one thread.
         flip = cost[:, 48:] < cost[:, :48]
-        pick = np.empty((2 * h, 48))
-        np.minimum(cost[:, :48], cost[:, 48:], out=pick[:h])
-        pick[h:] = np.where(flip, par[:, 48:] + 8, par[:, :48])
-        sums = pick @ tb.class_sum  # flat index 128*half-row + class
-        b = sums[:h].reshape(-1)
-        res = tb.residual.take(sums[h:].astype(np.int64) + tb.owed).reshape(-1)
+        pick = np.empty((2, h, 48), yq.dtype)
+        np.minimum(cost[:, :48], cost[:, 48:], out=pick[0])
+        pick[1] = np.where(flip, par[:, 48:] + 8, par[:, :48])
+        sums = pick @ class_sum  # flat index 128*half-row + class in each half
+        b = sums[0].reshape(-1)
+        res = tb.residual.take(sums[1].astype(np.int64) + tb.owed).reshape(-1)
         # one-tetrad corrections by kind: none, flip the D24 parity, complement
         # keeping it, complement flipping it (via the other pattern's penalty if needed)
-        corr = np.zeros((4, h, 48))
+        corr = np.zeros((4, h, 48), yq.dtype)
         corr[1] = np.where(flip, pen[:, 48:], pen[:, :48])
         dc = np.abs(cost[:, 48:] - cost[:, :48])
         both = dc + np.where(flip, pen[:, :48], pen[:, 48:])
@@ -470,12 +529,12 @@ class LeechFastQuantizer(Quantizer):
         # pass 1: the least-B class of each half, with its correction, bounds the row
         starts = _CLASS_STARTS[:h]
         bc, _, one = bounds(starts + b.reshape(h, 128).argmin(axis=1))
-        bound = (bc + one).reshape(rows, 2).min(axis=1) + TIE_EPS
+        bound = (bc + one).reshape(rows, 2).min(axis=1) + eps
         # pass 2: B bounds its class from below, so only classes with B <= bound
         # can hold the row's least upper bound or its nearest coset
         at = (b.reshape(rows, 256) <= bound[:, None]).ravel().nonzero()[0]
         bc, md, one = bounds(at)
-        bound = np.minimum.reduceat(bc + one, at.searchsorted(starts[::2])) + TIE_EPS
+        bound = np.minimum.reduceat(bc + one, at.searchsorted(starts[::2])) + eps
         # one correction always works; two of the other kinds may be cheaper
         lb = bc + np.minimum(one, md.sum(axis=0) - one)
         at = at[lb <= bound.take(at >> 8)]
@@ -483,11 +542,13 @@ class LeechFastQuantizer(Quantizer):
         words = tb.word_rows.take(at & 127, axis=0) + (96 * (at >> 7))[:, None]
         rec = s.reshape(3, -1).take(words, axis=1).reshape(3, -1, 6, 32)
         tot = rec[:2].sum(axis=2)
-        score = tot[0] + (tot[1].astype(np.int64) & 1) * rec[2].min(axis=1)
+        # the parity as an integer of one byte, so the product keeps yq's dtype
+        odd = (tot[1].astype(np.int64) & 1).astype(np.int8)
+        score = tot[0] + odd * rec[2].min(axis=1)
         # first coset within TIE_EPS of the minimum, in table order m*4096 + codeword index
         start = 32 * at.searchsorted(starts[::2])
         low = np.minimum.reduceat(score.reshape(-1), start)
-        tied = score <= low.take(at >> 8)[:, None] + TIE_EPS
+        tied = score <= low.take(at >> 8)[:, None] + eps
         index = np.where(tied, tb.class_index.take(at & 255, axis=0), 8192)
         return np.minimum.reduceat(index.reshape(-1), start)
 
@@ -503,7 +564,7 @@ class EnumerationQuantizer(Quantizer):
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
-        b = lattice.float_generator()
+        b = lattice.generator.to_float()
         q, r = np.linalg.qr(b)
         sgn = np.sign(np.diag(r))
         sgn[sgn == 0] = 1.0
@@ -573,9 +634,10 @@ class ScaledQuantizer(Quantizer):
     dimension, and its output, which is its own (see `Quantizer`), is
     multiplied by alpha in place. Float rows are refused from alpha times
     2^52 on. Integer rows take float32 when alpha is a power of two 2^j,
-    the leaf is Zn or E8_int and every entry is below B(j) (`_F32_BOUNDS`):
-    dividing them by 2^j is exact, and so is every value the leaf makes, so
-    their points are those of the float64 rows. The leaf's rows are below
+    the leaf is Zn or E8_int (j <= 9) or Leech_int (j <= 8) and every entry
+    is below B(j) (`_F32_BOUNDS`): dividing them by 2^j is exact, and so is
+    every value the leaf makes, so their points are those of the float64
+    rows. The leaf's rows are below
     2^52 and a nearest point lies within the covering radius of its row, so
     the leaf's coordinates are below 2^53. Whether alpha times that fits
     int64 is decided once, here: it does for every stock scale, and then no
@@ -597,8 +659,8 @@ class ScaledQuantizer(Quantizer):
         top = int(np.iinfo(np.int64).max)
         self._top = None if self.alpha * 2 * _FLOAT_LIMIT <= top else top // self.alpha
         j = self.alpha.bit_length() - 1
-        if self.inner._f32_bound and self.alpha == 1 << j and j < len(_F32_BOUNDS):
-            self._f32_bound = _F32_BOUNDS[j]
+        if self.alpha == 1 << j and j < len(self.inner._f32_bounds):
+            self._f32_bound = self.inner._f32_bounds[j]
 
     def quantize_batch(self, ys):
         y = self._rows(ys)

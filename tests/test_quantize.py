@@ -16,7 +16,7 @@ from vorlat.lattice import Lattice, direct_sum, standard_lattice
 from vorlat.quantize import (
     _E8_BLOCK_BYTES,
     _F32_BOUNDS,
-    _LEECH_ROWS,
+    _LEECH_BLOCK_BYTES,
     TIE_EPS,
     DirectSumQuantizer,
     DnQuantizer,
@@ -26,6 +26,7 @@ from vorlat.quantize import (
     Quantizer,
     ScaledQuantizer,
     ZnQuantizer,
+    _leech_floats,
     _leech_tables,
     fold_batch,
     fold_mod_parallelotope_batch,
@@ -50,6 +51,9 @@ from oracles import (
 # rows per E8 block of float64 rows, and of the float32 rows integer input takes
 _F64_ROWS = _E8_BLOCK_BYTES // 8
 _F32_ROWS = _E8_BLOCK_BYTES // 4
+# and per Leech block
+_LEECH_F64_ROWS = _LEECH_BLOCK_BYTES // 8
+_LEECH_F32_ROWS = _LEECH_BLOCK_BYTES // 4
 
 
 def nearest(q, y):
@@ -416,14 +420,14 @@ def _all_or_sampled_ordinals(spec):
 def test_stock_encode_equals_the_float64_fold(name):
     """4096 random ordinals, and every ordinal of the stock specs that have at
     most 2^20 (all but leech24), encode as their representatives folded in
-    float64; every stock spec but leech24 folds them in float32."""
+    float64; every stock spec folds them in float32."""
     spec = builtin_spec(name)
     q = spec._quantizer
     ords = np.concatenate([random_ordinals(spec, 4096, seed=28), _all_or_sampled_ordinals(spec)])
     for lo in range(0, len(ords), 1 << 16):
         o = ords[lo : lo + (1 << 16)]
         r = spec.representative_batch(o)
-        assert _width(q, r) == (np.float64 if name == "leech24" else np.float32)
+        assert _width(q, r) == np.float32
         assert np.array_equal(spec.encode_batch(o), _fold_reference(q, r)), lo
 
 
@@ -456,13 +460,55 @@ def test_integer_rows_at_the_float32_bound_equal_the_float64_fold(lattice, j):
         assert np.array_equal(fold_batch(q, r), _fold_reference(q, r)), top
 
 
+def _octad_near_ties(j, rng):
+    """Integer rows at the scale 2^j that are nearer to 2c, for Golay octads c,
+    than to 0: 2^j times the midpoint of 0 and 2c, plus 1 in one coordinate
+    of the octad, whose squared distances differ by 2^-(j+2) at quarter
+    scale. The coset of 0 comes first in table order, so a tie margin of
+    that gap or more (2^-10 for j = 8) takes 0. Returns the rows and their
+    nearest points 2^j * 2c."""
+    words = golay.codewords()
+    octads = words[words.sum(axis=1) == 8][:16].astype(np.int64)
+    r = octads << j
+    r[np.arange(len(r)), [rng.choice(np.flatnonzero(o)) for o in octads]] += 1
+    return r, octads << j + 1
+
+
+@pytest.mark.parametrize("j", [0, 2, 8])
+def test_leech_integer_rows_at_the_float32_bound_equal_the_float64_fold(j):
+    """Integer rows through Leech_int at the scale 2^j: rows whose largest
+    |entry| is B(j) - 1 fold in float32 and rows that reach B(j) in float64,
+    both as the float64 fold and as the coset reference. The rows hold
+    full-size entries of both signs, random entries, odd entries next to the
+    bound and octad near-ties (`_octad_near_ties`)."""
+    lattice = standard_lattice("Leech_int").scaled(1 << j)
+    q = make_quantizer(lattice)
+    bound = _F32_BOUNDS[j]
+    assert q._f32_bound == bound
+    rng = np.random.default_rng(j)
+    ties, points = _octad_near_ties(j, rng)
+    for top, width in ((bound - 1, np.float32), (bound, np.float64)):
+        r = rng.integers(-top, top + 1, size=(80, 24))
+        r[:24] = rng.choice([-top, top], size=(24, 24))
+        r[24:40] = rng.choice([-top, top, top - 1, 1 - top, top - 3], size=(16, 24))
+        r[40, 0] = top
+        r[64:] = ties
+        assert _width(q, r) == width
+        got = fold_batch(q, r)
+        assert np.array_equal(got, _fold_reference(q, r)), top
+        assert np.array_equal(got, r - (leech_coset_reference(r / (1 << j)) << j)), top
+    assert _width(q, ties) == np.float32
+    assert np.array_equal(q.quantize_batch(ties), points)
+
+
 def test_integer_rows_past_the_float32_chains_take_float64():
-    """Scales that are not powers of two, or past 2^9, and leaves other than
-    Zn and E8_int, never take float32; what they fold equals the float64
-    reference, as does a spec at alpha 3."""
+    """Scales that are not powers of two, or past 2^9 (past 2^8 for Leech_int),
+    and leaves other than Zn, E8_int and Leech_int, never take float32; what
+    they fold equals the float64 reference, as does a spec at alpha 3."""
     e8 = standard_lattice("E8_int")
     for lattice in (e8.scaled(3), e8.scaled(1 << 10), e8.scaled(4).scaled(3),
-                    standard_lattice("Dn(8)").scaled(2), standard_lattice("Leech_int")):
+                    standard_lattice("Dn(8)").scaled(2),
+                    standard_lattice("Leech_int").scaled(1 << 9)):
         q = make_quantizer(lattice)
         assert q._f32_bound == 0
         r = np.random.default_rng(3).integers(-40, 41, size=(50, lattice.dim))
@@ -550,39 +596,55 @@ def test_leech_fast_matches_coset_reference():
         rng.uniform(-8, 8, size=(512, 24)),
     ):
         assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
-    # one batch call across two internal block boundaries equals single-row calls
-    ys = np.concatenate([reps[: _LEECH_ROWS + 2].astype(np.float64),
-                         rng.uniform(-8, 8, size=(_LEECH_ROWS + 1, 24))])
+    # one batch call across two internal block boundaries equals single-row
+    # calls: float64 rows, and integer rows, which take float32 in blocks twice
+    # as long, through the leech24 fold's scale 4
+    ys = np.concatenate([reps[: _LEECH_F64_ROWS + 2].astype(np.float64),
+                         rng.uniform(-8, 8, size=(_LEECH_F64_ROWS + 1, 24))])
     rows = np.stack([nearest(fast, y) for y in ys])
     assert np.array_equal(fast.quantize_batch(ys), rows)
+    scaled = spec._quantizer
+    rs = reps[: 2 * _LEECH_F32_ROWS + 1]
+    assert _width(scaled, rs) == np.float32
+    rows = np.concatenate([scaled.quantize_batch(r[None]) for r in rs])
+    assert np.array_equal(scaled.quantize_batch(rs), rows)
 
 
-@pytest.mark.parametrize("rows", [_LEECH_ROWS - 1, _LEECH_ROWS, _LEECH_ROWS + 1])
+@pytest.mark.parametrize("rows", [_LEECH_F64_ROWS - 1, _LEECH_F64_ROWS, _LEECH_F64_ROWS + 1,
+                                  _LEECH_F32_ROWS - 1, _LEECH_F32_ROWS, _LEECH_F32_ROWS + 1])
 def test_leech_fast_matches_coset_reference_around_one_block(rows):
-    """Batches just short of, at and just past one internal block, on the
-    inputs of a leech24 fold (encoder representatives over the scale 4) and
-    of second_moment_mc (uniform draws in the fundamental parallelotope)."""
+    """Batches just short of, at and just past one internal block of either
+    dtype, on the inputs of a leech24 fold: encoder representatives over the
+    scale 4 as float64 rows, and the integer representatives through the
+    leech24 quantizer, in float32; and of second_moment_mc (uniform draws in
+    the fundamental parallelotope), in float64."""
     lat = standard_lattice("Leech_int")
     fast = LeechFastQuantizer(lat)
     spec = builtin_spec("leech24")
-    reps = spec.representative_batch(random_ordinals(spec, rows, seed=rows)) / 4.0
+    reps = spec.representative_batch(random_ordinals(spec, rows, seed=rows))
     draws = np.random.default_rng(rows).random((rows, 24)) @ lat.float_triangular().T
-    for ys in (reps, draws):
-        assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
+    want = leech_coset_reference(reps / 4.0)
+    assert np.array_equal(fast.quantize_batch(reps / 4.0), want)
+    assert _width(spec._quantizer, reps) == np.float32
+    assert np.array_equal(spec._quantizer.quantize_batch(reps), 4 * want)
+    assert np.array_equal(fast.quantize_batch(draws), leech_coset_reference(draws))
 
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_leech_fast_matches_coset_reference_on_random_grids(data):
-    """Quarter-, half- and whole-integer rows are tie-heavy; uniform rows are not."""
+    """Quarter-, half- and whole-integer rows are tie-heavy; uniform rows are
+    not. Integer rows given as int64 take float32, the others float64; the
+    row counts reach past two blocks of either."""
     fast = LeechFastQuantizer(standard_lattice("Leech_int"))
-    rows = data.draw(st.integers(1, 2 * _LEECH_ROWS + 1))
-    kind = data.draw(st.sampled_from(["quarter", "half", "integer", "uniform"]))
+    rows = data.draw(st.integers(1, 2 * _LEECH_F32_ROWS + 1))
+    kind = data.draw(st.sampled_from(["quarter", "half", "integer", "int64", "uniform"]))
     if kind == "uniform":
         ys = data.draw(hnp.arrays(np.float64, (rows, 24), elements=st.floats(-8, 8)))
     else:
         ints = data.draw(hnp.arrays(np.int64, (rows, 24), elements=st.integers(-32, 32)))
-        ys = {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0}[kind]
+        ys = {"quarter": ints * 0.25, "half": ints + 0.5, "integer": ints * 1.0,
+              "int64": ints}[kind]
     assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
 
 
@@ -624,6 +686,19 @@ def test_golay_and_leech_tables_are_built_once_and_read_only():
     second = LeechFastQuantizer(standard_lattice("Leech_int"))
     assert (_leech_tables.cache_info().misses, golay.codewords.cache_info().misses) == misses
     assert second._tables is first
+
+
+def test_leech_float_tables_are_the_float64_tables_or_one_float32_copy():
+    """The float64 search reads `_leech_tables`' own float arrays; float32
+    reads read-only float32 copies of them, made once."""
+    tb = _leech_tables()
+    f64 = _leech_floats(np.dtype(np.float64))
+    assert all(a is b for a, b in zip(f64, (tb.offsets, tb.pattern_bits, tb.class_sum)))
+    f32 = _leech_floats(np.dtype(np.float32))
+    assert all(a is b for a, b in zip(_leech_floats(np.dtype(np.float32)), f32))
+    for a, b in zip(f32, f64):
+        assert a.dtype == np.float32 and not a.flags.writeable
+        assert np.array_equal(a, b)
 
 
 def test_leech_sextet_classes_partition_the_golay_code():
@@ -737,8 +812,8 @@ def test_leaf_quantizers_refuse_non_finite_input(quantizer, bad):
     n = quantizer.lattice.dim
     one = np.zeros(n)
     one[-1] = bad
-    # the last row of a full Leech block, after finite rows
-    block = np.zeros((_LEECH_ROWS, n))
+    # the last row of a full Leech block of float64 rows, after finite rows
+    block = np.zeros((_LEECH_F64_ROWS, n))
     block[-1, 0] = bad
     for ys in (one[None, :], block):
         with pytest.raises(ValueError, match=f"non-finite input {bad}"):

@@ -9,12 +9,13 @@ from integers in [-32, 32]. A line digests, for one quantizer and one kind,
 the int64 outputs of separate calls on the first 1, 31, 32, 33 and 4096
 rows, so batches on both sides of an internal block boundary are covered.
 
-The shaping quantizers of the stock specs also get int64 rows, as encode
-and decode fold them: "int64" entries in [-64, 64], and "int64-big"
-entries in [-2^18, 2^18], on both sides of the float32 bounds of their
-scales. Their lines digest calls on the first 1, 31, 32, 33, 511, 512,
-513, 1023, 1024, 1025 and 4096 rows: both E8 block sizes, 512 float64 and
-1024 float32 rows.
+The shaping quantizers of the stock specs, and Leech_int's, also get int64
+rows, as encode and decode fold them: "int64" entries in [-64, 64], and
+"int64-big" entries in [-2^18, 2^18], on both sides of the float32 bounds
+of their scales. Their lines digest calls on the first 1, 31, 32, 33, 63,
+64, 65, 511, 512, 513, 1023, 1024, 1025 and 4096 rows: both Leech block
+sizes, 32 float64 and 64 float32 rows, and both E8 block sizes, 512
+float64 and 1024 float32 rows.
 
     python tools/quantize_digest.py
 
@@ -38,7 +39,7 @@ from vorlat.shaping import BUILTIN_SPECS, builtin_spec  # noqa: E402
 LATTICES = ("Zn(8)", "Dn(8)", "E8_int", "Leech_int")
 SIZES = (1, 31, 32, 33, 4096)
 KINDS = ("uniform", "mc-draws", "quarter", "half", "integer")
-INT_SIZES = (1, 31, 32, 33, 511, 512, 513, 1023, 1024, 1025, 4096)
+INT_SIZES = (1, 31, 32, 33, 63, 64, 65, 511, 512, 513, 1023, 1024, 1025, 4096)
 INT_KINDS = {"int64": 64, "int64-big": 1 << 18}  # kind -> largest |entry|
 
 
@@ -74,8 +75,9 @@ def main() -> None:
         for seed, kind in enumerate(KINDS, start=2026):
             ys = inputs(kind, lattice, seed)
             print(f"{name:10s} {kind:9s} {digest(q.quantize_batch(ys[:m]) for m in SIZES)}")
-    for name in BUILTIN_SPECS:
-        q = builtin_spec(name)._quantizer
+    int_quantizers = [(name, builtin_spec(name)._quantizer) for name in BUILTIN_SPECS]
+    int_quantizers.append(("Leech_int", make_quantizer(standard_lattice("Leech_int"))))
+    for name, q in int_quantizers:
         for seed, (kind, top) in enumerate(INT_KINDS.items(), start=2031):
             rs = int_inputs(top, q.lattice, seed)
             print(f"{name:10s} {kind:9s} {digest(q.quantize_batch(rs[:m]) for m in INT_SIZES)}")
