@@ -36,20 +36,24 @@ from .intmat import (
 
 
 class Lattice:
-    """Full-rank integer lattice with a cached triangular generator."""
+    """Full-rank integer lattice with a cached triangular generator.
+
+    A lattice records nothing of how it was built: `make_quantizer` picks
+    its quantizer from the triangular (Hermite) form alone, so a stock
+    lattice given by any basis gets the same quantizer as the stock object.
+    """
 
     __slots__ = (
         "dim",
         "generator",
         "triangular_generator",
         "volume",
-        "structure",
         "cov_sq",
         "name",
         "_float_tri",
     )
 
-    def __init__(self, generator: IntMatrix, *, structure=None, cov_sq=None, name=None,
+    def __init__(self, generator: IntMatrix, *, cov_sq=None, name=None,
                  _triangular: IntMatrix | None = None):
         if not isinstance(generator, IntMatrix):
             generator = IntMatrix(generator)
@@ -67,7 +71,6 @@ class Lattice:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "triangular_generator", tri)
         object.__setattr__(self, "volume", vol)
-        object.__setattr__(self, "structure", structure)
         object.__setattr__(self, "cov_sq", cov_sq)
         object.__setattr__(self, "name", name)
         float_tri = tri.to_float()
@@ -93,7 +96,6 @@ class Lattice:
             return self
         return Lattice(
             self.generator.scale(k),
-            structure=None if self.structure is None else ("scaled", k, self),
             cov_sq=None if self.cov_sq is None else k * k * self.cov_sq,
             name=None if self.name is None else f"{k}*{self.name}",
             _triangular=self.triangular_generator.scale(k),
@@ -110,7 +112,7 @@ class Lattice:
 
 def _zn(n: int) -> Lattice:
     m = IntMatrix.identity(n)
-    return Lattice(m, structure=("Zn",), cov_sq=n / 4.0, name=f"Zn({n})", _triangular=m)
+    return Lattice(m, cov_sq=n / 4.0, name=f"Zn({n})", _triangular=m)
 
 
 def _dn(n: int) -> Lattice:
@@ -125,7 +127,7 @@ def _dn(n: int) -> Lattice:
     c[n - 2] = c[n - 1] = 1
     cols.append(c)
     gen = IntMatrix(list(zip(*cols)))
-    return Lattice(gen, structure=("Dn",), cov_sq=max(1.0, n / 4.0), name=f"Dn({n})")
+    return Lattice(gen, cov_sq=max(1.0, n / 4.0), name=f"Dn({n})")
 
 
 def _e8_int() -> Lattice:
@@ -143,7 +145,7 @@ def _e8_int() -> Lattice:
         [1, 1, 1, 1, 1, 1, 1, 1],
     ]
     gen = IntMatrix(rows).transpose()  # basis vectors as columns
-    lat = Lattice(gen, structure=("E8_int",), cov_sq=4.0, name="E8_int")
+    lat = Lattice(gen, cov_sq=4.0, name="E8_int")
     if lat.volume != 256:
         raise AssertionError("E8_int construction failed self-check")
     return lat
@@ -167,8 +169,7 @@ def _leech_int() -> Lattice:
         cols.append([2 * int(b) for b in row])
     cols.append([-3] + [1] * 23)
     tri = hnf_from_spanning(cols)
-    lat = Lattice(tri, structure=("Leech_int",), cov_sq=16.0, name="Leech_int",
-                  _triangular=tri)
+    lat = Lattice(tri, cov_sq=16.0, name="Leech_int", _triangular=tri)
     if lat.volume != 2**36:
         raise AssertionError("Leech_int construction failed self-check")
     return lat
@@ -207,8 +208,7 @@ def direct_sum(base: Lattice, copies: int, alpha: int = 1) -> Lattice:
     tri = IntMatrix.block_diagonal([block.triangular_generator] * copies)
     cov = None if block.cov_sq is None else copies * block.cov_sq
     name = None if base.name is None else f"{copies}x({alpha}*{base.name})"
-    structure = None if block.structure is None else ("blocks", copies, block)
-    return Lattice(gen, structure=structure, cov_sq=cov, name=name, _triangular=tri)
+    return Lattice(gen, cov_sq=cov, name=name, _triangular=tri)
 
 
 # ---------------------------------------------------------------------------

@@ -13,9 +13,12 @@ enumeration in the test suite. Second moments come from
 nearest point, block by block: E8_int takes it from its decoder's own coset
 distances, and every other quantizer from its points.
 
-A chain of scalings and direct sums is collapsed into one wrapper over its
-leaf quantizer when it is built (`ScaledQuantizer`), which checks and
-converts its rows once (`Quantizer._rows`). Float rows of any float dtype are
+`make_quantizer` reads which quantizer a lattice takes from its Hermite form
+alone (`_leaf_form`), so every basis of a lattice gets the same one: alpha
+times `copies` equal blocks of Zn, Dn, E8_int or Leech_int get one wrapper
+over the leaf quantizer (`ScaledQuantizer`), however the lattice was built,
+and the wrapper checks and converts its rows once (`Quantizer._rows`). Any
+other lattice gets sphere enumeration. Float rows of any float dtype are
 quantized in float64. Integer rows, which is what encode and decode fold,
 are quantized in float32 when that is exact: the chain's scale is a power of
 two 2^j, its leaf is Zn or E8_int (j <= 9) or Leech_int (j <= 8), and every
@@ -29,12 +32,13 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 
 import numpy as np
 
 from . import golay
-from .lattice import Lattice
+from .lattice import Lattice, standard_lattice
 
 TIE_EPS = 1e-9
 # Inputs must stay below this in magnitude: float64 has no halves from here
@@ -624,10 +628,11 @@ class EnumerationQuantizer(Quantizer):
 class ScaledQuantizer(Quantizer):
     """Nearest point of a lattice alpha * L (`Lattice.scaled`) from L's quantizer.
 
-    A chain of scalings and direct sums (`direct_sum`) over one leaf lattice
-    is collapsed when it is built, so it has one wrapper level however deep
-    it is: `alpha` is the product of its scales, `copies` that of its
-    copies, and `inner` the leaf's quantizer. The rows, in the new array
+    The lattice's Hermite form gives `alpha`, `copies` and the leaf
+    (`_leaf_form`), so a chain of scalings and direct sums (`direct_sum`)
+    of any depth, in any basis, has one wrapper level: `alpha` is the
+    product of its scales, `copies` the number of leaf blocks, and `inner`
+    the quantizer of the stock leaf lattice. The rows, in the new array
     `_rows` makes of them, are divided by alpha in place (in float64, the
     bits of `np.asarray(ys, float64) / alpha`; alpha 1 divides nothing and
     copies nothing), handed to `inner` as `_Checked` rows of the leaf's
@@ -647,15 +652,13 @@ class ScaledQuantizer(Quantizer):
 
     def __init__(self, lattice: Lattice):
         super().__init__(lattice)
-        self.alpha, self.copies, leaf = 1, 1, lattice
-        while leaf.structure and leaf.structure[0] in ("scaled", "blocks"):
-            tag, k, leaf = leaf.structure
-            if tag == "scaled":
-                self.alpha *= k
-            else:
-                self.copies *= k
-        self.inner = make_quantizer(leaf)
-        self._block = leaf.dim
+        form = _leaf_form(lattice.triangular_generator)
+        if form is None:
+            raise ValueError(f"{lattice!r} is not a scaled direct sum of Zn, Dn, "
+                             f"E8_int or Leech_int")
+        name, self.alpha, self.copies = form
+        self.inner = make_quantizer(standard_lattice(name))
+        self._block = self.inner.lattice.dim
         top = int(np.iinfo(np.int64).max)
         self._top = None if self.alpha * 2 * _FLOAT_LIMIT <= top else top // self.alpha
         j = self.alpha.bit_length() - 1
@@ -684,34 +687,80 @@ class ScaledQuantizer(Quantizer):
 
 class DirectSumQuantizer(ScaledQuantizer):
     """Blockwise quantizer for a direct sum of identical blocks (`direct_sum`):
-    the collapsed chain of `ScaledQuantizer`, for a lattice whose outer tag
-    is a direct sum."""
+    the collapsed chain of `ScaledQuantizer`, for a lattice whose scale
+    alpha is 1."""
 
     # an entry of the class's own, so a wrapper of each class's
     # `quantize_batch` (the perfbench tracer's) names direct sums apart
     quantize_batch = ScaledQuantizer.quantize_batch
 
 
-# Structure tag -> quantizer factory; untagged lattices fall back to enumeration.
-_DISPATCH = {
+# Leaf quantizers by the name of their stock lattice, less its dimension
+_LEAVES = {
     "Zn": ZnQuantizer,
     "Dn": DnQuantizer,
     "E8_int": E8FastQuantizer,
     "Leech_int": LeechFastQuantizer,
-    "scaled": ScaledQuantizer,
-    "blocks": DirectSumQuantizer,
 }
+# The volume of a leaf's Hermite form tells the leaves apart
+_LEAF_VOLUMES = {1: "Zn", 2: "Dn", 256: "E8_int", 1 << 36: "Leech_int"}
+
+
+# bounded, since each entry keeps its form alive: a 512-dim one is 262 144 ints
+@functools.lru_cache(maxsize=64)
+def _leaf_form(tri) -> tuple | None:
+    """(leaf name, alpha, copies) of the lattice whose Hermite form
+    (`Lattice.triangular_generator`) is `tri`, or None when it has no
+    structured quantizer.
+
+    alpha is the gcd of tri's entries. The lattice is alpha times `copies`
+    coordinate blocks of a stock leaf when tri / alpha is the identity (the
+    leaf Zn(n), one copy) or `copies` equal diagonal blocks, each the
+    Hermite form of Dn(d), E8_int (d = 8) or Leech_int (d = 24). A lattice
+    has one Hermite form, so every basis of it gets the same answer.
+    """
+    n = tri.rows
+    rows = [tri.row(i) for i in range(n)]
+    alpha = math.gcd(*itertools.chain.from_iterable(rows))
+    # the first diagonal block: the least d with no entry of columns < d in rows >= d
+    d, j = 1, 0
+    while j < d:
+        d = max(d, 1 + max(i for i in range(j, n) if rows[i][j]))
+        j += 1
+    copies, rest = divmod(n, d)
+    if rest or any(rows[b * d + i] != (0,) * (b * d) + rows[i][:d] + (0,) * (n - b * d - d)
+                   for b in range(1, copies) for i in range(d)):
+        return None
+    block = [tuple(x // alpha for x in r[:d]) for r in rows[:d]]
+    kind = _LEAF_VOLUMES.get(math.prod(block[i][i] for i in range(d)))
+    if kind is None:
+        return None
+    name = f"{kind}({d})" if kind in ("Zn", "Dn") else kind
+    leaf = standard_lattice(name).triangular_generator
+    if leaf.rows != d or any(block[i] != leaf.row(i) for i in range(d)):
+        return None
+    return (f"Zn({n})", alpha, 1) if kind == "Zn" else (name, alpha, copies)
 
 
 def make_quantizer(lattice: Lattice) -> Quantizer:
-    """The fastest exact quantizer the lattice structure supports.
+    """The fastest exact quantizer for the lattice, read from its Hermite form.
 
-    Zn, Dn, E8_int and Leech_int get their structured decoders, scaled
-    lattices and direct sums wrap their block's quantizer, and any other
-    lattice falls back to sphere enumeration.
+    A lattice that is alpha times a direct sum of copies of Zn, Dn, E8_int
+    or Leech_int (`_leaf_form`), in any basis, gets that leaf's structured
+    decoder: the leaf quantizer itself when alpha and copies are 1, and
+    otherwise one wrapper over it, a `ScaledQuantizer` when alpha is not 1
+    and a `DirectSumQuantizer` when it is. Any other lattice falls back to
+    sphere enumeration.
     """
-    tag = lattice.structure[0] if lattice.structure else None
-    return _DISPATCH.get(tag, EnumerationQuantizer)(lattice)
+    form = _leaf_form(lattice.triangular_generator)
+    if form is None:
+        return EnumerationQuantizer(lattice)
+    name, alpha, copies = form
+    if alpha != 1:
+        return ScaledQuantizer(lattice)
+    if copies != 1:
+        return DirectSumQuantizer(lattice)
+    return _LEAVES[name.split("(")[0]](lattice)
 
 
 def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:

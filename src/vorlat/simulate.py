@@ -30,6 +30,11 @@ _ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
 _BENCH_SAMPLE_NS = 5_000_000  # one complexity_bench timing sample lasts at least this
 _ENERGY_SAMPLES = 100_000  # messages of average_energy's Monte Carlo average
 _WILSON_Z = 1.96  # normal quantile of a two-sided 95% interval
+# OpenBLAS runs an (m, k) by (k, n) product of m*n*k <= 2^18 multiply-adds on
+# one thread (SMP_THRESHOLD_MIN 65536 times GEMM_MULTITHREAD_THRESHOLD 4). A
+# (4096, 24) by (24, 24) Leech draw is 2.4 M: unpinned on a 2-vCPU host, 300
+# of them read median 131 us but mean 2.6 ms and max 11.5 ms.
+_ONE_THREAD_MULADDS = 1 << 18
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
 
@@ -248,6 +253,16 @@ class NsmEstimate:
         return (10.0 / math.log(10.0)) * self.stderr / self.nsm
 
 
+def _draw_rows(n: int) -> int:
+    """Rows of one product of `second_moment_mc`'s draws by an (n, n)
+    generator: the largest power of two with rows * n^2 at most
+    _ONE_THREAD_MULADDS, but no fewer than 16, so that lattices past 128
+    dimensions make no one-row products. A power of two keeps every row on
+    the same BLAS kernel tiles, so the split products are those of one
+    product bit for bit (checked on OpenBLAS 0.3.31 for n = 8, 16 and 24)."""
+    return 1 << (max(_ONE_THREAD_MULADDS // (n * n), 16).bit_length() - 1)
+
+
 def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     """Monte Carlo normalized second moment of the quantizer's lattice.
 
@@ -257,7 +272,9 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     keyed (seed, b), so the estimate depends only on (seed, samples). Each
     block is drawn into the same two buffers, made once per call, and the
     stream of blocks is scored by `q._squared_error_blocks`: E8_int scores
-    each block in one pass, in one work area per call.
+    each block in one pass, in one work area per call. A block's points are
+    the products of its uniforms by the generator in row blocks of
+    `_draw_rows(n)`, each of which BLAS runs on one thread.
     """
     lat = q.lattice
     n = lat.dim
@@ -267,12 +284,16 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     samples = starts.stop
     u = np.empty((min(samples, _TRIAL_BLOCK), n))
     p = np.empty_like(u)
+    step = _draw_rows(n)
 
     def draws():
         for lo in starts:
             take = min(_TRIAL_BLOCK, samples - lo)
             _stream(seed, lo // _TRIAL_BLOCK).random(out=u[:take])
-            yield np.matmul(u[:take], t.T, out=p[:take])
+            for a in range(0, take, step):
+                b = min(a + step, take)
+                np.matmul(u[a:b], t.T, out=p[a:b])
+            yield p[:take]
 
     mean, stderr = _mc_mean(q._squared_error_blocks(draws()))
     return NsmEstimate(nsm=mean / scale, stderr=stderr / scale, samples=samples)

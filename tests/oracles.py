@@ -118,6 +118,16 @@ def spans_same_lattice(g, l) -> bool:
     return all_integer(u) and all_integer(v)
 
 
+def other_basis(lattice: Lattice) -> IntMatrix:
+    """A generator of the same lattice in another basis: the lattice's
+    generator times a fixed unimodular matrix (all-ones lower triangle times
+    the identity plus its superdiagonal), so every column mixes many
+    basis vectors."""
+    n = lattice.dim
+    u = np.tril(np.ones((n, n), dtype=object)) @ (np.eye(n, dtype=int) + np.eye(n, k=1, dtype=int))
+    return IntMatrix((np.array(lattice.generator.tolist(), dtype=object) @ u).tolist())
+
+
 def in_span(g, vec) -> bool:
     sol = frac_solve(g, [[x] for x in vec])
     return sol is not None and all_integer(sol)

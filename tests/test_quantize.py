@@ -34,8 +34,8 @@ from vorlat.quantize import (
     round_half_up,
 )
 from vorlat.codes import builtin_chain
-from vorlat.shaping import BUILTIN_SPECS, VoronoiCodeSpec, builtin_spec
-from vorlat.simulate import _TRIAL_BLOCK, random_ordinals, second_moment_mc
+from vorlat.shaping import BUILTIN_SPECS, VoronoiCodeSpec, builtin_spec, construction_d_lattice
+from vorlat.simulate import _TRIAL_BLOCK, _draw_rows, _stream, random_ordinals, second_moment_mc
 
 from oracles import (
     contains_point,
@@ -45,6 +45,7 @@ from oracles import (
     fold_mod_parallelotope,
     in_span,
     leech_coset_reference,
+    other_basis,
 )
 
 
@@ -130,12 +131,15 @@ def test_scaled_quantizer_refuses_points_past_int64():
 
 def test_nested_chains_collapse_to_one_wrapper():
     """Scalings and direct sums at any depth build one wrapper over the leaf
-    quantizer, its scale the product of theirs."""
+    quantizer, its scale the product of theirs. A lattice does not record
+    which operation came last: any scale other than 1 makes a
+    ScaledQuantizer."""
     e8 = standard_lattice("E8_int")
     for lattice, cls, alpha, copies in (
             (e8.scaled(2).scaled(4), ScaledQuantizer, 8, 1),
             (direct_sum(e8, 2, 4).scaled(8), ScaledQuantizer, 32, 2),
-            (direct_sum(direct_sum(e8, 3).scaled(2), 2), DirectSumQuantizer, 2, 6)):
+            (direct_sum(direct_sum(e8, 3).scaled(2), 2), ScaledQuantizer, 2, 6),
+            (direct_sum(direct_sum(e8, 3), 2), DirectSumQuantizer, 1, 6)):
         q = make_quantizer(lattice)
         assert (type(q), type(q.inner), q.alpha, q.copies) == (cls, E8FastQuantizer, alpha, copies)
     spec = builtin_spec("desk8-cube")
@@ -779,6 +783,11 @@ _LEAVES = {
 }
 
 
+def _form(q):
+    """A quantizer's wrapper type, leaf type, scale and copies."""
+    return type(q), type(_leaf(q)), q.alpha, getattr(q, "copies", 1)
+
+
 @pytest.mark.parametrize("name", ["Zn(4)", "Dn(4)", "E8_int", "Leech_int", *BUILTIN_SPECS])
 def test_make_quantizer_dispatches_to_the_structured_leaf(name):
     if name in BUILTIN_SPECS:
@@ -790,6 +799,31 @@ def test_make_quantizer_dispatches_to_the_structured_leaf(name):
     assert type(_leaf(q)) is _LEAVES[name]
     if name not in BUILTIN_SPECS:
         assert q is _leaf(q)
+    # the quantizer follows from the lattice, not from the basis it is given by
+    rebased = Lattice(other_basis(lattice))
+    assert rebased.generator != lattice.generator
+    got = make_quantizer(rebased)
+    assert got.lattice is rebased
+    assert _form(got) == _form(q)
+
+
+def test_construction_d_over_rep8_spc8_gets_the_e8_decoder():
+    # desk8's coding lattice is E8_int itself, given by a Construction D basis
+    assert type(make_quantizer(construction_d_lattice(builtin_chain("rep8-spc8")))) \
+        is E8FastQuantizer
+
+
+@pytest.mark.parametrize("lattice", [
+    # Leech_int with coordinates 0 and 1 swapped: another lattice, another Hermite form
+    Lattice(IntMatrix([standard_lattice("Leech_int").generator.row(i) for i in (1, 0, *range(2, 24))])),
+    # blocks of two leaves
+    Lattice(IntMatrix.block_diagonal([IntMatrix.identity(8), standard_lattice("E8_int").generator])),
+    Lattice(IntMatrix([[1, 0], [0, 2]])),
+], ids=["leech-swapped", "zn8+e8", "diag12"])
+def test_near_misses_of_the_structured_leaves_get_enumeration(lattice):
+    assert type(make_quantizer(lattice)) is EnumerationQuantizer
+    with pytest.raises(ValueError, match="not a scaled direct sum of Zn, Dn"):
+        ScaledQuantizer(lattice)
 
 
 def test_make_quantizer_auto_falls_back_to_enumeration():
@@ -1069,6 +1103,32 @@ def test_second_moment_zn_matches_uniform_box():
     assert est.stderr > 0
     assert abs(est.nsm - 1.0 / 12.0) < 4 * est.stderr
     assert abs(est.gain_db()) < 0.05
+
+
+class _DrawRecorder(Quantizer):
+    """Keeps a copy of every block of draws it is given, and scores each row 1."""
+
+    def _squared_error_blocks(self, blocks):
+        self.blocks = []
+        for ys in blocks:
+            self.blocks.append(ys.copy())
+            yield np.ones(len(ys))
+
+
+@pytest.mark.parametrize("name", ["E8_int", "Leech_int"])
+def test_second_moment_draws_are_whole_block_products(name):
+    """Row blocks of `_draw_rows` rows, which BLAS runs on one thread, give
+    each block's product with the generator bit for bit; the second block
+    is short and not a multiple of them."""
+    lat = standard_lattice(name)
+    n = lat.dim
+    assert _draw_rows(n) * n * n <= 1 << 18
+    q = _DrawRecorder(lat)
+    second_moment_mc(q, _TRIAL_BLOCK + 300, seed=9)
+    assert [len(b) for b in q.blocks] == [_TRIAL_BLOCK, 300]
+    for b, got in enumerate(q.blocks):
+        u = _stream(9, b).random((len(got), n))
+        assert np.array_equal(got, u @ lat.float_triangular().T)
 
 
 def test_second_moment_seed_determinism():

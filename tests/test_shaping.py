@@ -39,6 +39,7 @@ from oracles import (
     contains_point,
     enumerate_constellation_oracle,
     index_reference,
+    other_basis,
     representative_reference,
 )
 
@@ -337,11 +338,15 @@ def test_spec_file_with_file_references(tmp_path):
     (tmp_path / "c.chain").write_text("2 1 2\n2\n1 0\n0 1\n")
     (tmp_path / "b.mat").write_text("2 2\n1 0\n0 1\n")
     (tmp_path / "sys.vspec").write_text("chain = c.chain\nbase = b.mat\n")
+    (tmp_path / "stock.vspec").write_text("chain = c.chain\nbase = Zn(2)\n")
     spec = load_spec(tmp_path / "sys.vspec")
-    # trivial full code: constellation is Z^2 inside the Voronoi region of 2Z^2
+    # trivial full code: constellation is Z^2 inside the Voronoi region of
+    # 2Z^2; the identity base folds as Zn(2) does, halves toward +inf
     assert spec.message_count == 4
     pts = {tuple(map(int, p)) for p in spec.enumerate_constellation()}
-    assert pts == {(0, 0), (0, 1), (1, 0), (1, 1)}
+    assert pts == {(-1, -1), (-1, 0), (0, -1), (0, 0)}
+    stock = load_spec(tmp_path / "stock.vspec")
+    assert np.array_equal(spec.enumerate_constellation(), stock.enumerate_constellation())
 
 
 def test_spec_file_errors(tmp_path):
@@ -370,6 +375,28 @@ def test_stock_spec_is_its_table_entry_as_a_spec_file(tmp_path, name):
     assert loaded.message_count == stock.message_count
     ordinals = np.random.default_rng(29).integers(0, stock.message_count, 256)
     assert np.array_equal(loaded.encode_batch(ordinals), stock.encode_batch(ordinals))
+
+
+@pytest.mark.parametrize("name", ["desk8-e8", "leech24"])
+def test_stock_spec_with_its_base_in_another_basis(tmp_path, name):
+    """A spec file whose base is the stock base written as a matrix in
+    another basis builds the same constellation: same quantizer, same
+    points, same indices."""
+    values = dict(_STOCK_SPECS[name])
+    gen = other_basis(standard_lattice(values["base"]))
+    (tmp_path / "base.mat").write_text(
+        f"{gen.rows} {gen.cols}\n" + "".join(" ".join(map(str, r)) + "\n" for r in gen.tolist()))
+    values["base"] = "base.mat"
+    path = tmp_path / f"{name}.vspec"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+    loaded, stock = load_spec(path), builtin_spec(name)
+    assert loaded.base.generator == gen
+    assert type(loaded._quantizer.inner) is type(stock._quantizer.inner)
+    ordinals = np.random.default_rng(31).integers(0, stock.message_count, 512)
+    points = loaded.encode_batch(ordinals)
+    assert np.array_equal(points, stock.encode_batch(ordinals))
+    assert np.array_equal(loaded.index_batch(points), ordinals)
+    assert np.array_equal(stock.index_batch(points), ordinals)
 
 
 def test_get_spec_stock_and_path(tmp_path):
