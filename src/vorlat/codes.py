@@ -317,7 +317,7 @@ BUILTIN_CHAINS = tuple(_STOCK_CHAINS)
 
 
 def builtin_chain(name: str) -> CodeChain:
-    if name not in _STOCK_CHAINS:
+    if not isinstance(name, str) or name not in _STOCK_CHAINS:
         raise ValueError(f"unknown chain {name!r}")
     return _STOCK_CHAINS[name]()
 

@@ -32,7 +32,7 @@ def _integer(name: str, value, low: int | None = None) -> int:
 class IntMatrix:
     """Immutable matrix of Python ints with exact arithmetic."""
 
-    __slots__ = ("_data", "rows", "cols")
+    __slots__ = ("_data", "rows", "cols", "_hash")
 
     def __init__(self, entries):
         data = tuple(tuple(_integer("matrix entry", x) for x in row) for row in entries)
@@ -44,6 +44,7 @@ class IntMatrix:
         object.__setattr__(self, "_data", data)
         object.__setattr__(self, "rows", len(data))
         object.__setattr__(self, "cols", w)
+        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
@@ -100,7 +101,11 @@ class IntMatrix:
         return isinstance(other, IntMatrix) and self._data == other._data
 
     def __hash__(self):
-        return hash(self._data)
+        # hashed on the first call only: a cache keyed by a 24 x 24 matrix
+        # would otherwise pay 2.5 us a lookup to rehash its rows
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash(self._data))
+        return self._hash
 
     def __repr__(self):
         body = ", ".join(str(list(r)) for r in self._data)

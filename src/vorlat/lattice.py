@@ -178,7 +178,10 @@ def _leech_int() -> Lattice:
 def standard_lattice(name: str) -> Lattice:
     """Named lattice zoo: Zn(n), Dn(n), E8_int, Leech_int. Surrounding
     whitespace is ignored, and each name is built once: every call with it
-    returns the same object."""
+    returns the same object. A name that is not a str is refused as an
+    unknown one is."""
+    if not isinstance(name, str):
+        raise ValueError(f"unknown lattice name {name!r}")
     return _zoo(name.strip())
 
 

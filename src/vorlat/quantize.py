@@ -10,8 +10,10 @@ ties (difference below 1e-9) by the lexicographically smallest lattice point.
 Fast structured decoders are exact and are cross-checked against sphere
 enumeration in the test suite. Second moments come from
 `Quantizer._squared_error_blocks`, each row's squared distance to its
-nearest point, block by block: E8_int takes it from its decoder's own coset
-distances, and every other quantizer from its points.
+nearest point, block by block: E8_int and Leech_int take it from their
+decoders' own distances, with no point built (the D8 distance formula on
+both cosets, and the least score of the class search), and every other
+quantizer from its points.
 
 `make_quantizer` reads which quantizer a lattice takes from its Hermite form
 alone (`_leaf_form`), so every basis of a lattice gets the same one: alpha
@@ -212,10 +214,16 @@ class Quantizer:
 
     def _squared_error_blocks(self, blocks):
         """For each array of rows of the iterable `blocks`, yield a new array
-        of each row's squared distance to its nearest lattice point, summed
-        in the pairwise order of a row-major `.sum(axis=1)`; a block is
-        refused as by `quantize_batch`. A block is scored before the next is
-        taken, so a caller may draw every block into the same buffer."""
+        of each row's squared distance to its nearest lattice point; a block
+        is refused as by `quantize_batch`. A block is scored before the next
+        is taken, so a caller may draw every block into the same buffer.
+
+        Here the distance is that of the point `quantize_batch` returns,
+        the row-major `.sum(axis=1)` of (y - point)^2. `E8FastQuantizer` and
+        `LeechFastQuantizer` yield their decoder's own squared distance
+        instead, with no point built: the same bits on integer, half- and
+        quarter-integer rows, where every value is exact, and on float rows
+        the same up to rounding (a few units of 1e-15 relative)."""
         for ys in blocks:
             y = np.asarray(ys, dtype=np.float64)
             e = y - self.quantize_batch(y)
@@ -246,7 +254,8 @@ class DnQuantizer(Quantizer):
 # calls), but a 4096-row desk8-e8 encode, then folded in float64, peaked at
 # 1412 KiB under tracemalloc, past the 1152 KiB bound of its memory test
 # (1092 KiB at 512 rows). Monte Carlo estimates do not share this bound:
-# `second_moment_mc` scores each sample block in one pass.
+# `E8FastQuantizer._squared_error_blocks` scores each sample block in one
+# pass, in a (2, 2, 8, rows) float64 work area, 1 MiB at 4096 rows.
 _E8_BLOCK_BYTES = 4096
 
 
@@ -258,14 +267,13 @@ def _e8_work(rows: int, dtype) -> tuple:
 
 
 def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
-    """(f, pick, da, db) for the rows of y: the nearest points f of both
-    cosets w = (y/2, y/2 - 1/2) at half scale, shape (2, 8, rows), rounded in
-    one `_dn_columns` call; where the second coset's point is the nearer one;
-    and both points' squared distances to y/2.
+    """(f, pick) for the rows of y: the nearest points f of both cosets
+    w = (y/2, y/2 - 1/2) at half scale, shape (2, 8, rows), rounded in one
+    `_dn_columns` call, and where the second coset's point is the nearer one.
 
     Every array of the block's shape is one of `work` (`_e8_work`), or a
     view of its first rows for a shorter last block, so a call's blocks all
-    write into the same memory and the caller may overwrite f, da and db.
+    write into the same memory and the caller may overwrite f.
     """
     w, dn = work
     if len(y) < w.shape[-1]:
@@ -287,7 +295,7 @@ def _e8_cosets(y: np.ndarray, work: tuple) -> tuple:
     # first coordinate: on a tie the smaller first one is the smaller point
     tie = np.abs(da - db) <= eps
     pick = (db < da - eps) | (tie & (f[1, 0] < f[0, 0]))
-    return f, pick, da, db
+    return f, pick
 
 
 class E8FastQuantizer(Quantizer):
@@ -303,8 +311,12 @@ class E8FastQuantizer(Quantizer):
     that all work in the same buffers, made once per call in the rows' float
     dtype (`_e8_work`), so memory stays bounded by the output plus one
     block's buffers whatever the batch size.
-    `_squared_error_blocks` returns the kept coset's distance, which the
-    decoder has already summed, without building the point. It scores each
+    `_squared_error_blocks` scores each row by the D_n distance formula
+    (Conway & Sloane, 1982) on both cosets and keeps the smaller: a coset's
+    round with errors e is at squared distance sum(e^2), plus 1 - 2*max|e|
+    where its coordinate sum is odd (the flip of `_dn_columns`). It makes
+    no flip, coset pick or point, and agrees with the kept point's distance
+    bit for bit on integer, half- and quarter-integer rows. It scores each
     block of a stream in one pass, every block in one work area sized to
     the first (and remade only for a longer block), which is how
     `second_moment_mc` scores whole sample blocks.
@@ -318,7 +330,7 @@ class E8FastQuantizer(Quantizer):
         rows = _E8_BLOCK_BYTES // y.itemsize
         work = _e8_work(min(len(y), rows), y.dtype)
         for lo in range(0, len(y), rows):
-            f, pick, _, _ = _e8_cosets(y[lo : lo + rows], work)
+            f, pick = _e8_cosets(y[lo : lo + rows], work)
             half = np.where(pick, f[1], f[0])
             np.add(half, half, out=out[lo : lo + rows].T, casting="unsafe")
         return out
@@ -327,13 +339,29 @@ class E8FastQuantizer(Quantizer):
         work = None
         for ys in blocks:
             y = _finite(ys, 8)
-            if work is None or len(y) > work[0].shape[-1]:
-                work = _e8_work(len(y), y.dtype)
-            _, pick, da, db = _e8_cosets(y, work)
-            # 4 ||y/2 - f||^2 is ||y - 2f||^2 bit for bit: the same sums scaled by a power of two
-            s = np.where(pick, db, da)
-            s *= 4.0
-            yield s
+            if work is None or len(y) > work.shape[-1]:
+                work = np.empty((2, 2, 8, len(y)))
+            # the cosets w = (y/2, y/2 - 1/2) and their rounds, halves toward +inf
+            w, f = work[..., : len(y)]
+            np.multiply(y.T, 0.5, w[0])
+            np.subtract(w[0], 0.5, w[1])
+            np.add(w, 0.5, f)
+            np.floor(f, f)
+            e = np.subtract(w, f, w)  # in [-0.5, 0.5)
+            half = f.sum(axis=1) * 0.5
+            odd = half != np.floor(half)
+            # D8's flip steps the largest |e| of an odd sum, which adds
+            # (1 - |e|)^2 - e^2 = 1 - 2 max|e| to the sum of squares
+            pen = (1.0 - 2.0 * np.abs(e, f).max(axis=1)) * odd
+            e *= e
+            s = e[:, 0::2] + e[:, 1::2]
+            s = s[:, 0::2] + s[:, 1::2]
+            d = s[:, 0] + s[:, 1]
+            d += pen
+            # 4 ||y/2 - p||^2 is ||y - 2p||^2: scaling by a power of two is exact
+            d = np.minimum(d[0], d[1])
+            d *= 4.0
+            yield d
 
 
 # Bytes of one coordinate of a block of `LeechFastQuantizer.quantize_batch`: 32
@@ -457,6 +485,11 @@ class LeechFastQuantizer(Quantizer):
     float64 otherwise. Blocks hold _LEECH_BLOCK_BYTES per coordinate, 32
     float64 or 64 float32 rows, and the float tables are taken in the rows'
     dtype (`_leech_floats`).
+
+    `_squared_error_blocks` runs the same search in float64 and yields 16
+    times each row's least score, the squared distance at quarter scale
+    that the search has already summed: no table gather, no final D24 round
+    and no int64 point.
     """
 
     _f32_bounds = _F32_BOUNDS[:9]
@@ -467,20 +500,34 @@ class LeechFastQuantizer(Quantizer):
 
     def quantize_batch(self, ys):
         y = self._rows(ys)
-        quarter = _SCALARS[y.dtype][3]
-        yq = y * quarter
+        t = self._tables.table[self._search(y)[0]]
+        w = ((y - t) * _SCALARS[y.dtype][3]).T
+        return t + 4 * _dn_columns(w, _dn_work(w)).T.astype(np.int64)
+
+    def _squared_error_blocks(self, blocks):
+        for ys in blocks:
+            _, low = self._search(_finite(ys, 24))
+            low *= 16.0  # the search scores distances at quarter scale
+            yield low
+
+    def _search(self, y):
+        """(best, low) for the float rows y: `_nearest_cosets` run on
+        blocks of _LEECH_BLOCK_BYTES per coordinate of y / 4."""
+        yq = y * _SCALARS[y.dtype][3]
         floats = _leech_floats(y.dtype)
         rows = _LEECH_BLOCK_BYTES // y.itemsize
         best = np.empty(len(y), dtype=np.int64)
+        low = np.empty(len(y), dtype=y.dtype)
         for lo in range(0, len(y), rows):
-            best[lo : lo + rows] = self._nearest_cosets(yq[lo : lo + rows], floats)
-        t = self._tables.table[best]
-        w = ((y - t) * quarter).T
-        return t + 4 * _dn_columns(w, _dn_work(w)).T.astype(np.int64)
+            best[lo : lo + rows], low[lo : lo + rows] = self._nearest_cosets(
+                yq[lo : lo + rows], floats)
+        return best, low
 
     def _nearest_cosets(self, yq, floats):
-        """Table index of the first nearest coset for each row of yq = y / 4,
-        with the float tables `floats` in yq's dtype."""
+        """(best, low) for the rows of yq = y / 4, with the float tables
+        `floats` in yq's dtype: the table index of each row's first nearest
+        coset, and the least score of any coset, the row's squared distance
+        to Leech_int / 4."""
         tb = self._tables
         offsets, pattern_bits, class_sum = floats
         _, half, eps, _ = _SCALARS[yq.dtype]
@@ -554,7 +601,7 @@ class LeechFastQuantizer(Quantizer):
         low = np.minimum.reduceat(score.reshape(-1), start)
         tied = score <= low.take(at >> 8)[:, None] + eps
         index = np.where(tied, tb.class_index.take(at & 255, axis=0), 8192)
-        return np.minimum.reduceat(index.reshape(-1), start)
+        return np.minimum.reduceat(index.reshape(-1), start), low
 
 
 class EnumerationQuantizer(Quantizer):

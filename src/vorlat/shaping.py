@@ -400,7 +400,7 @@ BUILTIN_SPECS = tuple(_STOCK_SPECS)
 def builtin_spec(name: str) -> VoronoiCodeSpec:
     """Stock constellation by name: its `_STOCK_SPECS` spec file values,
     built as `load_spec` builds a file's, with the name as its label."""
-    if name not in _STOCK_SPECS:
+    if not isinstance(name, str) or name not in _STOCK_SPECS:
         raise ValueError(f"unknown constellation {name!r}")
     return _spec_from_values({**_STOCK_SPECS[name], "name": name}, "")
 
@@ -475,10 +475,11 @@ def _resolve_base(value: str, base_dir: str) -> Lattice:
 
 
 def get_spec(name_or_path: str) -> VoronoiCodeSpec:
-    """Stock constellation by name, or a spec file by path."""
+    """Stock constellation by name, or a spec file by path (a str or a
+    path-like object)."""
     if name_or_path in BUILTIN_SPECS:
         return builtin_spec(name_or_path)
-    if os.path.exists(name_or_path):
+    if isinstance(name_or_path, (str, os.PathLike)) and os.path.exists(name_or_path):
         return load_spec(name_or_path)
     raise ValueError(
         f"{name_or_path!r} is not a stock constellation or a readable spec file; "

@@ -271,10 +271,12 @@ def second_moment_mc(q: Quantizer, samples: int, seed: int = 0) -> NsmEstimate:
     standard error. Block b of _TRIAL_BLOCK samples draws from the stream
     keyed (seed, b), so the estimate depends only on (seed, samples). Each
     block is drawn into the same two buffers, made once per call, and the
-    stream of blocks is scored by `q._squared_error_blocks`: E8_int scores
-    each block in one pass, in one work area per call. A block's points are
-    the products of its uniforms by the generator in row blocks of
-    `_draw_rows(n)`, each of which BLAS runs on one thread.
+    stream of blocks is scored by `q._squared_error_blocks`: E8_int and
+    Leech_int score each row by their decoders' own squared distances, with
+    no point built, E8_int each block in one pass and one work area per
+    call. A block's points are the products of its uniforms by the
+    generator in row blocks of `_draw_rows(n)`, each of which BLAS runs on
+    one thread.
     """
     lat = q.lattice
     n = lat.dim
@@ -597,7 +599,7 @@ DECODE_MODES = {"multistage": MultistageDecoder, "exhaustive_ml": ExhaustiveDeco
 
 
 def make_decoder(spec: VoronoiCodeSpec, mode: str):
-    if mode not in DECODE_MODES:
+    if not isinstance(mode, str) or mode not in DECODE_MODES:
         raise ValueError(f"unknown decode mode {mode!r}")
     return DECODE_MODES[mode](spec)
 

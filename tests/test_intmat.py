@@ -37,6 +37,18 @@ def test_basic_algebra():
     assert IntMatrix.identity(3).tolist() == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
 
+def test_equal_matrices_hash_equal_and_the_hash_never_changes():
+    a = IntMatrix([[1, 2], [3, 4]])
+    b = IntMatrix([(1, 2), (3, 4)])
+    first = hash(a)
+    assert a == b and hash(b) == first == hash(a)
+    assert hash(IntMatrix([[1, 2], [3, 5]])) != first  # no collision for this pair
+    assert {a: 1}[b] == 1
+    with pytest.raises(AttributeError):
+        a._hash = 0
+    assert hash(a) == first
+
+
 def test_block_diagonal():
     a = IntMatrix([[1, 2], [3, 4]])
     m = IntMatrix.block_diagonal([a, IntMatrix([[7]])])

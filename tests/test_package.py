@@ -2,12 +2,19 @@
 and the public functions, which must have a caller outside the tests."""
 
 import ast
+import re
 import importlib
 import importlib.util
 from pathlib import Path
 from types import SimpleNamespace
 
+import pytest
+
 import vorlat
+from vorlat.codes import builtin_chain
+from vorlat.lattice import standard_lattice
+from vorlat.shaping import builtin_spec, get_spec
+from vorlat.simulate import make_decoder
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "vorlat"
@@ -109,3 +116,14 @@ def test_every_public_function_is_used_outside_the_tests():
     unused = [f"{path.name}:{lineno} {name}" for path, lineno, name in _public_defs()
               if name not in used]
     assert not unused
+
+
+@pytest.mark.parametrize("lookup", [
+    builtin_spec, builtin_chain, standard_lattice, get_spec,
+    lambda name: make_decoder(builtin_spec("pair2"), name),
+], ids=["builtin_spec", "builtin_chain", "standard_lattice", "get_spec", "make_decoder"])
+@pytest.mark.parametrize("name", [["E8_int"], ("pair2",), 3, None, b"pair2"], ids=repr)
+def test_stock_name_lookups_refuse_a_name_that_is_not_a_str(lookup, name):
+    """As an unknown name is refused: with a ValueError that names it."""
+    with pytest.raises(ValueError, match=re.escape(repr(name))):
+        lookup(name)

@@ -1,5 +1,6 @@
 """Tests for nearest-point search, folding, and second-moment estimation."""
 
+import math
 import re
 import tracemalloc
 from itertools import combinations
@@ -331,35 +332,41 @@ def test_e8_fast_steps_the_first_of_two_largest_errors():
     assert nearest(fast, [2.0, 0, 0, 0, 0, 0, 0, 0]).tolist() == [0] * 8
 
 
-class _E8Reference(Quantizer):
-    """E8_int through the row-major reference, scored by the base class."""
+class _PointScored(Quantizer):
+    """The points of `quantize`, a function of rows, scored by the base
+    class as the row sums of their folded squares: the point-based path."""
 
-    def quantize_batch(self, ys):
-        return e8_round_reference(ys)
-
-
-def test_second_moment_is_the_same_through_the_e8_reference():
-    lat = standard_lattice("E8_int")
-    fast = second_moment_mc(E8FastQuantizer(lat), samples=20000, seed=3)
-    assert fast == second_moment_mc(_E8Reference(lat), samples=20000, seed=3)
+    def __init__(self, lattice, quantize):
+        super().__init__(lattice)
+        self.quantize_batch = quantize
 
 
-@pytest.mark.parametrize("samples", [1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1,
-                                     2 * _TRIAL_BLOCK + 1])
-def test_second_moment_matches_the_e8_reference_around_sample_blocks(samples):
-    """One-pass block scoring, a short last block and a one-sample estimate."""
-    lat = standard_lattice("E8_int")
-    fast = second_moment_mc(E8FastQuantizer(lat), samples=samples, seed=5)
-    assert fast == second_moment_mc(_E8Reference(lat), samples=samples, seed=5)
+@pytest.mark.parametrize("samples", [1, _TRIAL_BLOCK - 1, _TRIAL_BLOCK, _TRIAL_BLOCK + 1, 20_000])
+@pytest.mark.parametrize("name", ["E8_int", "Leech_int"])
+def test_second_moment_is_the_point_based_estimate(name, samples):
+    """The decoders' own distances give the estimate of the folded squares
+    of their points to 1e-12 relative, in one block, around the block
+    boundary and over several; E8_int's points are the row-major
+    reference's. A one-sample estimate has a standard error of 0."""
+    lat = standard_lattice(name)
+    q = make_quantizer(lat)
+    points = _PointScored(lat, e8_round_reference if name == "E8_int" else q.quantize_batch)
+    fast = second_moment_mc(q, samples=samples, seed=5)
+    slow = second_moment_mc(points, samples=samples, seed=5)
+    assert fast.samples == slow.samples == samples
+    assert math.isclose(fast.nsm, slow.nsm, rel_tol=1e-12)
+    assert math.isclose(fast.stderr, slow.stderr, rel_tol=1e-12)
 
 
-def test_e8_squared_error_blocks_equal_the_row_sums_of_each_folded_block():
+def test_e8_squared_error_blocks_score_a_stream_drawn_into_one_buffer():
     """A stream drawn into one buffer, as second_moment_mc draws it: full
-    blocks, a one-row block and a block longer than the first."""
+    blocks, a one-row block and a block longer than the first. Each block
+    scores as it does alone, and its tie rows, half-integers (ties between
+    and within cosets), score as their folded squares bit for bit."""
     fast = E8FastQuantizer(standard_lattice("E8_int"))
     rng = np.random.default_rng(12)
     blocks = [rng.uniform(-16.0, 16.0, (rows, 8)) for rows in (4096, 4096, 1, 5000)]
-    blocks[1][::7] = np.round(blocks[1][::7]) + 0.5  # ties between and within cosets
+    blocks[1][::7] = np.round(blocks[1][::7]) + 0.5
     buffer = np.empty((5000, 8))
 
     def drawn():
@@ -371,11 +378,13 @@ def test_e8_squared_error_blocks_equal_the_row_sums_of_each_folded_block():
     assert len(got) == len(blocks)
     for b, s in zip(blocks, got):
         assert s.dtype == np.float64
-        assert np.array_equal(s, ((b - fast.quantize_batch(b)) ** 2).sum(axis=1))
+        assert np.array_equal(s, _squared_errors(fast, b))
+    ties = blocks[1][::7]
+    assert np.array_equal(got[1][::7], ((ties - fast.quantize_batch(ties)) ** 2).sum(axis=1))
 
 
 def test_e8_second_moment_memory_is_the_draw_buffers_plus_one_work_area():
-    """Two (4096, 8) sample buffers, one 4096-row work area (1664 KiB) and
+    """Two (4096, 8) sample buffers, one 4096-row work area (1024 KiB) and
     one block's distance sums."""
     q = E8FastQuantizer(standard_lattice("E8_int"))
     second_moment_mc(q, 4 * _TRIAL_BLOCK, seed=1)  # builds cached lattice data
@@ -910,8 +919,15 @@ def _squared_errors(quantizer, ys):
     return got
 
 
+# E8_int and Leech_int score rows by their decoders' own distances, every
+# other quantizer by its points
+_DECODER_SCORED = [q for q in _SQUARED_ERROR_QUANTIZERS
+                   if isinstance(q, (E8FastQuantizer, LeechFastQuantizer))]
+_POINT_SCORED = [q for q in _SQUARED_ERROR_QUANTIZERS if q not in _DECODER_SCORED]
+
+
 @pytest.mark.parametrize("rows", [1, _F64_ROWS - 1, _F64_ROWS, _F64_ROWS + 1])
-@pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)
+@pytest.mark.parametrize("quantizer", _POINT_SCORED, ids=lambda q: type(q).__name__)
 def test_squared_error_blocks_equal_the_row_sums_of_the_folded_squares(quantizer, rows):
     """Bit for bit, on every kind of input, ties included, around E8's
     quantize block size."""
@@ -921,6 +937,49 @@ def test_squared_error_blocks_equal_the_row_sums_of_the_folded_squares(quantizer
         got = _squared_errors(quantizer, ys)
         assert got.dtype == np.float64 and got.shape == (rows,), kind
         assert np.array_equal(got, ((ys - quantizer.quantize_batch(ys)) ** 2).sum(axis=1)), kind
+
+
+def _decoder_score_bound(quantizer, ys, want):
+    """How far a decoder's own squared distance may lie from `want`, the
+    row sum of the folded squares (ys - p)^2 of its point p, per row of
+    float64 rows ys: 2^-46 (n s (max|y| + 2s) + want).
+
+    With u = 2^-53: the decoder works at scale 1/s (s = 2 for E8_int, 4 for
+    Leech_int) on w = y/s less a coset offset below 2 in magnitude, where
+    only the subtraction rounds, so each rounding error e (|e| <= 1/2) is
+    off by at most d = u (max|y|/s + 2), each e^2 by at most 1.01 d, and
+    the penalty 1 - 2 max|e| by at most 2d + u. Sums of at most n = 24
+    nonnegative terms, then the penalty, add at most 32u relative, and so
+    do the folded squares, whose y - p is exact. Scaled back by s^2 that is
+    at most s^2 (n + 3) 1.01 d + 64u want, within the bound above. p must
+    be the nearest point: a row with two within TIE_EPS could keep one up
+    to s^2 TIE_EPS farther, and these seeded rows have none."""
+    n = quantizer.lattice.dim
+    s = 2 if n == 8 else 4
+    return 2.0**-46 * (n * s * (np.abs(ys).max(axis=1) + 2 * s) + want)
+
+
+@pytest.mark.parametrize("quantizer, rows", [
+    *((_DECODER_SCORED[0], rows) for rows in (1, _F64_ROWS - 1, _F64_ROWS, _F64_ROWS + 1)),
+    *((_DECODER_SCORED[1], rows) for rows in (1, _LEECH_F64_ROWS - 1, _LEECH_F64_ROWS,
+                                              _LEECH_F64_ROWS + 1, 2 * _LEECH_F64_ROWS - 1,
+                                              2 * _LEECH_F64_ROWS, 2 * _LEECH_F64_ROWS + 1)),
+], ids=lambda v: type(v).__name__ if isinstance(v, Quantizer) else str(v))
+def test_decoder_squared_distances_are_the_folded_squares(quantizer, rows):
+    """E8_int's and Leech_int's own squared distances equal the row sums of
+    their folded squares bit for bit on quarter-, half- and whole-integer
+    rows, where every value is exact, and within `_decoder_score_bound` on
+    float rows; across E8's quantize blocks and Leech's search blocks."""
+    rng = np.random.default_rng(rows)
+    for kind in ("uniform", "mc-draws", "quarter", "half", "integer"):
+        ys = _squared_error_inputs(kind, quantizer.lattice, rows, rng)
+        got = _squared_errors(quantizer, ys)
+        want = ((ys - quantizer.quantize_batch(ys)) ** 2).sum(axis=1)
+        assert got.dtype == np.float64 and got.shape == (rows,), kind
+        if kind in ("uniform", "mc-draws"):
+            assert (np.abs(got - want) <= _decoder_score_bound(quantizer, ys, want)).all(), kind
+        else:
+            assert np.array_equal(got, want), kind
 
 
 @pytest.mark.parametrize("quantizer", _SQUARED_ERROR_QUANTIZERS, ids=lambda q: type(q).__name__)

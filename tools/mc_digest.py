@@ -7,13 +7,17 @@ just past the 4096-sample block boundary, and a partial last block follows
 full ones. sampled_energy of the leech24 spec runs on 512 samples at the
 same seeds. A line digests one estimate as the repr of its field tuple.
 
-    python tools/mc_digest.py
+    python tools/mc_digest.py [--digits D]
 
-imports vorlat from the src/ directory next to this script.
+imports vorlat from the src/ directory next to this script. With --digits,
+every float is first rounded to D significant digits, so two hosts whose
+BLAS sums the draws in another order print the same lines (see
+tests/golden_digests.txt).
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import hashlib
 import sys
@@ -31,11 +35,13 @@ SAMPLES = (1, 4095, 4096, 4097, 20_000)
 SEEDS = (1, 91)
 
 
-def digest(fields) -> str:
-    return hashlib.sha256(repr(fields).encode()).hexdigest()
+def main(digits: int | None = None) -> None:
+    def digest(fields) -> str:
+        if digits is not None:
+            fields = tuple(float(f"{x:.{digits - 1}e}") if isinstance(x, float) else x
+                           for x in fields)
+        return hashlib.sha256(repr(fields).encode()).hexdigest()
 
-
-def main() -> None:
     for name in LATTICES:
         q = make_quantizer(standard_lattice(name))
         for seed in SEEDS:
@@ -49,4 +55,7 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--digits", type=int, help="round every float to this many "
+                        "significant digits before digesting it")
+    main(parser.parse_args().digits)
