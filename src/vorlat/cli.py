@@ -31,6 +31,9 @@ from .simulate import (
 )
 
 
+_SWEEP_LIMIT = 1000  # most Es/N0 points one --sweep may hold
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this project reserves 2 for data
     mismatches, so usage problems exit 1 instead."""
@@ -54,11 +57,13 @@ def _sweep_values(text: str) -> list:
         raise argparse.ArgumentTypeError("sweep step must be positive")
     if start > stop:
         raise argparse.ArgumentTypeError("sweep is empty (start > stop)")
-    values = []
-    v = start
-    while v <= stop + 1e-9:
-        values.append(round(v, 10))
-        v += step
+    # stop counts as reached within 1e-9 of a step, so 13:15:0.1 ends at 15
+    steps = (stop - start) / step + 1e-9
+    if not steps < _SWEEP_LIMIT:
+        raise argparse.ArgumentTypeError(f"sweep has more than {_SWEEP_LIMIT} points")
+    values = [round(start + i * step, 10) for i in range(math.floor(steps) + 1)]
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError("sweep step is below the grid's 1e-10 dB resolution")
     return values
 
 

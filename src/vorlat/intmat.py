@@ -49,6 +49,11 @@ class IntMatrix:
     def __setattr__(self, name, value):
         raise AttributeError("IntMatrix is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the constructor, which sets the
+        # slots that __setattr__ refuses
+        return IntMatrix, (self._data,)
+
     @classmethod
     def identity(cls, n: int) -> "IntMatrix":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])

@@ -80,6 +80,12 @@ class Lattice:
     def __setattr__(self, attr, value):
         raise AttributeError("Lattice is immutable")
 
+    def __reduce__(self):
+        # rebuilt through the constructor, as IntMatrix is, with its name,
+        # cov_sq and triangular form
+        return (functools.partial(Lattice, cov_sq=self.cov_sq, name=self.name,
+                                  _triangular=self.triangular_generator), (self.generator,))
+
     def float_triangular(self) -> np.ndarray:
         """The triangular generator as a read-only float64 array, made with
         the lattice."""

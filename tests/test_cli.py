@@ -163,6 +163,30 @@ def test_non_finite_sweep_is_a_usage_error(capsys, sweep):
     assert "sweep values must be finite" in capsys.readouterr().err
 
 
+def test_sweep_grid_is_start_plus_multiples_of_the_step():
+    assert cli._sweep_values("13:15:0.5") == [13.0, 13.5, 14.0, 14.5, 15.0]
+    assert cli._sweep_values("13:15:0.1")[-1] == 15.0  # stop reached within the tolerance
+    assert len(cli._sweep_values(f"0:{cli._SWEEP_LIMIT - 1}:1")) == cli._SWEEP_LIMIT
+
+
+@pytest.mark.parametrize("sweep", ["0:1000:1e-7", f"0:{cli._SWEEP_LIMIT}:1", "-1e308:1e308:1"])
+def test_oversized_sweep_is_a_usage_error(capsys, sweep):
+    # unchecked, 0:1000:1e-7 builds a list of 10^10 values
+    with pytest.raises(SystemExit) as info:
+        cli.main(["wer", "--spec", "pair2", f"--sweep={sweep}", "--trials", "10"])
+    assert info.value.code == 1
+    assert f"sweep has more than {cli._SWEEP_LIMIT} points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sweep", ["0:1e-9:1e-11", "5:5.0000000001:1e-12"])
+def test_sweep_finer_than_its_rounding_is_a_usage_error(capsys, sweep):
+    # unchecked, 0:1e-9:1e-11 runs 201 points of which 21 are distinct
+    with pytest.raises(SystemExit) as info:
+        cli.main(["wer", "--spec", "pair2", f"--sweep={sweep}", "--trials", "10"])
+    assert info.value.code == 1
+    assert "sweep step is below the grid's 1e-10 dB resolution" in capsys.readouterr().err
+
+
 def test_enumerate_toy_spec_file(tmp_path, capsys):
     (tmp_path / "c.chain").write_text("2 1 2\n2\n1 0\n0 1\n")
     (tmp_path / "sys.vspec").write_text("chain = c.chain\nbase = Zn(2)\n")

@@ -1,7 +1,9 @@
 """Constellation construction, indexing, and spec files."""
 
+import copy
 import functools
 import math
+import pickle
 import re
 import tracemalloc
 
@@ -397,6 +399,26 @@ def test_stock_spec_with_its_base_in_another_basis(tmp_path, name):
     assert np.array_equal(points, stock.encode_batch(ordinals))
     assert np.array_equal(loaded.index_batch(points), ordinals)
     assert np.array_equal(stock.index_batch(points), ordinals)
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPECS)
+def test_stock_spec_and_its_quantizer_survive_pickle_and_deepcopy(name):
+    """A spec and its quantizer rebuilt by pickle encode the same points; a
+    rebuilt lattice keeps its name, cov_sq and triangular form, and a copied
+    IntMatrix equals and hashes as its original."""
+    stock = builtin_spec(name)
+    spec = pickle.loads(pickle.dumps(stock))
+    quantizer = pickle.loads(pickle.dumps(stock._quantizer))
+    ordinals = np.random.default_rng(37).integers(0, stock.message_count, 4096)
+    points = stock.encode_batch(ordinals)
+    assert np.array_equal(spec.encode_batch(ordinals), points)
+    assert np.array_equal(fold_batch(quantizer, stock.representative_batch(ordinals)), points)
+    for got, want in ((spec.shaping, stock.shaping), (quantizer.lattice, stock._quantizer.lattice)):
+        assert (got.name, got.cov_sq, got.triangular_generator) == \
+            (want.name, want.cov_sq, want.triangular_generator)
+    generator = copy.deepcopy(stock.shaping.generator)
+    assert generator == stock.shaping.generator
+    assert hash(generator) == hash(stock.shaping.generator)
 
 
 def test_get_spec_stock_and_path(tmp_path):
