@@ -127,6 +127,9 @@ class LinearCode:
         self.n = len(rows[0])
         self.rows, piv = _rref_mod(rows, q)
         self.k = len(self.rows)
+        # a parity of `encode_batch` is an int64 sum of k products of symbols below q
+        if self.k * (q - 1) ** 2 >= 1 << 63:
+            raise ValueError(f"q = {q} is too large: k (q - 1)^2 >= 2^63 at k = {self.k}")
         self.pivots = tuple(piv)
         self._gen = np.array(self.rows, dtype=np.int64)
         self._pivots = np.array(piv, dtype=np.int64)

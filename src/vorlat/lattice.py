@@ -38,9 +38,9 @@ from .intmat import (
 class Lattice:
     """Full-rank integer lattice with a cached triangular generator.
 
-    A lattice records nothing of how it was built: `make_quantizer` picks
-    its quantizer from the triangular (Hermite) form alone, so a stock
-    lattice given by any basis gets the same quantizer as the stock object.
+    A lattice is its matrices and a name: `make_quantizer` picks its
+    quantizer from the triangular (Hermite) form alone, so a stock lattice
+    given by any basis gets the same quantizer as the stock object.
     """
 
     __slots__ = (
@@ -48,13 +48,11 @@ class Lattice:
         "generator",
         "triangular_generator",
         "volume",
-        "cov_sq",
         "name",
         "_float_tri",
     )
 
-    def __init__(self, generator: IntMatrix, *, cov_sq=None, name=None,
-                 _triangular: IntMatrix | None = None):
+    def __init__(self, generator: IntMatrix, *, name=None, _triangular: IntMatrix | None = None):
         if not isinstance(generator, IntMatrix):
             generator = IntMatrix(generator)
         if not generator.is_square:
@@ -71,7 +69,6 @@ class Lattice:
         object.__setattr__(self, "generator", generator)
         object.__setattr__(self, "triangular_generator", tri)
         object.__setattr__(self, "volume", vol)
-        object.__setattr__(self, "cov_sq", cov_sq)
         object.__setattr__(self, "name", name)
         float_tri = tri.to_float()
         float_tri.setflags(write=False)
@@ -81,10 +78,9 @@ class Lattice:
         raise AttributeError("Lattice is immutable")
 
     def __reduce__(self):
-        # rebuilt through the constructor, as IntMatrix is, with its name,
-        # cov_sq and triangular form
-        return (functools.partial(Lattice, cov_sq=self.cov_sq, name=self.name,
-                                  _triangular=self.triangular_generator), (self.generator,))
+        # rebuilt through the constructor, as IntMatrix is
+        return (functools.partial(Lattice, name=self.name, _triangular=self.triangular_generator),
+                (self.generator,))
 
     def float_triangular(self) -> np.ndarray:
         """The triangular generator as a read-only float64 array, made with
@@ -100,12 +96,9 @@ class Lattice:
         k = _integer("scale", k, 1)
         if k == 1:
             return self
-        return Lattice(
-            self.generator.scale(k),
-            cov_sq=None if self.cov_sq is None else k * k * self.cov_sq,
-            name=None if self.name is None else f"{k}*{self.name}",
-            _triangular=self.triangular_generator.scale(k),
-        )
+        name = None if self.name is None else f"{k}*{self.name}"
+        return Lattice(self.generator.scale(k), name=name,
+                       _triangular=self.triangular_generator.scale(k))
 
     def __repr__(self):
         label = self.name or f"{self.dim}-dim"
@@ -118,7 +111,7 @@ class Lattice:
 
 def _zn(n: int) -> Lattice:
     m = IntMatrix.identity(n)
-    return Lattice(m, cov_sq=n / 4.0, name=f"Zn({n})", _triangular=m)
+    return Lattice(m, name=f"Zn({n})", _triangular=m)
 
 
 def _dn(n: int) -> Lattice:
@@ -133,7 +126,7 @@ def _dn(n: int) -> Lattice:
     c[n - 2] = c[n - 1] = 1
     cols.append(c)
     gen = IntMatrix(list(zip(*cols)))
-    return Lattice(gen, cov_sq=max(1.0, n / 4.0), name=f"Dn({n})")
+    return Lattice(gen, name=f"Dn({n})")
 
 
 def _e8_int() -> Lattice:
@@ -151,7 +144,7 @@ def _e8_int() -> Lattice:
         [1, 1, 1, 1, 1, 1, 1, 1],
     ]
     gen = IntMatrix(rows).transpose()  # basis vectors as columns
-    lat = Lattice(gen, cov_sq=4.0, name="E8_int")
+    lat = Lattice(gen, name="E8_int")
     if lat.volume != 256:
         raise AssertionError("E8_int construction failed self-check")
     return lat
@@ -175,7 +168,7 @@ def _leech_int() -> Lattice:
         cols.append([2 * int(b) for b in row])
     cols.append([-3] + [1] * 23)
     tri = hnf_from_spanning(cols)
-    lat = Lattice(tri, cov_sq=16.0, name="Leech_int", _triangular=tri)
+    lat = Lattice(tri, name="Leech_int", _triangular=tri)
     if lat.volume != 2**36:
         raise AssertionError("Leech_int construction failed self-check")
     return lat
@@ -215,9 +208,8 @@ def direct_sum(base: Lattice, copies: int, alpha: int = 1) -> Lattice:
         return block
     gen = IntMatrix.block_diagonal([block.generator] * copies)
     tri = IntMatrix.block_diagonal([block.triangular_generator] * copies)
-    cov = None if block.cov_sq is None else copies * block.cov_sq
     name = None if base.name is None else f"{copies}x({alpha}*{base.name})"
-    return Lattice(gen, cov_sq=cov, name=name, _triangular=tri)
+    return Lattice(gen, name=name, _triangular=tri)
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,10 @@ class Quantizer:
             e = y - self.quantize_batch(y)
             yield (e * e).sum(axis=1)
 
+    def __reduce__(self):
+        # rebuilt from its lattice, so a copy shares the cached read-only tables
+        return type(self), (self.lattice,)
+
     def __repr__(self):
         return f"{type(self).__name__}({self.lattice!r})"
 
@@ -607,10 +611,10 @@ class LeechFastQuantizer(Quantizer):
 class EnumerationQuantizer(Quantizer):
     """Exact nearest point by sphere enumeration (works for any lattice).
 
-    The search starts from the covering-radius bound when the lattice carries
-    one (otherwise unbounded) and its first descent reaches the Babai
-    round-off point, which shrinks the radius to that point's distance; both
-    are upper bounds on the true distance, so the enumeration stays exact.
+    The Schnorr-Euchner search needs no starting radius: its first leaf is
+    the Babai nearest-plane point, whose distance becomes the radius (Agrell,
+    Eriksson, Vardy and Zeger, "Closest point search in lattices", IEEE
+    Trans. IT 48(8), 2002).
     """
 
     def __init__(self, lattice: Lattice):
@@ -623,7 +627,7 @@ class EnumerationQuantizer(Quantizer):
         self._r = r * sgn[:, None]
         self._gen = lattice.generator
 
-    def _search(self, w, radius_sq):
+    def _search(self, w):
         """Depth-first zig-zag enumeration; yields (dist, coeffs) leaves."""
         n = len(w)
         r = self._r
@@ -636,7 +640,7 @@ class EnumerationQuantizer(Quantizer):
         center[k] = w[k] / r[k, k]
         b[k] = np.rint(center[k])
         step[k] = 1 if center[k] >= b[k] else -1
-        bound = radius_sq + TIE_EPS
+        radius_sq = bound = math.inf
         while True:
             d = part[k + 1] + (r[k, k] * (b[k] - center[k])) ** 2
             if d <= bound:
@@ -661,8 +665,7 @@ class EnumerationQuantizer(Quantizer):
                 step[k] = -step[k] - (1 if step[k] > 0 else -1)
 
     def _nearest(self, y):
-        cov_sq = self.lattice.cov_sq
-        leaves, best = self._search(self._q.T @ y, math.inf if cov_sq is None else cov_sq)
+        leaves, best = self._search(self._q.T @ y)
         # matvec returns int tuples, which compare lexicographically
         return np.array(min(self._gen.matvec(b) for d, b in leaves if d <= best + TIE_EPS),
                         dtype=np.int64)
@@ -703,8 +706,8 @@ class ScaledQuantizer(Quantizer):
         if form is None:
             raise ValueError(f"{lattice!r} is not a scaled direct sum of Zn, Dn, "
                              f"E8_int or Leech_int")
-        name, self.alpha, self.copies = form
-        self.inner = make_quantizer(standard_lattice(name))
+        cls, leaf, self.alpha, self.copies = form
+        self.inner = cls(leaf)
         self._block = self.inner.lattice.dim
         top = int(np.iinfo(np.int64).max)
         self._top = None if self.alpha * 2 * _FLOAT_LIMIT <= top else top // self.alpha
@@ -742,29 +745,28 @@ class DirectSumQuantizer(ScaledQuantizer):
     quantize_batch = ScaledQuantizer.quantize_batch
 
 
-# Leaf quantizers by the name of their stock lattice, less its dimension
+# Leaves by the volume of their Hermite form, which tells them apart: the
+# `standard_lattice` name of a d-dim leaf block (`.format(d)`) and its quantizer
 _LEAVES = {
-    "Zn": ZnQuantizer,
-    "Dn": DnQuantizer,
-    "E8_int": E8FastQuantizer,
-    "Leech_int": LeechFastQuantizer,
+    1: ("Zn({})", ZnQuantizer),
+    2: ("Dn({})", DnQuantizer),
+    256: ("E8_int", E8FastQuantizer),
+    1 << 36: ("Leech_int", LeechFastQuantizer),
 }
-# The volume of a leaf's Hermite form tells the leaves apart
-_LEAF_VOLUMES = {1: "Zn", 2: "Dn", 256: "E8_int", 1 << 36: "Leech_int"}
 
 
 # bounded, since each entry keeps its form alive: a 512-dim one is 262 144 ints
 @functools.lru_cache(maxsize=64)
 def _leaf_form(tri) -> tuple | None:
-    """(leaf name, alpha, copies) of the lattice whose Hermite form
-    (`Lattice.triangular_generator`) is `tri`, or None when it has no
-    structured quantizer.
+    """(leaf quantizer class, stock leaf lattice, alpha, copies) of the
+    lattice whose Hermite form (`Lattice.triangular_generator`) is `tri`,
+    or None when it has no structured quantizer.
 
     alpha is the gcd of tri's entries. The lattice is alpha times `copies`
-    coordinate blocks of a stock leaf when tri / alpha is the identity (the
-    leaf Zn(n), one copy) or `copies` equal diagonal blocks, each the
-    Hermite form of Dn(d), E8_int (d = 8) or Leech_int (d = 24). A lattice
-    has one Hermite form, so every basis of it gets the same answer.
+    coordinate blocks of a stock leaf (`_LEAVES`) when tri / alpha is the
+    identity (the leaf Zn(n), one copy) or `copies` equal diagonal blocks,
+    each the Hermite form of Dn(d), E8_int (d = 8) or Leech_int (d = 24). A
+    lattice has one Hermite form, so every basis of it gets the same answer.
     """
     n = tri.rows
     rows = [tri.row(i) for i in range(n)]
@@ -779,14 +781,16 @@ def _leaf_form(tri) -> tuple | None:
                    for b in range(1, copies) for i in range(d)):
         return None
     block = [tuple(x // alpha for x in r[:d]) for r in rows[:d]]
-    kind = _LEAF_VOLUMES.get(math.prod(block[i][i] for i in range(d)))
-    if kind is None:
+    entry = _LEAVES.get(math.prod(block[i][i] for i in range(d)))
+    if entry is None:
         return None
-    name = f"{kind}({d})" if kind in ("Zn", "Dn") else kind
-    leaf = standard_lattice(name).triangular_generator
-    if leaf.rows != d or any(block[i] != leaf.row(i) for i in range(d)):
+    pattern, cls = entry
+    form = standard_lattice(pattern.format(d)).triangular_generator
+    if form.rows != d or any(block[i] != form.row(i) for i in range(d)):
         return None
-    return (f"Zn({n})", alpha, 1) if kind == "Zn" else (name, alpha, copies)
+    if cls is ZnQuantizer:  # copies of Zn(1) are Zn(n), one block
+        d, copies = n, 1
+    return cls, standard_lattice(pattern.format(d)), alpha, copies
 
 
 def make_quantizer(lattice: Lattice) -> Quantizer:
@@ -802,12 +806,12 @@ def make_quantizer(lattice: Lattice) -> Quantizer:
     form = _leaf_form(lattice.triangular_generator)
     if form is None:
         return EnumerationQuantizer(lattice)
-    name, alpha, copies = form
+    cls, _, alpha, copies = form
     if alpha != 1:
         return ScaledQuantizer(lattice)
     if copies != 1:
         return DirectSumQuantizer(lattice)
-    return _LEAVES[name.split("(")[0]](lattice)
+    return cls(lattice)
 
 
 def fold_batch(q: Quantizer, xs: np.ndarray) -> np.ndarray:

@@ -21,7 +21,6 @@ import os
 import numpy as np
 
 from .codes import (
-    BUILTIN_CHAINS,
     CodeChain,
     _MixedRadix,
     builtin_chain,
@@ -437,8 +436,10 @@ def _spec_from_values(values: dict, base_dir: str) -> VoronoiCodeSpec:
     for required in ("chain", "base"):
         if required not in values:
             raise ValueError(f"spec file: missing required key {required!r}")
-    chain = _resolve_chain(values["chain"], base_dir)
-    base = _resolve_base(values["base"], base_dir)
+    chain = _stock_or_file(values["chain"], base_dir, builtin_chain, load_chain,
+                           "spec file: chain {!r} is neither stock nor a readable file")
+    base = _stock_or_file(values["base"], base_dir, standard_lattice, load_lattice,
+                          "spec file: base {!r} is neither stock nor a readable file")
     alpha = _int_value(values.get("alpha", "1"), "alpha")
     copies = _int_value(values.get("copies", "1"), "copies")
     return VoronoiCodeSpec(
@@ -454,34 +455,28 @@ def _int_value(text: str, key: str) -> int:
         raise ValueError(f"spec file: {key} must be an integer") from exc
 
 
-def _resolve_chain(value: str, base_dir: str) -> CodeChain:
-    if value in BUILTIN_CHAINS:
-        return builtin_chain(value)
-    path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-    if os.path.exists(path):
-        return load_chain(path)
-    raise ValueError(f"spec file: chain {value!r} is neither stock nor a readable file")
-
-
-def _resolve_base(value: str, base_dir: str) -> Lattice:
+def _stock_or_file(value, base_dir: str, stock, load, refusal: str):
+    """stock(value) for a stock name, else load(path) for a readable regular
+    file (relative to base_dir unless absolute); anything else, directories
+    and unreadable files among them, is refused with a ValueError whose
+    message is refusal.format(value)."""
     try:
-        return standard_lattice(value)
+        return stock(value)
     except ValueError:
         pass
-    path = value if os.path.isabs(value) else os.path.join(base_dir, value)
-    if os.path.exists(path):
-        return load_lattice(path)
-    raise ValueError(f"spec file: base {value!r} is neither stock nor a readable file")
+    if isinstance(value, (str, os.PathLike)):
+        path = os.path.join(base_dir, value)  # an absolute value drops base_dir
+        if os.path.isfile(path):
+            try:
+                return load(path)
+            except OSError as exc:
+                raise ValueError(f"{refusal.format(value)} ({exc.strerror or exc})") from None
+    raise ValueError(refusal.format(value))
 
 
 def get_spec(name_or_path: str) -> VoronoiCodeSpec:
     """Stock constellation by name, or a spec file by path (a str or a
-    path-like object)."""
-    if name_or_path in BUILTIN_SPECS:
-        return builtin_spec(name_or_path)
-    if isinstance(name_or_path, (str, os.PathLike)) and os.path.exists(name_or_path):
-        return load_spec(name_or_path)
-    raise ValueError(
-        f"{name_or_path!r} is not a stock constellation or a readable spec file; "
-        f"stock names: {', '.join(BUILTIN_SPECS)}"
-    )
+    path-like object) that names a readable regular file."""
+    return _stock_or_file(name_or_path, "", builtin_spec, load_spec,
+                          "{!r} is not a stock constellation or a readable spec file; "
+                          f"stock names: {', '.join(BUILTIN_SPECS)}")

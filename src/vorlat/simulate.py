@@ -155,10 +155,10 @@ def transmit(x, sigma: float, seed: int = 0, trial_offset: int = 0) -> np.ndarra
     The noise of absolute trial t is sigma times a standard normal that
     depends only on (seed, t), so batching and early stopping cannot change
     any draw, and sweeps at different sigma share one noise stream. A sigma
-    that is not positive is refused.
+    that is not positive and finite is refused.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    if not 0 < sigma < math.inf:
+        raise ValueError("sigma must be positive and finite")
     arr = np.asarray(x, dtype=np.float64)
     squeeze = arr.ndim == 1
     if squeeze:

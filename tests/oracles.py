@@ -442,11 +442,13 @@ def enumerate_constellation_oracle(spec: VoronoiCodeSpec) -> set:
 
     Independent of the box indexing: scans an integer cube that provably
     covers the Voronoi region and keeps the points that belong to the coding
-    lattice and fold to themselves. Requires a covering radius bound.
+    lattice and fold to themselves. The cube's half-side comes from the
+    nearest-plane bound on the squared covering radius, sum(d_i^2) / 4 over
+    the diagonal d of the shaping lattice's triangular form (the lengths of
+    its Gram-Schmidt vectors).
     """
-    if spec.shaping.cov_sq is None:
-        raise ValueError("no covering bound available for the shaping lattice")
-    bound = int(math.isqrt(int(math.ceil(spec.shaping.cov_sq)))) + 1
+    cover_sq = sum(d * d for d in spec.shaping.diag())
+    bound = math.isqrt(-(-cover_sq // 4)) + 1
     count = (2 * bound + 1) ** spec.n
     if count > 4_000_000:
         raise ValueError("search cube too large for the brute-force oracle")

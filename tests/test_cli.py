@@ -222,6 +222,35 @@ def test_unknown_spec_name(capsys):
     assert "not a stock constellation" in err
 
 
+def test_spec_path_that_is_a_directory_is_refused(tmp_path, capsys):
+    code, out, err = run(capsys, "roundtrip", "--spec", str(tmp_path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("vorlat roundtrip: ") and "not a stock constellation" in err
+
+
+def test_spec_file_whose_chain_is_a_directory_is_refused(tmp_path, capsys):
+    (tmp_path / "chains").mkdir()
+    (tmp_path / "dir.vspec").write_text("chain = chains\nbase = Zn(2)\n")
+    code, out, err = run(capsys, "roundtrip", "--spec", str(tmp_path / "dir.vspec"))
+    assert code == 1
+    assert out == ""
+    assert err == ("vorlat roundtrip: spec file: chain 'chains' is neither stock nor a "
+                   "readable file\n")
+
+
+def test_chain_file_whose_parity_sums_pass_int64_is_refused(tmp_path, capsys):
+    q = 2**31 - 1
+    (tmp_path / "big.chain").write_text(
+        f"{q} 1 4\n3\n1 0 0 {q - 1}\n0 1 0 {q - 1}\n0 0 1 {q - 1}\n")
+    (tmp_path / "big.vspec").write_text("chain = big.chain\nbase = Zn(4)\n")
+    code, out, err = run(capsys, "roundtrip", "--spec", str(tmp_path / "big.vspec"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"q = {q} is too large" in err
+
+
 def test_bench_csv(capsys):
     code, out, _ = run(capsys, "bench", "--dims", "8,16",
                        "--trials", "32", "--repeats", "3")

@@ -98,6 +98,26 @@ def test_generator_validation():
         LinearCode([[1, 0], [1]], q=2)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_parity_sums_past_int64_are_refused(k):
+    """Over q = 2^31 - 1 a code of dimension k is built when k (q - 1)^2 is
+    below 2^63 (k <= 2) and then encodes as Python integers do; past it the
+    int64 parity sums would wrap, and the code is refused naming q."""
+    q = 2**31 - 1
+    rows = [[int(i == j) for j in range(k)] + [q - 1] for i in range(k)]
+    if k * (q - 1) ** 2 >= 1 << 63:
+        with pytest.raises(ValueError, match=f"q = {q} is too large"):
+            LinearCode(rows, q)
+        return
+    code = LinearCode(rows, q)
+    rng = np.random.default_rng(k)
+    messages = np.vstack([np.full(k, q - 1), rng.integers(q - 64, q, (64, k)),
+                          rng.integers(0, q, (64, k))])
+    want = [[sum(m * r[j] for m, r in zip(map(int, msg), rows)) % q for j in range(k + 1)]
+            for msg in messages]
+    assert code.encode_batch(messages).tolist() == want
+
+
 def test_parity_check_annihilates_exactly_the_code():
     for c in (single_parity_check_code(8), extended_hamming8(),
               LinearCode([[1, 1, 2], [0, 1, 1]], q=3)):

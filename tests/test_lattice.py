@@ -1,5 +1,6 @@
 """Tests for the lattice zoo, containment checks, and matrix file I/O."""
 
+import inspect
 import random
 
 import numpy as np
@@ -120,6 +121,15 @@ def test_standard_lattice_rejects_unknown_names():
 
 # ---------------------------------------------------------------------------
 # constructors and derived lattices
+
+
+def test_a_lattice_is_its_matrices_and_its_name():
+    """A lattice carries no hand-set constant: its constructor takes a
+    generator, a name and a precomputed triangular form, and it keeps only
+    those and what they determine."""
+    assert set(inspect.signature(Lattice).parameters) == {"generator", "name", "_triangular"}
+    assert set(Lattice.__slots__) == {
+        "dim", "generator", "triangular_generator", "volume", "name", "_float_tri"}
 
 
 def test_degenerate_generator_rejected():

@@ -75,8 +75,9 @@ def _public_defs():
 
 def _used_names():
     """Names at a call, attribute or import site of the package (less
-    __init__.py, which only re-exports), perfbench/ or tools/, attribute
-    names read by `getattr` or `hasattr`, and the attribute names that
+    __init__.py, which only re-exports), perfbench/ or tools/, names passed
+    as a call's arguments (a loader handed to a resolver), attribute names
+    read by `getattr` or `hasattr`, and the attribute names that
     `perfbench/tracer.py::_targets` wraps."""
     paths = [*PACKAGE.glob("*.py"), *(ROOT / "perfbench").glob("*.py"),
              *(ROOT / "tools").glob("*.py")]
@@ -85,6 +86,8 @@ def _used_names():
         if path == PACKAGE / "__init__.py":
             continue
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                used.update(arg.id for arg in node.args if isinstance(arg, ast.Name))
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
                 used.add(node.func.id)
                 if (node.func.id in ("getattr", "hasattr") and len(node.args) > 1

@@ -1,6 +1,7 @@
 """Tests for nearest-point search, folding, and second-moment estimation."""
 
 import math
+import pickle
 import re
 import tracemalloc
 from itertools import combinations
@@ -195,9 +196,8 @@ def test_enumeration_matches_zn_and_dn():
 
 
 def test_enumeration_on_an_untagged_skewed_lattice_matches_brute_force():
-    """Without a covering bound the search starts unbounded and must stay exact."""
+    """The search starts unbounded and must stay exact."""
     lat = Lattice(IntMatrix([[2, 0, 0], [7, 3, 0], [-5, 11, 4]]))
-    assert lat.cov_sq is None
     enum = EnumerationQuantizer(lat)
     rng = np.random.default_rng(31)
     ys = rng.uniform(-9, 9, size=(200, 3))
@@ -784,11 +784,18 @@ def _leaf(q):
     return q
 
 
-# lattice (stock name or the shaping lattice of a stock spec) -> its leaf quantizer
-_LEAVES = {
-    "Zn(4)": ZnQuantizer, "Dn(4)": DnQuantizer, "E8_int": E8FastQuantizer,
-    "Leech_int": LeechFastQuantizer, "pair2": ZnQuantizer, "desk8-e8": E8FastQuantizer,
-    "desk8-cube": ZnQuantizer, "desk8-ham": ZnQuantizer, "leech24": LeechFastQuantizer,
+# lattice (stock name or the shaping lattice of a stock spec) -> its quantizer's
+# wrapper type, leaf type, scale and copies (`_form`)
+_FORMS = {
+    "Zn(4)": (ZnQuantizer, ZnQuantizer, 1, 1),
+    "Dn(4)": (DnQuantizer, DnQuantizer, 1, 1),
+    "E8_int": (E8FastQuantizer, E8FastQuantizer, 1, 1),
+    "Leech_int": (LeechFastQuantizer, LeechFastQuantizer, 1, 1),
+    "pair2": (ScaledQuantizer, ZnQuantizer, 4, 1),
+    "desk8-e8": (ScaledQuantizer, E8FastQuantizer, 4, 1),
+    "desk8-cube": (ScaledQuantizer, ZnQuantizer, 8, 1),
+    "desk8-ham": (ScaledQuantizer, ZnQuantizer, 16, 1),
+    "leech24": (ScaledQuantizer, LeechFastQuantizer, 4, 1),
 }
 
 
@@ -805,7 +812,7 @@ def test_make_quantizer_dispatches_to_the_structured_leaf(name):
         lattice = standard_lattice(name)
     q = make_quantizer(lattice)
     assert q.lattice is lattice
-    assert type(_leaf(q)) is _LEAVES[name]
+    assert _form(q) == _FORMS[name]
     if name not in BUILTIN_SPECS:
         assert q is _leaf(q)
     # the quantizer follows from the lattice, not from the basis it is given by
@@ -814,6 +821,24 @@ def test_make_quantizer_dispatches_to_the_structured_leaf(name):
     got = make_quantizer(rebased)
     assert got.lattice is rebased
     assert _form(got) == _form(q)
+
+
+@pytest.mark.parametrize("lattice", [
+    standard_lattice("Leech_int"), builtin_spec("leech24").shaping,
+    direct_sum(standard_lattice("Leech_int"), 2),
+], ids=["Leech_int", "leech24", "2xLeech_int"])
+def test_quantizer_pickles_through_its_constructor(lattice):
+    """A pickled quantizer carries its lattice, not its tables: it is rebuilt
+    by its constructor and shares the cached read-only Leech tables."""
+    q = make_quantizer(lattice)
+    data = pickle.dumps(q)
+    assert len(data) < 10_000
+    got = pickle.loads(data)
+    assert _form(got) == _form(q)
+    assert got.lattice.triangular_generator == lattice.triangular_generator
+    tables = _leaf(got)._tables
+    assert tables is _leech_tables()
+    assert not any(arr.flags.writeable for arr in tables)
 
 
 def test_construction_d_over_rep8_spc8_gets_the_e8_decoder():

@@ -56,6 +56,12 @@ def test_transmit_refuses_non_positive_sigma():
             transmit(np.zeros((2, 4)), sigma)
 
 
+def test_transmit_refuses_non_finite_sigma():
+    for sigma in (math.inf, np.float64(np.inf)):
+        with pytest.raises(ValueError, match="sigma must be positive and finite"):
+            transmit(np.zeros((1, 2)), sigma)
+
+
 def test_transmit_is_reproducible_and_batch_invariant():
     x = np.zeros((10000, 4))
     whole = transmit(x, 0.7, seed=42)
