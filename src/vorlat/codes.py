@@ -27,6 +27,22 @@ def is_prime(q: int) -> bool:
     return True
 
 
+def _check_field(q: int, prefix: str = "") -> None:
+    """Refuse q unless it is a prime with (q - 1)^2 below 2^63, which every
+    int64 product of two symbols needs. The size goes first: trial division
+    by `is_prime` would take minutes for a q near 2^61."""
+    if q > 1 and (q - 1) ** 2 >= 1 << 63:
+        raise ValueError(f"{prefix}q = {q} is too large: (q - 1)^2 >= 2^63")
+    if not is_prime(q):
+        raise ValueError(f"{prefix}q must be prime")
+
+
+def _reduce(a: np.ndarray, q: int) -> np.ndarray:
+    """The int64 array a mod q, in [0, q) for negative entries too: a & 1 for
+    q = 2, which numpy runs about ten times faster than an int64 %."""
+    return a & 1 if q == 2 else a % q
+
+
 def _mod_inverse(value: int, q: int) -> int:
     return pow(int(value) % q, q - 2, q)
 
@@ -116,8 +132,7 @@ class LinearCode:
 
     def __init__(self, generator_rows, q: int = 2):
         q = _integer("q", q)
-        if not is_prime(q):
-            raise ValueError("q must be prime")
+        _check_field(q)
         rows = [[_integer("generator entry", v) for v in r] for r in generator_rows]
         if not rows or not rows[0]:
             raise ValueError("empty generator")
@@ -140,13 +155,13 @@ class LinearCode:
 
     def encode_batch(self, messages: np.ndarray) -> np.ndarray:
         """Systematic encoding: k pivot symbols copied, n-k parities computed."""
-        m = np.asarray(messages, dtype=np.int64) % self.q
+        m = _reduce(np.asarray(messages, dtype=np.int64), self.q)
         if m.ndim != 2 or m.shape[1] != self.k:
             raise ValueError(f"messages must have {self.k} symbols")
         out = np.empty((m.shape[0], self.n), dtype=np.int64)
         out[:, self._pivots] = m
         if len(self._nonpivots):
-            out[:, self._nonpivots] = (m @ self._parity) % self.q
+            out[:, self._nonpivots] = _reduce(m @ self._parity, self.q)
         return out
 
     def _holds(self, words) -> bool:
@@ -162,7 +177,7 @@ class LinearCode:
         """(n-k) x n matrix H with H c = 0 exactly for codewords c."""
         h = np.zeros((self.n - self.k, self.n), dtype=np.int64)
         h[:, self._nonpivots] = np.eye(self.n - self.k, dtype=np.int64)
-        h[:, self._pivots] = (-self._parity.T) % self.q
+        h[:, self._pivots] = _reduce(-self._parity.T, self.q)
         return h
 
     def codewords(self) -> np.ndarray:
@@ -341,8 +356,7 @@ def parse_chain_text(text: str) -> CodeChain:
         q, a, n = (int(t) for t in tokens[:3])
     except ValueError as exc:
         raise ValueError("chain file: bad 'q a n' header") from exc
-    if not is_prime(q):
-        raise ValueError("chain file: q must be prime")
+    _check_field(q, "chain file: ")
     if a < 1 or n < 1:
         raise ValueError("chain file: a and n must be positive")
     pos = 3

@@ -46,6 +46,11 @@ TIE_EPS = 1e-9
 # Inputs must stay below this in magnitude: float64 has no halves from here
 # on. VoronoiCodeSpec keeps its box representatives below it too.
 _FLOAT_LIMIT = 1 << 52
+# OpenBLAS runs an (m, k) by (k, n) product of m*n*k <= 2^18 multiply-adds on
+# one thread (SMP_THRESHOLD_MIN 65536 times GEMM_MULTITHREAD_THRESHOLD 4). A
+# (4096, 24) by (24, 24) Leech draw is 2.4 M: unpinned on a 2-vCPU host, 300
+# of them read median 131 us but mean 2.6 ms and max 11.5 ms.
+_ONE_THREAD_MULADDS = 1 << 18
 # B(j) = _F32_BOUNDS[j]: integer rows r under a chain of scale 2^j are
 # quantized in float32 when every |r| is below B(j) and the chain's leaf
 # takes that scale (`Quantizer._f32_bounds`): Zn and E8_int for j <= 9,
@@ -373,6 +378,8 @@ class E8FastQuantizer(Quantizer):
 # stay near 150 KB in either dtype.
 _LEECH_BLOCK_BYTES = 256
 _LEECH_HALF_ROWS = 2 * _LEECH_BLOCK_BYTES // 4  # half-rows of the largest block
+# survivor rows of one (rows, 12) by (12, 32) word-sum product in the Leech search
+_SURVIVOR_ROWS = _ONE_THREAD_MULADDS // (12 * 32)
 # flat index 128*j of the first class sum of half-row j, for the half-rows of a block
 _CLASS_STARTS = np.arange(0, 128 * _LEECH_HALF_ROWS, 128)
 _CLASS_STARTS.setflags(write=False)
@@ -381,14 +388,17 @@ _CLASS_STARTS.setflags(write=False)
 # The read-only tables of `LeechFastQuantizer`, as `_leech_tables` builds them
 _LeechTables = collections.namedtuple("_LeechTables", (
     "table offsets tetrads pattern_bits pattern_coords class_sum owed residual tetrad_at"
-    " class_words word_rows class_index"))
+    " class_words class_rows word_bits word_pen class_index"))
 
 
 @functools.cache
 def _leech_tables() -> _LeechTables:
     """The Leech quantizer's tables, built on the first call from the Golay
-    codewords; every call returns the same read-only arrays. The float ones
-    are float64; `_leech_floats` gives them in another float dtype."""
+    codewords; every call returns the same read-only arrays. The four float
+    ones are float64: offsets, the 0/1 sums pattern_bits (half-row entries
+    to pattern rows), class_sum (unflipped pattern rows to classes) and
+    word_bits (a class's 12 pattern rows to its 32 words). `_leech_floats`
+    gives them in another float dtype."""
     words = golay.codewords()
     u = np.array([-3] + [1] * 23, dtype=np.int8)
     # entries lie in -3..3; y - t and t + 4 * ... promote them to the same values
@@ -414,24 +424,35 @@ def _leech_tables() -> _LeechTables:
     coords = bits * 24 + tetrads[r % 48 // 8, np.arange(4)]  # (96, 4)
     pattern_bits = np.zeros((48, 96))
     pattern_bits[coords, r] = 1.0
-    class_rows = 8 * np.arange(6) + canon[first]  # (128, 6), unflipped rows
+    unflipped = 8 * np.arange(6) + canon[first]  # (128, 6), each class's unflipped rows
     class_sum = np.zeros((48, 128))
-    class_sum[class_rows, np.arange(128)[:, None]] = 1.0
-    owed = 8 * (flip[first].sum(axis=1) & 1)  # 8 * complement parity
+    class_sum[unflipped, np.arange(128)[:, None]] = 1.0
+    odd = flip[first].sum(axis=1) & 1  # the complement parity of each class's words
+    owed = 8 * odd
     z = np.arange(64)
     residual = (z >> 2 & 2) | (z & 1)  # 8*flips + parities -> 2*(flip parity) + D24 parity
     # flat index 48*j + row of the rows of class c in half-row j, at [:, 128*j + c],
     # below 48 * _LEECH_HALF_ROWS: int16, written in place
     tetrad_at = np.empty((6, _LEECH_HALF_ROWS, 128), dtype=np.int16)
-    np.add(class_rows.T.astype(np.int16)[:, None],
+    np.add(unflipped.T.astype(np.int16)[:, None],
            48 * np.arange(_LEECH_HALF_ROWS, dtype=np.int16)[:, None], out=tetrad_at)
-    # word_rows stays int64: a narrower one costs its every take a promoting add
-    rows = 48 * flip + 8 * np.arange(6) + canon  # (4096, 6)
-    word_rows = rows[class_words].transpose(0, 2, 1).reshape(128, 192)
-    class_index = (class_words + 4096 * np.arange(2)[:, None, None]).reshape(256, 32)
+    # A word of class c complements tetrad t or not, x_t = 1 or 0 of its flip
+    # vector, after odd classes swap tetrad 0's two columns: every class then
+    # holds the 32 even-weight x, listed in the order of their bits' integers.
+    # Column 2t + b of class_rows is the row a word with x_t = b reads at tetrad t.
+    bit = np.arange(2) ^ (odd[:, None, None] & (np.arange(6) == 0)[:, None])  # (128, 6, 2)
+    class_rows = (unflipped[:, :, None] + 48 * bit).reshape(128, 12)
+    zt = z[:, None] >> np.arange(6) & 1
+    xt = zt[zt.sum(axis=1) % 2 == 0].T  # (6, 32): bit t of each even-weight x
+    word_bits = (xt[:, None] == np.arange(2)[:, None]).reshape(12, 32).astype(np.float64)
+    word_pen = (2 * np.arange(6)[:, None] + xt).reshape(192)
+    # each class's words in that order: rank word w by its x among the 32
+    key = (flip[class_words] @ (1 << np.arange(6))) ^ odd[:, None]
+    ordered = np.take_along_axis(class_words, key.argsort(axis=1), axis=1)
+    class_index = (ordered + 4096 * np.arange(2)[:, None, None]).reshape(256, 32)
     tables = _LeechTables(table, offsets, tetrads, pattern_bits, coords.T.copy(), class_sum,
-                          owed, residual, tetrad_at.reshape(6, -1), class_words, word_rows,
-                          class_index.astype(np.int16))
+                          owed, residual, tetrad_at.reshape(6, -1), class_words, class_rows,
+                          word_bits, word_pen, class_index.astype(np.int16))
     for arr in tables:
         arr.setflags(write=False)
     return tables
@@ -439,11 +460,12 @@ def _leech_tables() -> _LeechTables:
 
 @functools.cache
 def _leech_floats(dtype) -> tuple:
-    """offsets, pattern_bits and class_sum of `_leech_tables` in a float
-    dtype, read-only: the float64 tables themselves, and copies made on the
-    first call for float32."""
+    """The four float tables of `_leech_tables`, offsets, pattern_bits,
+    class_sum and word_bits, in a float dtype, read-only: the float64 tables
+    themselves, and copies made on the first call for float32."""
     tb = _leech_tables()
-    floats = tuple(a.astype(dtype, copy=False) for a in (tb.offsets, tb.pattern_bits, tb.class_sum))
+    floats = tuple(a.astype(dtype, copy=False)
+                   for a in (tb.offsets, tb.pattern_bits, tb.class_sum, tb.word_bits))
     for arr in floats:
         arr.setflags(write=False)
     return floats
@@ -478,6 +500,21 @@ class LeechFastQuantizer(Quantizer):
     survivors: the classes whose lower bound, B plus the cheaper of the owed
     correction and one of each other kind, is within TIE_EPS of it. Only the
     survivors' words are scored exactly.
+
+    A surviving class is scored from its 12 pattern rows, a tetrad's pattern
+    and its complement for each tetrad (the sextet decoding of Conway and
+    Sloane, "Soft decoding techniques for codes and lattices, including the
+    Golay code and the Leech lattice", IEEE Trans. IT 32(1), 1986). Once odd
+    classes swap tetrad 0's two rows, the 32 words of every class are the
+    32 even-weight vectors x of complemented tetrads, in one order: one
+    (survivors, 12) by (12, 32) product by the 0/1 table word_bits gives
+    every word's sum of e^2 and of f, and a word's penalty is the least of
+    the six its rows give. Float32 rows lie on the grid of `_F32_BOUNDS`,
+    so any summation order gives the same bits. Float64 ones may sum a
+    word's six terms in another order than a sum over its tetrads would; on
+    OpenBLAS 0.3.31 every float64 score and every line of `tools/digest.py`
+    came out the same. Each product has at most _SURVIVOR_ROWS rows, so an
+    unpinned BLAS runs it on one thread.
 
     Ties within TIE_EPS go to the first coset in table order (m = 0 first, then
     codeword index). Within that coset t the point is t + 4 times the D24
@@ -533,7 +570,7 @@ class LeechFastQuantizer(Quantizer):
         coset, and the least score of any coset, the row's squared distance
         to Leech_int / 4."""
         tb = self._tables
-        offsets, pattern_bits, class_sum = floats
+        offsets, pattern_bits, class_sum, word_bits = floats
         _, half, eps, _ = _SCALARS[yq.dtype]
         rows = len(yq)
         h = 2 * rows  # half-row 2*r + m holds half m of row r
@@ -593,13 +630,18 @@ class LeechFastQuantizer(Quantizer):
         # one correction always works; two of the other kinds may be cheaper
         lb = bc + np.minimum(one, md.sum(axis=0) - one)
         at = at[lb <= bound.take(at >> 8)]
-        # score every word of the surviving classes exactly
-        words = tb.word_rows.take(at & 127, axis=0) + (96 * (at >> 7))[:, None]
-        rec = s.reshape(3, -1).take(words, axis=1).reshape(3, -1, 6, 32)
-        tot = rec[:2].sum(axis=2)
+        # score every word of the surviving classes exactly from their 12
+        # pattern rows: cost and f sums of the 32 words as products by
+        # word_bits, each of at most _SURVIVOR_ROWS rows (one BLAS thread)
+        rec = s.reshape(3, -1).take(tb.class_rows.take(at & 127, axis=0)
+                                    + (96 * (at >> 7))[:, None], axis=1)  # (3, S, 12)
+        tot = np.empty((2, len(at), 32), yq.dtype)
+        for lo in range(0, len(at), _SURVIVOR_ROWS):
+            np.matmul(rec[:2, lo : lo + _SURVIVOR_ROWS], word_bits,
+                      out=tot[:, lo : lo + _SURVIVOR_ROWS])
         # the parity as an integer of one byte, so the product keeps yq's dtype
         odd = (tot[1].astype(np.int64) & 1).astype(np.int8)
-        score = tot[0] + odd * rec[2].min(axis=1)
+        score = tot[0] + odd * rec[2].take(tb.word_pen, axis=1).reshape(-1, 6, 32).min(axis=1)
         # first coset within TIE_EPS of the minimum, in table order m*4096 + codeword index
         start = 32 * at.searchsorted(starts[::2])
         low = np.minimum.reduceat(score.reshape(-1), start)

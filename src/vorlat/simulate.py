@@ -21,7 +21,7 @@ import numpy as np
 from .codes import LinearCode, make_rep_spc_chain
 from .intmat import _integer
 from .lattice import log2_volume, standard_lattice
-from .quantize import Quantizer, _finite, fold_batch
+from .quantize import _ONE_THREAD_MULADDS, Quantizer, _finite, fold_batch
 from .shaping import _ENUM_LIMIT, VoronoiCodeSpec, _check_int64_ordinals, _share
 
 _TRIAL_BLOCK = 4096
@@ -30,11 +30,6 @@ _ML_SCORES = 1 << 20  # bounds the (rows, words) score block of table ML
 _BENCH_SAMPLE_NS = 5_000_000  # one complexity_bench timing sample lasts at least this
 _ENERGY_SAMPLES = 100_000  # messages of average_energy's Monte Carlo average
 _WILSON_Z = 1.96  # normal quantile of a two-sided 95% interval
-# OpenBLAS runs an (m, k) by (k, n) product of m*n*k <= 2^18 multiply-adds on
-# one thread (SMP_THRESHOLD_MIN 65536 times GEMM_MULTITHREAD_THRESHOLD 4). A
-# (4096, 24) by (24, 24) Leech draw is 2.4 M: unpinned on a 2-vCPU host, 300
-# of them read median 131 us but mean 2.6 ms and max 11.5 ms.
-_ONE_THREAD_MULADDS = 1 << 18
 
 SIGMA_FORMULA = "sigma^2 = Es/(2*10^(EsN0_dB/10))*(1/2) with Es = 2*average_energy"
 

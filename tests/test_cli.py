@@ -1,6 +1,7 @@
 """End-to-end checks of the command line interface."""
 
 import re
+import time
 import tracemalloc
 
 import pytest
@@ -246,6 +247,18 @@ def test_chain_file_whose_parity_sums_pass_int64_is_refused(tmp_path, capsys):
         f"{q} 1 4\n3\n1 0 0 {q - 1}\n0 1 0 {q - 1}\n0 0 1 {q - 1}\n")
     (tmp_path / "big.vspec").write_text("chain = big.chain\nbase = Zn(4)\n")
     code, out, err = run(capsys, "roundtrip", "--spec", str(tmp_path / "big.vspec"))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and f"q = {q} is too large" in err
+
+
+def test_chain_file_with_a_huge_prime_field_is_refused_at_once(tmp_path, capsys):
+    q = 2**61 - 1  # prime: trial division to sqrt(q) would take minutes
+    (tmp_path / "huge.chain").write_text(f"{q} 1 2\n1\n1 1\n")
+    (tmp_path / "huge.vspec").write_text("chain = huge.chain\nbase = Zn(2)\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, "roundtrip", "--spec", str(tmp_path / "huge.vspec"))
+    assert time.perf_counter() - start < 0.1
     assert code == 1
     assert out == ""
     assert err.count("\n") == 1 and f"q = {q} is too large" in err

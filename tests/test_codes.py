@@ -8,6 +8,7 @@ import pytest
 from vorlat.codes import (
     BUILTIN_CHAINS,
     _MixedRadix,
+    _reduce,
     CodeChain,
     LinearCode,
     builtin_chain,
@@ -96,6 +97,27 @@ def test_generator_validation():
         LinearCode([[1, 0]], q=4)
     with pytest.raises(ValueError, match="unequal"):
         LinearCode([[1, 0], [1]], q=2)
+
+
+@pytest.mark.parametrize("q", [2, 3, 5])
+def test_reduce_is_the_int64_remainder(q):
+    a = np.concatenate([np.arange(-40, 41), [-(2**63), 2**63 - 1, -(2**62) - 1, 2**62 + 1]])
+    got = _reduce(a.astype(np.int64), q)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, a % q)
+    assert got.tolist() == [int(v) % q for v in a]
+
+
+def test_fields_past_int64_products_are_refused_before_the_primality_test():
+    """(q - 1)^2 must stay below 2^63. 3037000493 is the largest prime that
+    passes, 3037000507 the next prime, and 2^61 - 1 a prime that trial
+    division would take minutes to confirm."""
+    assert LinearCode([[1, 1]], q=3037000493).q == 3037000493
+    for q in (3037000507, 2**61 - 1):
+        with pytest.raises(ValueError, match=f"q = {q} is too large"):
+            LinearCode([[1, 1]], q=q)
+        with pytest.raises(ValueError, match=f"chain file: q = {q} is too large"):
+            parse_chain_text(f"{q} 1 2\n1\n1 1\n")
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4])

@@ -661,6 +661,21 @@ def test_leech_fast_matches_coset_reference_on_random_grids(data):
     assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
 
 
+def test_leech_fast_matches_coset_reference_on_tie_heavy_rows():
+    """Small-integer and half-integer rows, and deep holes: a weight-16
+    Golay word as a 0/1 row lies at the covering radius from many points, and
+    up to 34 of its (class, half) pairs reach the exact stage. A block of
+    such rows, 32 float64 or 64 float32 ones, keeps more than _SURVIVOR_ROWS
+    of them, so its word sums take more than one product."""
+    fast = LeechFastQuantizer(standard_lattice("Leech_int"))
+    rng = np.random.default_rng(35)
+    words = golay.codewords()
+    holes = words[words.sum(axis=1) == 16][:_LEECH_F32_ROWS].astype(np.int64)
+    small = rng.integers(-8, 9, size=(_LEECH_F32_ROWS + 1, 24))
+    for ys in (small, small * 1.0, small + 0.5, holes, holes * 1.0, 3 * holes):
+        assert np.array_equal(fast.quantize_batch(ys), leech_coset_reference(ys))
+
+
 def test_leech_fast_and_coset_reference_take_the_first_of_float_rounded_ties():
     """21 cosets tie exactly in rational arithmetic on this row, but their float
     distances differ in the last bits, each summed in its own order. Both sides
@@ -706,10 +721,11 @@ def test_leech_float_tables_are_the_float64_tables_or_one_float32_copy():
     reads read-only float32 copies of them, made once."""
     tb = _leech_tables()
     f64 = _leech_floats(np.dtype(np.float64))
-    assert all(a is b for a, b in zip(f64, (tb.offsets, tb.pattern_bits, tb.class_sum)))
+    assert all(a is b for a, b in zip(
+        f64, (tb.offsets, tb.pattern_bits, tb.class_sum, tb.word_bits), strict=True))
     f32 = _leech_floats(np.dtype(np.float32))
-    assert all(a is b for a, b in zip(_leech_floats(np.dtype(np.float32)), f32))
-    for a, b in zip(f32, f64):
+    assert all(a is b for a, b in zip(_leech_floats(np.dtype(np.float32)), f32, strict=True))
+    for a, b in zip(f32, f64, strict=True):
         assert a.dtype == np.float32 and not a.flags.writeable
         assert np.array_equal(a, b)
 
@@ -739,6 +755,27 @@ def test_leech_sextet_classes_partition_the_golay_code():
         assert len(set(flips[members].sum(axis=1) % 2)) == 1
         keys.add(canon[members[0]].tobytes())
     assert len(keys) == 128
+
+
+def test_leech_class_rows_list_every_class_in_one_word_order():
+    """Column i of class c is the word class_index[c, i] of the class, and at
+    tetrad t it reads pattern row class_rows[c, 2t + b] with b =
+    word_bits[2t + 1, i]: one product by word_bits sums every class's words,
+    and the tetrad penalties are read at columns word_pen."""
+    tb = _leech_tables()
+    words = golay.codewords()
+    index = tb.class_index[:128].astype(np.int64)
+    assert np.array_equal(np.sort(index, axis=1), tb.class_words)
+    assert np.array_equal(tb.class_index[128:], tb.class_index[:128] + 4096)
+    assert set(np.unique(tb.word_bits)) == {0.0, 1.0}
+    assert np.array_equal(tb.word_bits[0::2] + tb.word_bits[1::2], np.ones((6, 32)))
+    b = tb.word_bits[1::2].astype(np.int64)  # (6, 32): x_t of word i
+    t = np.arange(6)[:, None]
+    assert np.array_equal(tb.word_pen.reshape(6, 32), 2 * t + b)
+    # a pattern row holds b*24 + i for the bit b it reads at coordinate i
+    got = tb.pattern_coords.T[tb.class_rows[:, 2 * t + b]]  # (class, tetrad, word, 4)
+    want = (words[:, tb.tetrads] * 24 + tb.tetrads)[index]  # (class, word, tetrad, 4)
+    assert np.array_equal(got, want.transpose(0, 2, 1, 3))
 
 
 def test_golay_table_splits_into_generator_bit_halves():
